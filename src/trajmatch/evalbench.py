@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geo import GeoPoint, Projection
+from .geo import GeoPoint, PlanarPoint, Projection
 from .io import (
     GroundTruthRoute,
     RoadNetwork,
@@ -155,7 +155,7 @@ def generate_scenario(seed: int, grid_size: int = 6, edge_len_m: float = 200.0,
         return f"n{i}_{j}"
 
     def node_geo(i, j):
-        return proj.unproject(_planar(i * edge_len_m, j * edge_len_m))
+        return proj.unproject(PlanarPoint(i * edge_len_m, j * edge_len_m))
 
     edges = []
     for i in range(grid_size):
@@ -200,7 +200,7 @@ def generate_scenario(seed: int, grid_size: int = 6, edge_len_m: float = 200.0,
         x, y = _route_position(waypoints, speed_mps, t_route)
         if pending and t_route >= pending[0][0]:
             _, duration, sigma = pending.pop(0)
-            dwell_centers.append(proj.unproject(_planar(x, y)))
+            dwell_centers.append(proj.unproject(PlanarPoint(x, y)))
             for _ in range(int(duration)):
                 jx, jy = rng.normal(0.0, sigma, size=2)
                 records.append(_record(proj, x + jx, y + jy, t_emit, len(records)))
@@ -214,13 +214,8 @@ def generate_scenario(seed: int, grid_size: int = 6, edge_len_m: float = 200.0,
                              dwell_windows=dwell_spec, dwell_centers=dwell_centers)
 
 
-def _planar(x, y):
-    from .geo import PlanarPoint
-    return PlanarPoint(x, y)
-
-
 def _record(proj, x, y, t, idx):
-    g = proj.unproject(_planar(float(x), float(y)))
+    g = proj.unproject(PlanarPoint(float(x), float(y)))
     return TrajectoryRecord(t, g, source_index=idx)
 
 

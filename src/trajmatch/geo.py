@@ -105,10 +105,6 @@ class Projection:
         )
 
 
-def project(origin: GeoPoint, p: GeoPoint) -> PlanarPoint:
-    return Projection(origin).project(p)
-
-
 def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance in meters (mean Earth radius)."""
     phi1, phi2 = math.radians(a.lat), math.radians(b.lat)
@@ -145,13 +141,21 @@ def project_onto_polyline(p: PlanarPoint, pl: Polyline) -> tuple[float, PlanarPo
 
     Ties between segments go to the lower segment index.
     """
+    # point_segment_distance inlined: this runs for every scored candidate.
+    px, py = p.x, p.y
+    vs, cum = pl.vertices, pl.cumlen
     best = None
-    for i, (u, v) in enumerate(zip(pl.vertices, pl.vertices[1:])):
-        d, foot, t = point_segment_distance(p, Segment(u, v))
+    for i in range(len(vs) - 1):
+        ax, ay = vs[i].x, vs[i].y
+        dx, dy = vs[i + 1].x - ax, vs[i + 1].y - ay
+        t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
+        t = min(1.0, max(0.0, t))
+        fx, fy = ax + t * dx, ay + t * dy
+        d = math.hypot(px - fx, py - fy)
         if best is None or d < best[0] - 1e-12:
-            seglen = pl.cumlen[i + 1] - pl.cumlen[i]
-            best = (d, foot, i, pl.cumlen[i] + t * seglen)
-    return best
+            best = (d, fx, fy, i, cum[i] + t * (cum[i + 1] - cum[i]))
+    d, fx, fy, i, arc_offset = best
+    return d, PlanarPoint(fx, fy), i, arc_offset
 
 
 @dataclass
@@ -192,7 +196,3 @@ def index_build(edges: list[tuple[object, Polyline]], cell_size: float = 100.0) 
     for edge_id, pl in edges:
         idx.insert_bbox(edge_id, *pl.bbox())
     return idx
-
-
-def index_query(idx: SpatialIndex, p: PlanarPoint, radius: float) -> set:
-    return idx.query(p, radius)

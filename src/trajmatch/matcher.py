@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import yaml
 
-from .fuzzy import RuleBase, default_rule_base, evaluate, rule_base_from_config
+from .fuzzy import RuleBase, default_rule_base, evaluate_batch, rule_base_from_config
 from .geo import PlanarPoint, bearing, heading_error, project_onto_polyline
 from .io import RoadNetwork, Trajectory
 
@@ -92,26 +92,49 @@ def candidate_links(network: RoadNetwork, p: PlanarPoint, radius: float) -> list
 
 def score_link(network: RoadNetwork, edge_id: str, p: PlanarPoint,
                vehicle_heading: float | None, rules: RuleBase) -> LinkCandidate:
-    """Score one candidate link by fuzzy inference over PD and HE.
+    """Score one candidate link by fuzzy inference over PD and HE."""
+    return score_links(network, [edge_id], p, vehicle_heading, rules)[0]
+
+
+def score_links(network: RoadNetwork, edge_ids: list[str], p: PlanarPoint,
+                vehicle_heading: float | None, rules: RuleBase) -> list[LinkCandidate]:
+    """Score candidate links by fuzzy inference over PD and HE, in one batch.
 
     The link direction is taken on the segment holding the projection foot
     and evaluated both ways (no one-way information in the network format);
     an absent vehicle heading is treated as perfectly aligned.
     """
-    pl = network.edges[edge_id].geometry
-    pd, foot, seg_idx, arc_offset = project_onto_polyline(p, pl)
-    if vehicle_heading is None:
-        he = 0.0
-    else:
-        link_bearing = bearing(pl.vertices[seg_idx], pl.vertices[seg_idx + 1])
-        he = min(heading_error(vehicle_heading, link_bearing),
-                 heading_error(vehicle_heading, (link_bearing + 180.0) % 360.0))
-    likelihood = evaluate(rules, {"pd": pd, "he": he})
-    return LinkCandidate(edge_id, pd, he, likelihood, foot, arc_offset)
+    measured = []
+    for edge_id in edge_ids:
+        pl = network.edges[edge_id].geometry
+        pd, foot, seg_idx, arc_offset = project_onto_polyline(p, pl)
+        if vehicle_heading is None:
+            he = 0.0
+        else:
+            link_bearing = bearing(pl.vertices[seg_idx], pl.vertices[seg_idx + 1])
+            he = min(heading_error(vehicle_heading, link_bearing),
+                     heading_error(vehicle_heading, (link_bearing + 180.0) % 360.0))
+        measured.append((edge_id, pd, he, foot, arc_offset))
+    likelihoods = evaluate_batch(rules, [{"pd": pd, "he": he} for _, pd, he, _, _ in measured])
+    return [LinkCandidate(edge_id, pd, he, likelihood, foot, arc_offset)
+            for (edge_id, pd, he, foot, arc_offset), likelihood in zip(measured, likelihoods)]
 
 
 def _best_candidate(scored: list[LinkCandidate]) -> LinkCandidate:
     return min(scored, key=lambda c: (-c.likelihood, c.pd, c.edge_id))
+
+
+def _confident(cand: LinkCandidate, cfg: MatcherConfig) -> bool:
+    """True when the candidate lies within candidate_radius and scores at
+    least l_min.
+
+    The likelihood test alone passes points far off every road: their pd is
+    clamped to the universe maximum, where "pd long and he small" defuzzifies
+    to exactly the average label's centroid, 50 (50.000000000000014 after
+    rounding), and the default l_min is 50. The pd test settles that case,
+    so the likelihood test keeps an inclusive >= at l_min.
+    """
+    return cand.pd <= cfg.candidate_radius and cand.likelihood >= cfg.l_min
 
 
 def imp(network: RoadNetwork, p: PlanarPoint, heading: float | None,
@@ -124,8 +147,7 @@ def imp(network: RoadNetwork, p: PlanarPoint, heading: float | None,
     ids = candidate_links(network, p, cfg.candidate_radius)
     if not ids:
         return None
-    scored = [score_link(network, e, p, heading, rules) for e in ids]
-    return _best_candidate(scored)
+    return _best_candidate(score_links(network, ids, p, heading, rules))
 
 
 def smp_step(network: RoadNetwork, state: MatchState, p: PlanarPoint,
@@ -135,52 +157,56 @@ def smp_step(network: RoadNetwork, state: MatchState, p: PlanarPoint,
 
     Stays on the current edge while the projection falls in the edge
     interior with small PD; near an endpoint node (or on a large PD
-    excursion) re-scores the current edge plus the edges incident to the
-    nearer node. Three consecutive low-confidence junction decisions reset
-    the state to uninitialized.
+    excursion) re-scores the edges incident to the nearer node against the
+    current edge. Three consecutive junction decisions that are not
+    confident (see _confident) reset the state to uninitialized.
     """
     edge = network.edges[state.edge_id]
     cand = score_link(network, state.edge_id, p, heading, rules)
     interior = (cand.arc_offset > cfg.junction_radius
                 and edge.geometry.length - cand.arc_offset > cfg.junction_radius)
     if interior and cand.pd <= cfg.pd_escape:
-        new_state = replace_state(state, consecutive_low_confidence=0)
+        new_state = MatchState(edge_id=state.edge_id, last_heading=state.last_heading)
         return new_state, cand, PHASE_ALONG
 
     nearer = (edge.node_from
               if cand.arc_offset <= edge.geometry.length - cand.arc_offset
               else edge.node_to)
-    ids = {state.edge_id} | network.adjacency.get(nearer, set())
-    scored = [score_link(network, e, p, heading, rules) for e in sorted(ids)]
-    best = _best_candidate(scored)
-    if best.likelihood < cfg.l_min:
+    others = sorted(network.adjacency.get(nearer, set()) - {state.edge_id})
+    best = _best_candidate([cand] + score_links(network, others, p, heading, rules))
+    if not _confident(best, cfg):
         low = state.consecutive_low_confidence + 1
         if low >= cfg.reinit_after:
             return MatchState(edge_id=None, last_heading=state.last_heading), best, PHASE_JUNCTION
-        new_state = replace_state(state, consecutive_low_confidence=low)
+        new_state = MatchState(edge_id=state.edge_id, last_heading=state.last_heading,
+                               consecutive_low_confidence=low)
         return new_state, best, PHASE_JUNCTION
     new_state = MatchState(edge_id=best.edge_id, last_heading=state.last_heading,
                            consecutive_low_confidence=0)
     return new_state, best, PHASE_JUNCTION
 
 
-def replace_state(state: MatchState, **kw) -> MatchState:
-    return MatchState(**{**state.__dict__, **kw})
-
-
 def _forced_candidate(network: RoadNetwork, p: PlanarPoint, heading,
                       rules: RuleBase, cfg: MatcherConfig) -> LinkCandidate:
-    """Best candidate with a widening search; falls back to a full scan."""
+    """Best candidate with a widening search.
+
+    When the last radius (128 times candidate_radius) finds no link, only
+    the links nearest to p are scored, not every link of the network: that
+    far out the default rule base clamps pd, so scoring all of them would
+    rank links by heading alone, at the cost of one fuzzy evaluation each.
+    """
     radius = cfg.candidate_radius
     for _ in range(8):
         ids = candidate_links(network, p, radius)
         if ids:
-            return _best_candidate(
-                [score_link(network, e, p, heading, rules) for e in ids])
+            break
         radius *= 2.0
-    scored = [score_link(network, e, p, heading, rules)
-              for e in sorted(network.edges)]
-    return _best_candidate(scored)
+    else:
+        dist = {e: project_onto_polyline(p, edge.geometry)[0]
+                for e, edge in network.edges.items()}
+        nearest = min(dist.values())
+        ids = sorted(e for e, d in dist.items() if d == nearest)
+    return _best_candidate(score_links(network, ids, p, heading, rules))
 
 
 def match_trajectory(network: RoadNetwork, traj: Trajectory, rules: RuleBase,
@@ -213,12 +239,12 @@ def match_trajectory(network: RoadNetwork, traj: Trajectory, rules: RuleBase,
             phase = PHASE_IMP
             if cand is None:
                 cand = _forced_candidate(network, p, heading, rules, cfg)
-            confident = cand.likelihood >= cfg.l_min
+            confident = _confident(cand, cfg)
             if confident:
                 state = MatchState(edge_id=cand.edge_id, last_heading=state.last_heading)
         else:
             state, cand, phase = smp_step(network, state, p, heading, rules, cfg)
-            confident = cand.likelihood >= cfg.l_min
+            confident = _confident(cand, cfg)
             if state.edge_id is None:
                 reinit = True
 

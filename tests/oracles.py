@@ -92,3 +92,56 @@ def highres_centroid(mu, lo, hi, samples=100_001):
     if mass <= 0:
         return (lo + hi) / 2.0
     return float((xs * ys).sum() / mass)
+
+
+def numpy_mamdani(config, crisp, samples=1001):
+    """Mamdani inference as a per-call numpy program, from a rule-base config.
+
+    `config` has the layout `fuzzy.rule_base_from_config` reads. Every call
+    evaluates memberships through numpy 0-d arrays, rebuilds the output grid
+    with np.linspace and samples every consequent on it, then clips, takes
+    the pointwise max and returns the sampled centroid (the universe
+    midpoint when no rule fires).
+    """
+    memberships = {
+        name: {label: float(numpy_membership(spec["shape"], spec["params"],
+                                             _clamp(crisp[name], node["universe"])))
+               for label, spec in node["labels"].items()}
+        for name, node in config["inputs"].items()}
+    lo, hi = config["output"]["universe"]
+    grid = np.linspace(lo, hi, samples)
+    agg = np.zeros_like(grid)
+    for rule in config["rules"]:
+        weight = float(rule.get("weight", 1.0))
+        strength = min(memberships[v][l] for v, l in rule["if"]) * weight
+        if strength <= 0:
+            continue
+        spec = config["output"]["labels"][rule["then"]]
+        consequent = numpy_membership(spec["shape"], spec["params"], grid)
+        agg = np.maximum(agg, np.minimum(consequent, strength))
+    mass = float(np.sum(agg))
+    if mass <= 0.0:
+        return (lo + hi) / 2.0
+    return float(np.sum(grid * agg) / mass)
+
+
+def _clamp(x, universe):
+    lo, hi = universe
+    return min(hi, max(lo, x))
+
+
+def numpy_membership(shape, params, x):
+    """Membership functions written with numpy, as arrays or 0-d arrays."""
+    x = np.asarray(x, dtype=float)
+    if shape in ("triangular", "trapezoidal"):
+        a, b = params[0], params[1]
+        c, d = (params[1], params[2]) if shape == "triangular" else (params[2], params[3])
+        left = np.where(a == b, 1.0, (x - a) / max(b - a, 1e-300))
+        right = np.where(c == d, 1.0, (d - x) / max(d - c, 1e-300))
+        return np.clip(np.minimum(np.minimum(left, 1.0), right), 0.0, 1.0)
+    a, b = params
+    s = np.where(
+        x <= a, 0.0,
+        np.where(x <= (a + b) / 2.0, 2 * ((x - a) / (b - a)) ** 2,
+                 np.where(x <= b, 1 - 2 * ((b - x) / (b - a)) ** 2, 1.0)))
+    return 1.0 - s if shape == "z" else s

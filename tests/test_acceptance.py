@@ -25,7 +25,6 @@ from trajmatch.geo import (
     haversine_distance,
     heading_error,
     index_build,
-    index_query,
     point_segment_distance,
     project_onto_polyline,
 )
@@ -189,7 +188,7 @@ def test_criterion_6_geometry_property_suite():
         p = PlanarPoint(rng.uniform(-50, 2050), rng.uniform(-50, 2050))
         radius = rng.uniform(1, 250)
         truth = {eid for eid, pl in edges if project_onto_polyline(p, pl)[0] <= radius}
-        assert truth <= index_query(idx, p, radius)
+        assert truth <= idx.query(p, radius)
     check(6, True, "4 x 1000 random geometry property cases")
 
 

@@ -15,9 +15,7 @@ from trajmatch.geo import (
     haversine_distance,
     heading_error,
     index_build,
-    index_query,
     point_segment_distance,
-    project,
     project_onto_polyline,
 )
 from oracles import law_of_cosines_distance, sampled_segment_distance
@@ -34,14 +32,14 @@ def test_geopoint_range_validation():
 
 def test_project_identity():
     o = GeoPoint(47.0, -122.0)
-    p = project(o, o)
+    p = Projection(o).project(o)
     assert p == PlanarPoint(0.0, 0.0)
 
 
 def test_project_one_meter_north():
     o = GeoPoint(47.0, -122.0)
     p = GeoPoint(47.0 + 1 / 111194.93, -122.0)
-    planar = project(o, p)
+    planar = Projection(o).project(p)
     assert planar.x == 0.0
     assert planar.y == pytest.approx(1.0, rel=1e-3)
     # haversine oracle agrees within 0.1%
@@ -51,7 +49,7 @@ def test_project_one_meter_north():
 def test_project_equator_east():
     o = GeoPoint(0.0, 0.0)
     p = GeoPoint(0.0, 0.001)
-    planar = project(o, p)
+    planar = Projection(o).project(p)
     assert planar.y == 0.0
     assert planar.x == pytest.approx(111.19, abs=0.05)
     assert planar.x == pytest.approx(haversine_distance(o, p), rel=1e-3)
@@ -212,19 +210,19 @@ def _random_polyline(rng, span=1000.0):
 def test_index_single_edge():
     pl = Polyline([PlanarPoint(10, 10), PlanarPoint(20, 10)])
     idx = index_build([("e1", pl)], cell_size=100.0)
-    assert index_query(idx, PlanarPoint(15, 12), 5.0) == {"e1"}
+    assert idx.query(PlanarPoint(15, 12), 5.0) == {"e1"}
 
 
 def test_index_edge_spanning_cells():
     pl = Polyline([PlanarPoint(5, 5), PlanarPoint(250, 5)])
     idx = index_build([("e1", pl)], cell_size=100.0)
     for x in (10, 150, 240):
-        assert "e1" in index_query(idx, PlanarPoint(x, 5), 1.0)
+        assert "e1" in idx.query(PlanarPoint(x, 5), 1.0)
 
 
 def test_index_empty():
     idx = index_build([], cell_size=100.0)
-    assert index_query(idx, PlanarPoint(0, 0), 10.0) == set()
+    assert idx.query(PlanarPoint(0, 0), 10.0) == set()
 
 
 def test_index_superset_property():
@@ -236,4 +234,4 @@ def test_index_superset_property():
         radius = rng.uniform(1.0, 200.0)
         truth = {eid for eid, pl in edges
                  if project_onto_polyline(p, pl)[0] <= radius}
-        assert truth <= index_query(idx, p, radius)
+        assert truth <= idx.query(p, radius)

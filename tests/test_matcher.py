@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from trajmatch import matcher
 from trajmatch.fuzzy import default_rule_base
 from trajmatch.geo import GeoPoint, PlanarPoint, Projection, project_onto_polyline
 from trajmatch.io import Trajectory, TrajectoryRecord, build_network
@@ -10,6 +11,7 @@ from trajmatch.matcher import (
     MatchState,
     PHASE_ALONG,
     PHASE_JUNCTION,
+    PHASE_IMP,
     candidate_links,
     imp,
     load_matcher_config,
@@ -296,3 +298,70 @@ def test_load_matcher_config(tmp_path):
     assert cfg.l_min == 40.0
     assert cfg.junction_radius == 15.0  # default preserved
     assert rules.rules  # default rule base loaded
+
+
+def test_junction_step_projects_each_edge_once(monkeypatch):
+    net = t_junction_net()
+    edge_of = {id(e.geometry): eid for eid, e in net.edges.items()}
+    calls = []
+
+    def counting(p, pl):
+        calls.append(edge_of[id(pl)])
+        return project_onto_polyline(p, pl)
+
+    monkeypatch.setattr(matcher, "project_onto_polyline", counting)
+    state = MatchState(edge_id="north", last_heading=0.0)
+    p = net.projection.project(g(25, 200))
+    _, _, phase = smp_step(net, state, p, 90.0, RULES, CFG)
+    assert phase == PHASE_JUNCTION
+    assert sorted(calls) == ["continue", "east", "north"]
+
+
+def grid_net(n=3, step=200.0):
+    edges = []
+    for i in range(n):
+        for j in range(n):
+            if i + 1 < n:
+                edges.append((f"h{i}_{j}", f"n{i}_{j}", f"n{i + 1}_{j}",
+                              [(i * step, j * step), ((i + 1) * step, j * step)]))
+            if j + 1 < n:
+                edges.append((f"v{i}_{j}", f"n{i}_{j}", f"n{i}_{j + 1}",
+                              [(i * step, j * step), (i * step, (j + 1) * step)]))
+    return net_from_planar(edges)
+
+
+def test_far_points_not_confident_and_reinitialize():
+    net = grid_net()
+    on_road = [g(200, y) for y in range(20, 180, 20)]
+    far = GeoPoint(on_road[-1].lat + 0.5, on_road[-1].lon)  # about 55 km north
+    positions = on_road + [far] * 4
+    traj = Trajectory([TrajectoryRecord(float(i), pos, i) for i, pos in enumerate(positions)])
+    result = match_trajectory(net, traj, RULES, CFG)
+    assert all(m.confident for m in result.matched[:len(on_road)])
+    tail = result.matched[len(on_road):]
+    assert [m.confident for m in tail] == [False] * 4
+    assert [m.reinitialized for m in tail[:3]] == [False, False, True]
+
+
+def test_far_run_scores_only_nearest_links(monkeypatch):
+    # Every far point after the reinitialization finds no link within the
+    # widening radii; the fallback must score the nearest links only.
+    net = grid_net(n=6)
+    scored = []
+    real = matcher.score_links
+
+    def counting(network, edge_ids, *args):
+        scored.append(len(edge_ids))
+        return real(network, edge_ids, *args)
+
+    monkeypatch.setattr(matcher, "score_links", counting)
+    on_road = [g(200, y) for y in range(20, 180, 20)]
+    far = GeoPoint(on_road[-1].lat + 0.5, on_road[-1].lon)
+    positions = on_road + [far] * 8
+    traj = Trajectory([TrajectoryRecord(float(i), pos, i) for i, pos in enumerate(positions)])
+    before = len(scored)
+    result = match_trajectory(net, traj, RULES, CFG)
+    tail = result.matched[len(on_road) + 3:]
+    assert [m.phase_used for m in tail] == [PHASE_IMP] * 5
+    assert all(m.edge_id in {"h0_5", "h1_5", "v1_4"} for m in tail)
+    assert max(scored[before:]) <= 3 < len(net.edges)
