@@ -12,6 +12,7 @@ labels after construction is not supported.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -142,6 +143,8 @@ class RuleBase:
     def __post_init__(self):
         for rule in self.rules:
             for var, label in rule.antecedent:
+                if var not in self.inputs:
+                    raise ValueError(f"rule references unknown input {var!r}")
                 if label not in self.inputs[var].labels:
                     raise ValueError(f"rule references unknown label {var}.{label}")
             if rule.consequent not in self.output.labels:
@@ -252,29 +255,74 @@ def default_rule_base() -> RuleBase:
     return RuleBase({"pd": pd, "he": he}, likelihood, rules)
 
 
-_SHAPE_BUILDERS = {
-    "triangular": triangular,
-    "trapezoidal": trapezoidal,
-    "z": z_shaped,
-    "s": s_shaped,
-}
+def _field(node, key: str, kind: type, where: str):
+    """node[key] of a parsed config, checked to be a `kind`, or a ValueError
+    that names the key by its dotted path."""
+    path = f"{where}.{key}" if where else key
+    if not isinstance(node, Mapping):
+        raise ValueError(f"{where or 'rule base'}: expected a mapping, got {node!r}")
+    if key not in node:
+        raise ValueError(f"{path}: missing")
+    if not isinstance(node[key], kind):
+        raise ValueError(f"{path}: expected a {kind.__name__}, got {node[key]!r}")
+    return node[key]
 
 
-def _variable_from_config(name: str, node: dict) -> FuzzyVariable:
+def _known(node: Mapping, keys: tuple[str, ...], where: str):
+    """Reject a key of a config mapping that is not one of `keys`."""
+    for key in node:
+        if key not in keys:
+            raise ValueError(f"{where}.{key}: unknown key" if where else f"{key}: unknown key")
+
+
+def _numbers(values: list, path: str) -> tuple[float, ...]:
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+               for v in values):
+        raise ValueError(f"{path}: expected finite numbers, got {values!r}")
+    return tuple(values)
+
+
+def _variable_from_config(name: str, node, where: str) -> FuzzyVariable:
     labels = {}
-    for label, spec in node["labels"].items():
-        shape = spec["shape"]
-        labels[label] = _SHAPE_BUILDERS[shape](*spec["params"])
-    return FuzzyVariable(name, tuple(node["universe"]), labels)
+    for label, spec in _field(node, "labels", Mapping, where).items():
+        path = f"{where}.labels.{label}"
+        params = _numbers(_field(spec, "params", list, path), f"{path}.params")
+        _known(spec, ("shape", "params"), path)
+        try:
+            labels[label] = MembershipFunction(_field(spec, "shape", str, path), params)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    universe = _numbers(_field(node, "universe", list, where), f"{where}.universe")
+    _known(node, ("universe", "labels"), where)
+    try:
+        lo, hi = universe
+        return FuzzyVariable(name, (lo, hi), labels)
+    except ValueError as exc:
+        raise ValueError(f"{where}.universe: {exc}") from None
 
 
-def rule_base_from_config(node: dict) -> RuleBase:
-    """Build a RuleBase from a parsed config mapping (see docs/config schema)."""
-    inputs = {name: _variable_from_config(name, sub)
-              for name, sub in node["inputs"].items()}
-    output = _variable_from_config("likelihood", node["output"])
+def rule_base_from_config(node: Mapping) -> RuleBase:
+    """Build a RuleBase from a parsed config mapping (see docs/config schema).
+
+    A malformed mapping raises ValueError naming the offending key by its
+    dotted path, such as `output.labels.low.params` or `rules[2].then`.
+    """
+    inputs = {name: _variable_from_config(name, sub, f"inputs.{name}")
+              for name, sub in _field(node, "inputs", Mapping, "").items()}
+    _known(node, ("inputs", "output", "rules"), "")
+    output = _variable_from_config("likelihood", _field(node, "output", Mapping, ""), "output")
     rules = []
-    for spec in node["rules"]:
-        antecedent = tuple((var, label) for var, label in spec["if"])
-        rules.append(Rule(antecedent, spec["then"], float(spec.get("weight", 1.0))))
-    return RuleBase(inputs, output, rules)
+    for i, spec in enumerate(_field(node, "rules", list, "")):
+        path = f"rules[{i}]"
+        antecedent = _field(spec, "if", list, path)
+        _known(spec, ("if", "then", "weight"), path)
+        if not all(isinstance(c, list) and len(c) == 2 and all(isinstance(v, str) for v in c)
+                   for c in antecedent):
+            raise ValueError(f"{path}.if: expected [variable, label] pairs, got {antecedent!r}")
+        [weight] = _numbers([spec.get("weight", 1.0)], f"{path}.weight")
+        rules.append(Rule(tuple(map(tuple, antecedent)), _field(spec, "then", str, path),
+                          float(weight)))
+    try:
+        return RuleBase(inputs, output, rules)
+    except ValueError as exc:
+        raise ValueError(f"rules: {exc}") from None

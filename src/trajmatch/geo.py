@@ -93,10 +93,13 @@ class Projection:
         self._coslat = math.cos(math.radians(origin.lat))
 
     def project(self, p: GeoPoint) -> PlanarPoint:
-        return PlanarPoint(
-            x=(p.lon - self.origin.lon) * self._coslat * METERS_PER_DEGREE,
-            y=(p.lat - self.origin.lat) * METERS_PER_DEGREE,
-        )
+        return PlanarPoint(*self.project_lonlat(p.lon, p.lat))
+
+    def project_lonlat(self, lon, lat):
+        """(x, y) of bare longitude and latitude; numpy arrays project
+        elementwise, with the same arithmetic as project()."""
+        return ((lon - self.origin.lon) * self._coslat * METERS_PER_DEGREE,
+                (lat - self.origin.lat) * METERS_PER_DEGREE)
 
     def unproject(self, p: PlanarPoint) -> GeoPoint:
         return GeoPoint(

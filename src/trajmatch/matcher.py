@@ -5,14 +5,15 @@ junction re-evaluation, driven by perpendicular distance and heading error.
 from __future__ import annotations
 
 import csv
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import yaml
 
 from .fuzzy import RuleBase, default_rule_base, evaluate_batch, rule_base_from_config
 from .geo import PlanarPoint, bearing, heading_error, project_onto_polyline
-from .io import RoadNetwork, Trajectory
+from .io import ParseError, RoadNetwork, Trajectory
 
 PHASE_IMP = "IMP"
 PHASE_ALONG = "SMP_ALONG"
@@ -68,13 +69,43 @@ class MatchResult:
 
 
 def load_matcher_config(path) -> tuple[MatcherConfig, RuleBase]:
-    """Read thresholds and an optional rule-base override from a YAML file."""
+    """Read thresholds and an optional rule-base override from a YAML file.
+
+    A file that is not a YAML mapping, an unknown key, a non-numeric
+    threshold and a malformed rule base raise ParseError naming the
+    offending key.
+    """
     with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh) or {}
-    cfg = MatcherConfig(**doc.get("thresholds", {}))
-    rules = (rule_base_from_config(doc["rule_base"])
-             if "rule_base" in doc else default_rule_base())
-    return cfg, rules
+        try:
+            doc = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ParseError(f"{path}: malformed YAML: {exc}") from None
+    doc = {} if doc is None else doc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a mapping of thresholds and rule_base, "
+                         f"got {type(doc).__name__}")
+    for key in doc:
+        if key not in ("thresholds", "rule_base"):
+            raise ParseError(f"{path}: {key}: unknown key (known: rule_base, thresholds)")
+    thresholds = doc.get("thresholds")
+    thresholds = {} if thresholds is None else thresholds
+    if not isinstance(thresholds, dict):
+        raise ParseError(f"{path}: thresholds: expected a mapping, got {thresholds!r}")
+    known = {f.name for f in fields(MatcherConfig)}
+    for key, value in thresholds.items():
+        if key not in known:
+            raise ParseError(f"{path}: thresholds.{key}: unknown key "
+                             f"(known: {', '.join(sorted(known))})")
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value):
+            raise ParseError(f"{path}: thresholds.{key}: expected a finite number, "
+                             f"got {value!r}")
+    if "rule_base" not in doc:
+        return MatcherConfig(**thresholds), default_rule_base()
+    try:
+        return MatcherConfig(**thresholds), rule_base_from_config(doc["rule_base"])
+    except ValueError as exc:
+        raise ParseError(f"{path}: rule_base: {exc}") from None
 
 
 def candidate_links(network: RoadNetwork, p: PlanarPoint, radius: float) -> list[str]:

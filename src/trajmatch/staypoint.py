@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -88,10 +89,8 @@ def _coords(traj: Trajectory, metric_space: str) -> np.ndarray:
     lons = np.array([r.position.lon for r in traj])
     if metric_space == DEGREE_EUCLIDEAN:
         return np.column_stack([lons, lats])
-    origin = GeoPoint(float(lats.mean()), float(lons.mean()))
-    proj = Projection(origin)
-    pts = [proj.project(r.position) for r in traj]
-    return np.array([[p.x, p.y] for p in pts])
+    proj = Projection(GeoPoint(float(lats.mean()), float(lons.mean())))
+    return np.column_stack(proj.project_lonlat(lons, lats))
 
 
 def knn_distance_curve(traj: Trajectory, k: int,
@@ -108,55 +107,91 @@ def knn_distance_curve(traj: Trajectory, k: int,
     return KnnCurve(k=k, distances=np.sort(dists[:, k]))
 
 
+def _lowest_connected(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """For each of n nodes, the lowest node of its connected component in
+    the undirected graph with edges (i[k], j[k]).
+
+    Min-label hooking with pointer jumping: each round, every tree root
+    with an edge into another tree hooks onto the lowest root across such
+    edges, then every node is pointed straight at its tree's root. It
+    stops when both ends of every edge point at the same node; pointers
+    only move to lower nodes of the same component, so that node is the
+    component's lowest. A tree that neither hooks nor is hooked onto in
+    one round hooks in the next, so the number of trees halves at least
+    every two rounds.
+    """
+    root = np.arange(n, dtype=i.dtype)
+    while True:
+        ri, rj = root[i], root[j]
+        cross = ri != rj
+        if not cross.any():
+            return root
+        ri, rj = ri[cross], rj[cross]
+        np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
+        up = root[root]
+        while not np.array_equal(up, root):
+            root, up = up, up[up]
+
+
 def dbscan(traj: Trajectory, params: DbscanParams) -> ClusterLabel:
     """DBSCAN with self-inclusive neighborhood counting.
 
     A point is core iff its eps-ball (including itself) holds >= min_pts
-    points. Border points join the first cluster that reaches them; the
-    scan runs in source_index order, so output is deterministic.
+    points. Clusters are the connected components of the graph that joins
+    core points within eps of each other, numbered 0, 1, ... in order of
+    their lowest core index. A non-core point takes the smallest cluster id
+    among its core neighbors, or NOISE if it has none. The labelling
+    depends only on the points and their order.
     """
-    n = len(traj)
     coords = _coords(traj, params.metric_space)
-    tree = cKDTree(coords)
-    neighborhoods = tree.query_ball_point(coords, r=params.eps)
+    counts = cKDTree(coords).query_ball_point(coords, r=params.eps, return_length=True)
+    core = counts >= params.min_pts
+    labels = np.full(len(coords), NOISE, dtype=int)
+    core_idx = np.flatnonzero(core)
+    if core_idx.size == 0:
+        return ClusterLabel(labels=labels, core=core)
 
-    labels = np.full(n, NOISE, dtype=int)
-    core = np.array([len(nb) >= params.min_pts for nb in neighborhoods])
-    visited = np.zeros(n, dtype=bool)
-    cluster_id = 0
-    for start in range(n):
-        if visited[start] or not core[start]:
-            continue
-        # grow one cluster from this core point
-        queue = [start]
-        visited[start] = True
-        labels[start] = cluster_id
-        while queue:
-            p = queue.pop(0)
-            for q in sorted(neighborhoods[p]):
-                if labels[q] == NOISE:
-                    labels[q] = cluster_id
-                if not visited[q] and core[q]:
-                    visited[q] = True
-                    queue.append(q)
-        cluster_id += 1
+    # cluster the core points alone: a tree and a pair list over them only
+    core_tree = cKDTree(coords[core_idx])
+    pairs = core_tree.query_pairs(params.eps, output_type="ndarray")
+    pairs = pairs.astype(np.min_scalar_type(core_idx.size))  # a smaller working set
+    _, cluster = np.unique(_lowest_connected(core_idx.size, pairs[:, 0], pairs[:, 1]),
+                           return_inverse=True)
+    labels[core_idx] = cluster
+    n_clusters = int(cluster.max()) + 1
+
+    other = np.flatnonzero(~core)
+    if other.size:
+        hoods = core_tree.query_ball_point(coords[other], r=params.eps)
+        sizes = np.fromiter(map(len, hoods), dtype=np.intp, count=other.size)
+        near = np.fromiter(chain.from_iterable(hoods), dtype=np.intp, count=sizes.sum())
+        best = np.full(other.size, n_clusters)
+        np.minimum.at(best, np.repeat(np.arange(other.size), sizes), cluster[near])
+        labels[other] = np.where(best < n_clusters, best, NOISE)
     return ClusterLabel(labels=labels, core=core)
 
 
 def summarize_clusters(traj: Trajectory, labels: ClusterLabel) -> list[StayPoint]:
-    """Per-cluster mean coordinates plus arrival/leave timestamps."""
-    out = []
-    for cid in range(labels.cluster_count):
-        members = [r for r, lab in zip(traj, labels.labels) if lab == cid]
-        out.append(StayPoint(
-            x=sum(r.position.lon for r in members) / len(members),
-            y=sum(r.position.lat for r in members) / len(members),
-            t_a=min(r.timestamp for r in members),
-            t_l=max(r.timestamp for r in members),
-            member_count=len(members),
-            cluster_id=cid,
-        ))
-    return out
+    """Per-cluster mean coordinates plus arrival/leave timestamps.
+
+    Each cluster's coordinate sums add its members in index order, one
+    after another (np.bincount), then divide by the member count.
+    """
+    k = labels.cluster_count
+    members = np.flatnonzero(labels.labels != NOISE)
+    lab = labels.labels[members]
+    recs = traj.records
+    t, lon, lat = np.array([(recs[i].timestamp, recs[i].position.lon, recs[i].position.lat)
+                            for i in members.tolist()]).reshape(-1, 3).T
+    count = np.bincount(lab, minlength=k)
+    t_a = np.full(k, np.inf)
+    t_l = np.full(k, -np.inf)
+    np.minimum.at(t_a, lab, t)
+    np.maximum.at(t_l, lab, t)
+    rows = zip((np.bincount(lab, lon, minlength=k) / count).tolist(),
+               (np.bincount(lab, lat, minlength=k) / count).tolist(),
+               t_a.tolist(), t_l.tolist(), count.tolist())
+    return [StayPoint(*row, cluster_id=cid) for cid, row in enumerate(rows)]
 
 
 def reduce_trajectory(traj: Trajectory, labels: ClusterLabel,
@@ -168,18 +203,21 @@ def reduce_trajectory(traj: Trajectory, labels: ClusterLabel,
     pass through untouched.
     """
     by_id = {s.cluster_id: s for s in stay_points}
-    entries = []  # (timestamp, source_index, record, provenance)
-    for r, lab in zip(traj, labels.labels):
-        if lab == NOISE:
-            entries.append((r.timestamp, r.source_index, r, "original"))
-    for cid in range(labels.cluster_count):
+    k = labels.cluster_count
+    member = labels.labels != NOISE
+    source = np.array([r.source_index for r in traj])
+    first = np.full(k, np.iinfo(source.dtype).max)
+    np.minimum.at(first, labels.labels[member], source[member])
+    records = [traj.records[i] for i in np.flatnonzero(~member).tolist()]
+    provenance = ["original"] * len(records)
+    for cid, src in enumerate(first.tolist()):
         s = by_id[cid]
-        first = min(r.source_index for r, lab in zip(traj, labels.labels) if lab == cid)
-        rec = TrajectoryRecord(s.t_a, GeoPoint(s.y, s.x), source_index=first)
-        entries.append((s.t_a, first, rec, f"representative:{cid}"))
-    entries.sort(key=lambda e: (e[0], e[1]))
-    reduced = Trajectory([e[2] for e in entries], traj_id=traj.id + ":reduced")
-    return ReducedTrajectory(reduced, tuple(e[3] for e in entries))
+        records.append(TrajectoryRecord(s.t_a, GeoPoint(s.y, s.x), source_index=src))
+        provenance.append(f"representative:{cid}")
+    # stable, like sorting (timestamp, source_index) tuples
+    order = np.lexsort(([r.source_index for r in records], [r.timestamp for r in records]))
+    reduced = Trajectory([records[i] for i in order.tolist()], traj_id=traj.id + ":reduced")
+    return ReducedTrajectory(reduced, tuple(provenance[i] for i in order.tolist()))
 
 
 def threshold_staypoint_detect(traj: Trajectory, delta: float = 10.0,

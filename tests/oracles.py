@@ -6,6 +6,7 @@ Everything here deliberately avoids the library's own code paths.
 import math
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 
 def law_of_cosines_distance(lat1, lon1, lat2, lon2, radius=6_371_000.0):
@@ -34,6 +35,13 @@ def brute_knn_curve(coords, k):
     return np.sort(kth)
 
 
+def brute_within(coords, eps):
+    """(n, n) bool matrix: pairs within eps, by full pairwise distances."""
+    coords = np.asarray(coords, float)
+    diff = coords[:, None, :] - coords[None, :, :]
+    return np.sqrt((diff ** 2).sum(-1)) <= eps
+
+
 def brute_dbscan(coords, eps, min_pts):
     """Density-connectivity oracle.
 
@@ -41,11 +49,8 @@ def brute_dbscan(coords, eps, min_pts):
     index to a frozenset of the core points in its connected component of
     the core-adjacency graph (edges between cores within eps).
     """
-    coords = np.asarray(coords, float)
     n = len(coords)
-    diff = coords[:, None, :] - coords[None, :, :]
-    dmat = np.sqrt((diff ** 2).sum(-1))
-    within = dmat <= eps
+    within = brute_within(coords, eps)
     core = within.sum(axis=1) >= min_pts  # diagonal counts the point itself
     comp = {}
     seen = set()
@@ -66,6 +71,106 @@ def brute_dbscan(coords, eps, min_pts):
         for m in members:
             comp[m] = fs
     return core, comp
+
+
+def brute_dbscan_labels(coords, eps, min_pts):
+    """The full DBSCAN labelling, by brute force.
+
+    Core clusters are the components of brute_dbscan, numbered 0, 1, ... by
+    their lowest core index; a non-core point takes the smallest cluster id
+    among its core neighbours, and a point with no core neighbour is noise
+    (-1).
+    """
+    within = brute_within(coords, eps)
+    core, comp = brute_dbscan(coords, eps, min_pts)
+    cluster_of_lowest = {low: c for c, low in enumerate(sorted({min(m) for m in comp.values()}))}
+    labels = np.full(len(core), -1, dtype=int)
+    for i, members in comp.items():
+        labels[i] = cluster_of_lowest[min(members)]
+    for i in np.flatnonzero(~core):
+        ids = [labels[j] for j in np.flatnonzero(within[i] & core)]
+        if ids:
+            labels[i] = min(ids)
+    return labels
+
+
+def bfs_dbscan(coords, eps, min_pts):
+    """Breadth-first DBSCAN, the labelling trajmatch's `dbscan` reproduces.
+
+    Returns (labels, core): -1 for noise, else a cluster ordinal. Clusters
+    grow from each unvisited core point in index order, through scipy
+    cKDTree eps-ball neighbourhoods (self-inclusive); a border point joins
+    the first cluster that reaches it.
+    """
+    coords = np.asarray(coords, float)
+    n = len(coords)
+    neighborhoods = cKDTree(coords).query_ball_point(coords, r=eps)
+    labels = np.full(n, -1, dtype=int)
+    core = np.array([len(nb) >= min_pts for nb in neighborhoods])
+    visited = np.zeros(n, dtype=bool)
+    cluster_id = 0
+    for start in range(n):
+        if visited[start] or not core[start]:
+            continue
+        queue = [start]
+        visited[start] = True
+        labels[start] = cluster_id
+        while queue:
+            p = queue.pop(0)
+            for q in sorted(neighborhoods[p]):
+                if labels[q] == -1:
+                    labels[q] = cluster_id
+                if not visited[q] and core[q]:
+                    visited[q] = True
+                    queue.append(q)
+        cluster_id += 1
+    return labels, core
+
+
+def planar_coords(lats, lons, radius=6_371_000.0):
+    """(lon, lat) degrees to (x, y) meters east and north of their mean,
+    equirectangular, one point at a time in Python floats."""
+    lat0 = float(np.mean(np.asarray(lats, float)))
+    lon0 = float(np.mean(np.asarray(lons, float)))
+    m_per_deg = radius * math.pi / 180.0
+    coslat = math.cos(math.radians(lat0))
+    return np.array([[(lon - lon0) * coslat * m_per_deg, (lat - lat0) * m_per_deg]
+                     for lat, lon in zip(lats, lons)])
+
+
+def sequential_sum(values):
+    """Left-to-right float sum, one addition at a time."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def per_cluster_reduction(rows, labels):
+    """Stay points and reduced trace, one cluster at a time.
+
+    rows: (timestamp, lat, lon, source_index) per record; labels: -1 for
+    noise, else a cluster ordinal 0..k-1. Returns (summaries, reduced):
+    summaries[c] is (mean lon, mean lat, first time, last time, count),
+    the means from left-to-right sums in record order; reduced holds
+    (timestamp, lat, lon, source_index, provenance) for every noise record
+    and one representative per cluster (its arrival time, its mean, its
+    smallest source_index), sorted by (timestamp, source_index), noise
+    before representatives and both in input order among equal keys.
+    """
+    summaries = []
+    for c in range(max(labels, default=-1) + 1):
+        members = [r for r, lab in zip(rows, labels) if lab == c]
+        summaries.append((sequential_sum(r[2] for r in members) / len(members),
+                          sequential_sum(r[1] for r in members) / len(members),
+                          min(r[0] for r in members), max(r[0] for r in members),
+                          len(members)))
+    reduced = [(*r, "original") for r, lab in zip(rows, labels) if lab == -1]
+    for c, (lon, lat, t_a, _, _) in enumerate(summaries):
+        first = min(r[3] for r, lab in zip(rows, labels) if lab == c)
+        reduced.append((t_a, lat, lon, first, f"representative:{c}"))
+    reduced.sort(key=lambda e: (e[0], e[3]))
+    return summaries, reduced
 
 
 def brute_lcs(a, b):

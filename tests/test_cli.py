@@ -167,3 +167,44 @@ def test_synth_roundtrip(tmp_path):
 def test_synth_bad_dwell(tmp_path):
     assert run(["synth", "--seed", "11", "--dwell", "oops",
                 "--out-dir", str(tmp_path)]) == 1
+
+
+def _match_with_config(tmp_path, text):
+    cfg = tmp_path / "matcher.yaml"
+    cfg.write_text(text, encoding="utf-8")
+    return run(["match", "--network", str(MINI / "network.csv"),
+                "--traj", str(MINI / "trajectory.csv"), "--config", str(cfg),
+                "--out-dir", str(tmp_path / "out")])
+
+
+def test_config_unknown_threshold_key(tmp_path, capsys):
+    assert _match_with_config(tmp_path, "thresholds:\n  candidate_radiuss: 80.0\n") == 2
+    err = capsys.readouterr().err
+    assert "thresholds.candidate_radiuss" in err
+
+
+def test_config_rule_base_without_output(tmp_path, capsys):
+    text = ("rule_base:\n"
+            "  inputs:\n"
+            "    pd:\n"
+            "      universe: [0.0, 100.0]\n"
+            "      labels:\n"
+            "        short: {shape: z, params: [10.0, 40.0]}\n"
+            "        long: {shape: s, params: [10.0, 40.0]}\n"
+            "  rules:\n"
+            "    - {if: [[pd, short]], then: high}\n")
+    assert _match_with_config(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert "rule_base: output: missing" in err
+
+
+def test_config_broken_yaml(tmp_path, capsys):
+    assert _match_with_config(tmp_path, "thresholds: [candidate_radius: 80\n") == 2
+    err = capsys.readouterr().err
+    assert "malformed YAML" in err
+
+
+def test_config_not_a_mapping(tmp_path, capsys):
+    assert _match_with_config(tmp_path, "- candidate_radius\n- 80.0\n") == 2
+    err = capsys.readouterr().err
+    assert "expected a mapping" in err

@@ -1,11 +1,12 @@
 import random
+import re
 
 import pytest
 
 from trajmatch import matcher
 from trajmatch.fuzzy import default_rule_base
 from trajmatch.geo import GeoPoint, PlanarPoint, Projection, project_onto_polyline
-from trajmatch.io import Trajectory, TrajectoryRecord, build_network
+from trajmatch.io import ParseError, Trajectory, TrajectoryRecord, build_network
 from trajmatch.matcher import (
     MatcherConfig,
     MatchState,
@@ -298,6 +299,57 @@ def test_load_matcher_config(tmp_path):
     assert cfg.l_min == 40.0
     assert cfg.junction_radius == 15.0  # default preserved
     assert rules.rules  # default rule base loaded
+
+
+RULE_BASE_YAML = """\
+rule_base:
+  inputs:
+    pd:
+      universe: [0.0, 100.0]
+      labels:
+        short: {shape: z, params: [10.0, 40.0]}
+        long: {shape: s, params: [10.0, 40.0]}
+  output:
+    universe: [0.0, 100.0]
+    labels:
+      low: {shape: triangular, params: [0.0, 0.0, 60.0]}
+      high: {shape: triangular, params: [40.0, 100.0, 100.0]}
+  rules:
+    - {if: [[pd, short]], then: high}
+    - {if: [[pd, long]], then: low, weight: 0.5}
+"""
+
+
+def test_load_matcher_config_rule_base(tmp_path):
+    cfg_file = tmp_path / "matcher.yaml"
+    cfg_file.write_text(RULE_BASE_YAML, encoding="utf-8")
+    _, rules = load_matcher_config(cfg_file)
+    assert list(rules.inputs) == ["pd"]
+    assert [r.weight for r in rules.rules] == [1.0, 0.5]
+
+
+@pytest.mark.parametrize("old, new, named", [
+    ("shape: z,", "shape: zz,", "inputs.pd.labels.short"),
+    ("params: [10.0, 40.0]}", "params: [ten, 40.0]}", "inputs.pd.labels.short.params"),
+    ("universe: [0.0, 100.0]\n    labels", "universe: [0.0]\n    labels", "output.universe"),
+    ("then: high}", "then: 7}", "rules[0].then"),
+    ("weight: 0.5", "weight: half", "rules[1].weight"),
+    ("[[pd, short]]", "[[speed, short]]", "'speed'"),
+    ("[[pd, short]]", "[pd, short]", "rules[0].if"),
+    ("    - {if: [[pd, short]], then: high}\n", "    - high\n", "rules[0]"),
+    ("rule_base:\n", "thresholds: {l_min: high}\nrule_base:\n", "thresholds.l_min"),
+    ("rule_base:\n", "thresholds: [l_min]\nrule_base:\n", "thresholds"),
+    ("rule_base:\n", "threshold: {l_min: 40.0}\nrule_base:\n", "threshold: unknown key"),
+    ("weight: 0.5", "weigth: 0.5", "rules[1].weigth: unknown key"),
+    ("shape: z,", "shape: z, param: 1,", "inputs.pd.labels.short.param: unknown key"),
+    ("  rules:\n", "  rule:\n", "rule_base: rule: unknown key"),
+])
+def test_load_matcher_config_names_bad_key(tmp_path, old, new, named):
+    assert old in RULE_BASE_YAML
+    cfg_file = tmp_path / "matcher.yaml"
+    cfg_file.write_text(RULE_BASE_YAML.replace(old, new, 1), encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(named)):
+        load_matcher_config(cfg_file)
 
 
 def test_junction_step_projects_each_edge_once(monkeypatch):

@@ -3,14 +3,17 @@ import random
 import numpy as np
 import pytest
 
+from trajmatch.evalbench import generate_scenario
 from trajmatch.geo import GeoPoint
 from trajmatch.io import Trajectory, TrajectoryRecord
 from trajmatch.staypoint import (
+    DEGREE_EUCLIDEAN,
     METER_PLANAR,
     NOISE,
     ClusterLabel,
     DbscanParams,
     KnnCurve,
+    _coords,
     dbscan,
     elbow_candidates,
     knn_distance_curve,
@@ -18,7 +21,15 @@ from trajmatch.staypoint import (
     summarize_clusters,
     threshold_staypoint_detect,
 )
-from oracles import brute_dbscan, brute_knn_curve
+from oracles import (
+    bfs_dbscan,
+    brute_dbscan,
+    brute_dbscan_labels,
+    brute_knn_curve,
+    per_cluster_reduction,
+    planar_coords,
+    sequential_sum,
+)
 
 
 def traj_from(points):
@@ -65,6 +76,15 @@ def test_knn_meter_planar_space():
     assert np.all(curve.distances > 1.0) and np.all(curve.distances < 1.3)
 
 
+def test_coords_meter_planar_as_per_point_projection():
+    rng = random.Random(17)
+    traj = random_traj(rng, 300, scale=0.01)
+    lats = [r.position.lat for r in traj]
+    lons = [r.position.lon for r in traj]
+    assert np.array_equal(_coords(traj, METER_PLANAR), planar_coords(lats, lons))
+    assert np.array_equal(_coords(traj, DEGREE_EUCLIDEAN), np.column_stack([lons, lats]))
+
+
 # ------------------------------------------------------------------ dbscan
 
 def test_dbscan_single_dense_cluster():
@@ -79,6 +99,24 @@ def test_dbscan_all_noise():
     labels = dbscan(traj, DbscanParams(1e-5, 2))
     assert labels.cluster_count == 0
     assert labels.noise_count == 5
+
+
+def test_dbscan_chain_in_shuffled_order():
+    # a path of 3,000 points visited in random order: long hooking chains
+    rng = random.Random(18)
+    steps = list(range(3000))
+    rng.shuffle(steps)
+    traj = traj_from([(i, 47.0, -122.0 + k * 1e-5) for i, k in enumerate(steps)])
+    labels = dbscan(traj, DbscanParams(1.5e-5, 1))
+    assert labels.cluster_count == 1 and labels.noise_count == 0
+    gapped = traj_from([(i, 47.0, -122.0 + k * 1e-5 + (k >= 1500) * 1e-4)
+                        for i, k in enumerate(steps)])
+    labels = dbscan(gapped, DbscanParams(1.5e-5, 1))
+    # two runs, numbered by the first index of each
+    assert labels.labels[0] == 0
+    assert set(labels.labels.tolist()) == {0, 1}
+    assert all((labels.labels[i] == labels.labels[0]) == ((k >= 1500) == (steps[0] >= 1500))
+               for i, k in enumerate(steps))
 
 
 def test_dbscan_params_validation():
@@ -107,6 +145,10 @@ def _check_against_oracle(traj, eps, min_pts):
         members = np.where(labels.labels == cid)[0]
         assert members.size >= 1
         assert labels.core[members].any()
+    # the full labelling: clusters numbered by their lowest core index,
+    # border points on the smallest id among their core neighbours, noise
+    # points with no core neighbour
+    assert np.array_equal(labels.labels, brute_dbscan_labels(coords, eps, min_pts))
 
 
 def test_dbscan_oracle_small_instances():
@@ -117,6 +159,26 @@ def test_dbscan_oracle_small_instances():
         eps = rng.uniform(1e-5, 2e-4)
         min_pts = rng.randint(2, 5)
         _check_against_oracle(traj, eps, min_pts)
+
+
+@pytest.mark.parametrize("space, eps_values", [
+    (DEGREE_EUCLIDEAN, (2e-5, 4e-5, 8e-5)),
+    (METER_PLANAR, (2.0, 4.0, 8.0)),
+])
+def test_dbscan_equals_bfs_on_scenarios(space, eps_values):
+    for seed in (401, 402):
+        traj = generate_scenario(seed, route_edges=30, dwell_spec=[
+            (40, 60, 1.5), (150, 80, 2.0), (300, 40, 1.0)]).trajectory
+        lats = [r.position.lat for r in traj]
+        lons = [r.position.lon for r in traj]
+        coords = (np.column_stack([lons, lats]) if space == DEGREE_EUCLIDEAN
+                  else planar_coords(lats, lons))
+        for eps in eps_values:
+            for min_pts in (1, 3, 10):
+                got = dbscan(traj, DbscanParams(eps, min_pts, space))
+                labels, core = bfs_dbscan(coords, eps, min_pts)
+                assert np.array_equal(got.core, core), (seed, eps, min_pts)
+                assert np.array_equal(got.labels, labels), (seed, eps, min_pts)
 
 
 def test_dbscan_core_set_order_invariant():
@@ -172,9 +234,9 @@ def test_summarize_mean_two_pass_and_bbox():
         lats = [r.position.lat for r in members]
         assert min(lons) <= s.x <= max(lons)
         assert min(lats) <= s.y <= max(lats)
-        # independent two-pass summation
-        assert s.x == pytest.approx(np.sum(np.asarray(lons)) / len(lons), abs=1e-12)
-        assert s.y == pytest.approx(np.sum(np.asarray(lats)) / len(lats), abs=1e-12)
+        # left-to-right sums in index order, to the last bit
+        assert s.x == sequential_sum(lons) / len(lons)
+        assert s.y == sequential_sum(lats) / len(lats)
         assert s.t_a <= s.t_l
 
 
@@ -214,6 +276,33 @@ def test_reduce_size_invariant_and_order():
     assert survivors == sorted(survivors)
     ts = [r.timestamp for r in red.trajectory]
     assert ts == sorted(ts)
+
+
+def test_summarize_and_reduce_match_per_cluster_oracle():
+    rng = random.Random(16)
+    for trial in range(60):
+        n = rng.randint(1, 80)
+        rows, t, source = [], 0.0, 0
+        for _ in range(n):
+            t += rng.choice([0.0, 0.0, 1.0, 2.5])  # runs of equal timestamps
+            source += rng.randint(1, 3)
+            rows.append((t, 47.0 + rng.uniform(0, 1e-3), -122.0 + rng.uniform(0, 1e-3), source))
+        # interleaved clusters, renumbered to 0..k-1 in order of first use
+        drawn = [rng.randrange(-1, rng.randint(0, 6)) for _ in range(n)]
+        order = {}
+        lab = [-1 if d == -1 else order.setdefault(d, len(order)) for d in drawn]
+        traj = Trajectory([TrajectoryRecord(t, GeoPoint(lat, lon), src)
+                           for t, lat, lon, src in rows])
+        labels = ClusterLabel(labels=np.array(lab), core=np.zeros(n, bool))
+        want_summaries, want_reduced = per_cluster_reduction(rows, lab)
+
+        sps = summarize_clusters(traj, labels)
+        assert [s.cluster_id for s in sps] == list(range(len(want_summaries)))
+        assert [(s.x, s.y, s.t_a, s.t_l, s.member_count) for s in sps] == want_summaries
+        red = reduce_trajectory(traj, labels, sps)
+        got = [(r.timestamp, r.position.lat, r.position.lon, r.source_index, p)
+               for r, p in zip(red.trajectory, red.provenance)]
+        assert got == want_reduced
 
 
 # ------------------------------------------------------ threshold detector
