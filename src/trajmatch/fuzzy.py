@@ -154,6 +154,8 @@ class RuleBase:
         sampled = {label: mf(self._grid) for label, mf in self.output.labels.items()}
         self._consequents = np.array([sampled[rule.consequent] for rule in self.rules]
                                      ).reshape(len(self.rules), DEFUZZ_SAMPLES)
+        # crisp output per saturated strength tuple (see evaluate_batch)
+        self._saturated: dict[tuple[float, ...], float] = {}
 
 
 def fuzzify(var: FuzzyVariable, crisp: float) -> dict[str, float]:
@@ -209,25 +211,35 @@ def evaluate_batch(rules: RuleBase, rows: Sequence[Mapping[str, float]]) -> list
     from, max is exact in any order, and numpy sums each row of a C-ordered
     array as it sums a 1-D array. A pass holds at most BATCH_CELLS
     (row, rule) pairs, so memory stays bounded for any number of rows.
+
+    An output is thus a pure function of its row's strengths, so the rule
+    base keeps the outputs of saturated rows, whose every strength is 0 or
+    its rule's weight, and only other rows go through the array pass. There
+    are at most 2 ** rules saturated tuples and in practice a few: one per
+    region of the inputs where every label is exactly 0 or 1.
     """
     n_rules = len(rules.rules)
     chunk = max(1, BATCH_CELLS // max(1, n_rules))
     lo, hi = rules.output.universe
-    out = []
-    for first in range(0, len(rows), chunk):
-        part = rows[first:first + chunk]
-        strengths = np.array([
-            _strengths(rules, {name: fuzzify(var, row[name])
-                               for name, var in rules.inputs.items()})
-            for row in part])
-        clipped = np.minimum(rules._consequents, strengths.reshape(len(part), n_rules, 1))
+    table = rules._saturated
+    keys = [tuple(_strengths(rules, {name: fuzzify(var, row[name])
+                                     for name, var in rules.inputs.items()}))
+            for row in rows]
+    out = [table.get(key) for key in keys]
+    misses = [i for i, value in enumerate(out) if value is None]
+    for first in range(0, len(misses), chunk):
+        part = misses[first:first + chunk]
+        strengths = np.array([keys[i] for i in part]).reshape(len(part), n_rules, 1)
+        clipped = np.minimum(rules._consequents, strengths)
         # ufunc reduce, not np.max/np.sum: their argument handling costs a
         # one-row call (evaluate) about a fifth of its time
         agg = np.maximum.reduce(clipped, axis=1, initial=0.0)
         masses = np.add.reduce(agg, axis=1).tolist()
         moments = np.add.reduce(rules._grid * agg, axis=1).tolist()
-        out += [(lo + hi) / 2.0 if mass <= 0.0 else moment / mass
-                for mass, moment in zip(masses, moments)]
+        for i, mass, moment in zip(part, masses, moments):
+            out[i] = (lo + hi) / 2.0 if mass <= 0.0 else moment / mass
+            if all(s == 0.0 or s == rule.weight for s, rule in zip(keys[i], rules.rules)):
+                table[keys[i]] = out[i]
     return out
 
 

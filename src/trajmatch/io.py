@@ -168,6 +168,8 @@ def _parse_wkt_linestring(text: str) -> list[GeoPoint]:
         if len(parts) != 2:
             raise ParseError(f"bad WKT coordinate {pair!r}")
         lon, lat = float(parts[0]), float(parts[1])
+        if pts and pts[-1].lon == lon and pts[-1].lat == lat:
+            raise ParseError(f"consecutive duplicate vertex {pair.strip()!r}")
         pts.append(GeoPoint(lat, lon))
     return pts
 
@@ -205,7 +207,8 @@ def build_network(edges: list[tuple[str, str, str, list[GeoPoint]]],
                   index_cell_size: float = 100.0) -> RoadNetwork:
     """Assemble a RoadNetwork from in-memory edge tuples.
 
-    The projection origin is the centroid of all geometry vertices.
+    The projection origin is the centroid of all geometry vertices. An edge
+    whose projected vertices do not form a polyline raises ParseError.
     """
     all_pts = [p for _, _, _, verts in edges for p in verts]
     if not all_pts:
@@ -217,7 +220,10 @@ def build_network(edges: list[tuple[str, str, str, list[GeoPoint]]],
     proj = Projection(origin)
     built = []
     for edge_id, node_from, node_to, verts in edges:
-        pl = Polyline([proj.project(p) for p in verts])
+        try:
+            pl = Polyline([proj.project(p) for p in verts])
+        except ValueError as exc:
+            raise ParseError(f"edge {edge_id!r}: {exc}") from None
         built.append(RoadEdge(edge_id, node_from, node_to, tuple(verts), pl))
     return RoadNetwork(built, proj, index_cell_size)
 

@@ -188,6 +188,18 @@ def brute_lcs(a, b):
     return go(0, 0)
 
 
+def dp_lcs(a, b):
+    """Longest common subsequence length by the iterative DP, one row of
+    len(b) + 1 counts per element of a."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b):
+            cur.append(prev[j] + 1 if x == y else max(prev[j + 1], cur[j]))
+        prev = cur
+    return prev[-1]
+
+
 def highres_centroid(mu, lo, hi, samples=100_001):
     """Centroid of a membership function by dense midpoint sampling."""
     xs = np.linspace(lo, hi, samples)

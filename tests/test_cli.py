@@ -99,6 +99,20 @@ def test_match_corrupt_network(tmp_path, capsys):
     assert "row 2" in capsys.readouterr().err
 
 
+def test_match_and_eval_duplicate_vertex_network(tmp_path, capsys):
+    net = tmp_path / "net.csv"
+    net.write_text((MINI / "network.csv").read_text()
+                   + 'dup,a,b,"LINESTRING (-122.3 47.6, -122.3 47.6)"\n')
+    rows = len((MINI / "network.csv").read_text().splitlines()) + 1
+    for argv in (["match", "--traj", str(MINI / "trajectory.csv"),
+                  "--out-dir", str(tmp_path / "out")],
+                 ["eval", "--edges", str(MINI / "truth.txt"),
+                  "--truth", str(MINI / "truth.txt")]):
+        assert run(argv + ["--network", str(net)]) == 2
+        err = capsys.readouterr().err
+        assert f"net.csv: row {rows}: consecutive duplicate vertex" in err
+
+
 def test_match_short_trajectory(tmp_path, capsys):
     traj = tmp_path / "t.csv"
     traj.write_text("timestamp,lat,lon\n0,47.6,-122.295\n")

@@ -1,7 +1,9 @@
 """The compiled fuzzy scorer against a per-call numpy copy of the algorithm.
 
 `evaluate`, `evaluate_batch` and `MembershipFunction.scalar` must equal the
-oracles in tests/oracles.py bit for bit, so these tests compare with ==.
+oracles in tests/oracles.py bit for bit, so these tests compare with ==,
+whether a row's output comes from the array pass or from the rule base's
+table of saturated rows.
 """
 
 import random
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from trajmatch import fuzzy
 from trajmatch.fuzzy import (
     MembershipFunction,
     default_rule_base,
@@ -129,3 +132,56 @@ def test_evaluate_batch_spans_chunks():
                 for _ in range(300)]
         assert evaluate_batch(rb, rows) == [numpy_mamdani(CONFIGS[name], r) for r in rows]
     assert evaluate_batch(default_rule_base(), []) == []
+
+
+# Rows whose every rule strength is 0 or its rule's weight (saturated), and
+# rows that are not, on both rule bases.
+SATURATED_ROWS = [{"pd": 0.0, "he": 0.0}, {"pd": 100.0, "he": 180.0},
+                  {"pd": -5.0, "he": 250.0}, {"pd": 120.0, "he": -3.0}]
+PARTIAL_ROWS = [{"pd": 20.0, "he": 0.0}, {"pd": 0.0, "he": 37.5},
+                {"pd": 33.3, "he": 44.4}, {"pd": 50.0, "he": 40.0}]
+
+
+def _saturated(key, rb):
+    return all(s == 0.0 or s == rule.weight for s, rule in zip(key, rb.rules))
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_saturated_table_hits_and_misses_in_one_batch(name, monkeypatch):
+    rb = rule_base_from_config(CONFIGS[name])
+    want = {i: numpy_mamdani(CONFIGS[name], row)
+            for i, row in enumerate(SATURATED_ROWS + PARTIAL_ROWS)}
+    assert evaluate_batch(rb, SATURATED_ROWS) == [want[i] for i in range(4)]
+    table = dict(rb._saturated)
+    assert 0 < len(table) <= len(SATURATED_ROWS) and all(_saturated(k, rb) for k in table)
+    # the partial rows miss and stay out of the table
+    rows = [r for pair in zip(PARTIAL_ROWS, SATURATED_ROWS) for r in pair]
+    order = [i for pair in zip(range(4, 8), range(4)) for i in pair]
+    assert evaluate_batch(rb, rows) == [want[i] for i in order]
+    assert rb._saturated == table
+    # a batch of hits only does no array work
+    monkeypatch.setattr(fuzzy, "np", None)
+    assert evaluate_batch(rb, SATURATED_ROWS[::-1]) == [want[i] for i in range(3, -1, -1)]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_saturated_table_same_before_and_after_fill(name):
+    rng = random.Random(24)
+    rows = [{"pd": rng.choice([-1.0, 0.0, 5.0, 45.0, 100.0, 150.0, rng.uniform(0, 100)]),
+             "he": rng.choice([-1.0, 0.0, 5.0, 95.0, 180.0, 200.0, rng.uniform(0, 180)])}
+            for _ in range(200)]
+    want = [numpy_mamdani(CONFIGS[name], row) for row in rows]
+    rb = rule_base_from_config(CONFIGS[name])
+    assert [evaluate(rb, row) for row in rows] == want
+    assert rb._saturated
+    assert evaluate_batch(rb, rows) == want
+    assert [evaluate(rb, row) for row in rows] == want
+
+
+def test_saturated_table_stays_small():
+    rb = default_rule_base()
+    rng = random.Random(25)
+    rows = [{"pd": rng.uniform(-20, 150), "he": rng.uniform(-20, 200)} for _ in range(10_000)]
+    evaluate_batch(rb, rows)
+    assert 0 < len(rb._saturated) <= 16
+    assert all(_saturated(key, rb) for key in rb._saturated)

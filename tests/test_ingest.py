@@ -105,6 +105,22 @@ def test_parse_network_short_geometry(tmp_path):
         parse_road_network(write(tmp_path / "n.csv", bad))
 
 
+def test_parse_network_consecutive_duplicate_vertex(tmp_path):
+    bad = NET_CSV + 'e3,n3,n4,"LINESTRING (-122.3 47.6, -122.3 47.6)"\n'
+    path = write(tmp_path / "n.csv", bad)
+    with pytest.raises(ParseError, match=r"n\.csv: row 4: consecutive duplicate vertex '-122\.3 47\.6'"):
+        parse_road_network(path)
+
+
+def test_build_network_vertices_equal_after_projection():
+    # 1 ulp apart in degrees, the same x once the origin's longitude
+    # (-3.25) is subtracted
+    edges = [("e1", "a", "b", [GeoPoint(0.0, 1.0), GeoPoint(0.0, 1.0000000000000002)]),
+             ("e2", "c", "d", [GeoPoint(0.0, -7.0), GeoPoint(0.0, -8.0)])]
+    with pytest.raises(ParseError, match="edge 'e1': consecutive duplicate vertex"):
+        build_network(edges)
+
+
 def test_network_edge_length_consistency(tmp_path):
     net = parse_road_network(write(tmp_path / "n.csv", NET_CSV))
     for e in net.edges.values():
