@@ -1,4 +1,5 @@
-"""Planar geometry primitives, local projection, and a uniform grid index.
+"""Planar geometry primitives, local projection, and a k-d tree index over
+points sampled along each segment, built in time linear in edge length.
 
 All planar math happens in a local equirectangular frame (meters east/north
 of a declared origin). The study areas this targets span well under a degree,
@@ -8,10 +9,14 @@ where the planar error is negligible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.spatial import cKDTree
 
 EARTH_RADIUS_M = 6_371_000.0
 METERS_PER_DEGREE = EARTH_RADIUS_M * math.pi / 180.0
+SAMPLE_SPACING = 100.0  # meters between the spatial index's samples along a segment
 
 
 class InvalidCoordinateError(ValueError):
@@ -75,11 +80,6 @@ class Polyline:
     @property
     def length(self) -> float:
         return self.cumlen[-1]
-
-    def bbox(self) -> tuple[float, float, float, float]:
-        xs = [v.x for v in self.vertices]
-        ys = [v.y for v in self.vertices]
-        return min(xs), min(ys), max(xs), max(ys)
 
     def __len__(self):
         return len(self.vertices)
@@ -161,41 +161,43 @@ def project_onto_polyline(p: PlanarPoint, pl: Polyline) -> tuple[float, PlanarPo
     return d, PlanarPoint(fx, fy), i, arc_offset
 
 
-@dataclass
 class SpatialIndex:
-    """Uniform grid over item bounding boxes; query returns a superset."""
+    """k-d tree over points sampled at most SAMPLE_SPACING apart along every
+    segment of every item. Each point of an item lies within half a spacing
+    of one of its samples, so queries widen their radius by that much and
+    return supersets.
+    """
 
-    cell_size: float
-    _cells: dict[tuple[int, int], set] = field(default_factory=dict)
+    def __init__(self, samples: np.ndarray, owners: list):
+        self._tree = cKDTree(samples)
+        self._owners = owners
 
-    def _cell_of(self, x: float, y: float) -> tuple[int, int]:
-        return (math.floor(x / self.cell_size), math.floor(y / self.cell_size))
-
-    def insert_bbox(self, item, minx: float, miny: float, maxx: float, maxy: float):
-        ix0, iy0 = self._cell_of(minx, miny)
-        ix1, iy1 = self._cell_of(maxx, maxy)
-        for ix in range(ix0, ix1 + 1):
-            for iy in range(iy0, iy1 + 1):
-                self._cells.setdefault((ix, iy), set()).add(item)
+    def _owners_within(self, p: PlanarPoint, radius: float) -> set:
+        hits = self._tree.query_ball_point((p.x, p.y), radius + SAMPLE_SPACING / 2 + 1e-6)
+        return {self._owners[i] for i in hits}
 
     def query(self, p: PlanarPoint, radius: float) -> set:
         if radius <= 0:
             raise ValueError("radius must be > 0")
-        ix0, iy0 = self._cell_of(p.x - radius, p.y - radius)
-        ix1, iy1 = self._cell_of(p.x + radius, p.y + radius)
-        out: set = set()
-        for ix in range(ix0, ix1 + 1):
-            for iy in range(iy0, iy1 + 1):
-                hit = self._cells.get((ix, iy))
-                if hit:
-                    out |= hit
-        return out
+        return self._owners_within(p, radius)
+
+    def nearest(self, p: PlanarPoint) -> set:
+        """A superset of the items nearest to p: no item is farther than the
+        nearest sample."""
+        return self._owners_within(p, self._tree.query((p.x, p.y))[0])
 
 
-def index_build(edges: list[tuple[object, Polyline]], cell_size: float = 100.0) -> SpatialIndex:
-    if cell_size <= 0:
-        raise ValueError("cell_size must be > 0")
-    idx = SpatialIndex(cell_size)
+def index_build(edges: list[tuple[object, Polyline]]) -> SpatialIndex:
+    samples, owners = [], []
     for edge_id, pl in edges:
-        idx.insert_bbox(edge_id, *pl.bbox())
-    return idx
+        vs, cum = pl.vertices, pl.cumlen
+        for i in range(len(vs) - 1):
+            ax, ay = vs[i].x, vs[i].y
+            dx, dy = vs[i + 1].x - ax, vs[i + 1].y - ay
+            n = math.ceil((cum[i + 1] - cum[i]) / SAMPLE_SPACING)
+            for k in range(n):
+                samples += (ax + dx * k / n, ay + dy * k / n)
+            owners += [edge_id] * n
+        samples += (vs[-1].x, vs[-1].y)
+        owners.append(edge_id)
+    return SpatialIndex(np.array(samples).reshape(-1, 2), owners)

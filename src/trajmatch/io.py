@@ -73,8 +73,7 @@ class RoadEdge:
 class RoadNetwork:
     """Edge map + node adjacency + spatial index, in one planar frame."""
 
-    def __init__(self, edges: list[RoadEdge], projection: Projection,
-                 index_cell_size: float = 100.0):
+    def __init__(self, edges: list[RoadEdge], projection: Projection):
         self.projection = projection
         self.edges: dict[str, RoadEdge] = {}
         self.adjacency: dict[str, set[str]] = {}
@@ -84,9 +83,7 @@ class RoadNetwork:
             self.edges[e.edge_id] = e
             self.adjacency.setdefault(e.node_from, set()).add(e.edge_id)
             self.adjacency.setdefault(e.node_to, set()).add(e.edge_id)
-        self.index: SpatialIndex = index_build(
-            [(e.edge_id, e.geometry) for e in edges], index_cell_size
-        )
+        self.index: SpatialIndex = index_build([(e.edge_id, e.geometry) for e in edges])
 
 
 @dataclass(frozen=True)
@@ -174,7 +171,7 @@ def _parse_wkt_linestring(text: str) -> list[GeoPoint]:
     return pts
 
 
-def parse_road_network(path, index_cell_size: float = 100.0) -> RoadNetwork:
+def parse_road_network(path) -> RoadNetwork:
     rows = _data_rows(path)
     if not rows:
         raise ParseError(f"{path}: empty file")
@@ -184,6 +181,7 @@ def parse_road_network(path, index_cell_size: float = 100.0) -> RoadNetwork:
     except ValueError:
         raise ParseError(f"{path}: header must contain edge_id,node_from,node_to,wkt")
     raw = []
+    first_row: dict[str, int] = {}
     for lineno, row in rows[1:]:
         try:
             edge_id, node_from, node_to = (row[cols[0]].strip(),
@@ -194,17 +192,17 @@ def parse_road_network(path, index_cell_size: float = 100.0) -> RoadNetwork:
             raise ParseError(f"{path}: row {lineno}: {exc}")
         if len(verts) < 2:
             raise ParseError(f"{path}: row {lineno}: edge {edge_id!r} has <2 vertices")
-        raw.append((lineno, edge_id, node_from, node_to, verts))
+        if edge_id in first_row:
+            raise ParseError(f"{path}: row {lineno}: duplicate edge_id {edge_id!r} "
+                             f"(first at row {first_row[edge_id]})")
+        first_row[edge_id] = lineno
+        raw.append((edge_id, node_from, node_to, verts))
     if not raw:
         raise ParseError(f"{path}: no edges")
-    return build_network(
-        [(eid, nf, nt, verts) for _, eid, nf, nt, verts in raw],
-        index_cell_size=index_cell_size,
-    )
+    return build_network(raw)
 
 
-def build_network(edges: list[tuple[str, str, str, list[GeoPoint]]],
-                  index_cell_size: float = 100.0) -> RoadNetwork:
+def build_network(edges: list[tuple[str, str, str, list[GeoPoint]]]) -> RoadNetwork:
     """Assemble a RoadNetwork from in-memory edge tuples.
 
     The projection origin is the centroid of all geometry vertices. An edge
@@ -225,7 +223,7 @@ def build_network(edges: list[tuple[str, str, str, list[GeoPoint]]],
         except ValueError as exc:
             raise ParseError(f"edge {edge_id!r}: {exc}") from None
         built.append(RoadEdge(edge_id, node_from, node_to, tuple(verts), pl))
-    return RoadNetwork(built, proj, index_cell_size)
+    return RoadNetwork(built, proj)
 
 
 def parse_ground_truth(path, network: RoadNetwork) -> GroundTruthRoute:

@@ -110,8 +110,6 @@ def load_matcher_config(path) -> tuple[MatcherConfig, RuleBase]:
 
 def candidate_links(network: RoadNetwork, p: PlanarPoint, radius: float) -> list[str]:
     """Edge ids within exact polyline distance of p, nearest first."""
-    if radius <= 0:
-        raise ValueError("radius must be > 0")
     hits = []
     for edge_id in network.index.query(p, radius):
         d, _, _, _ = project_onto_polyline(p, network.edges[edge_id].geometry)
@@ -219,23 +217,23 @@ def smp_step(network: RoadNetwork, state: MatchState, p: PlanarPoint,
 
 def _forced_candidate(network: RoadNetwork, p: PlanarPoint, heading,
                       rules: RuleBase, cfg: MatcherConfig) -> LinkCandidate:
-    """Best candidate with a widening search.
+    """Best of the links within the first radius candidate_radius * 2**k
+    (k < 8) that holds a link, picked by the nearest link's distance.
 
-    When the last radius (128 times candidate_radius) finds no link, only
-    the links nearest to p are scored, not every link of the network: that
-    far out the default rule base clamps pd, so scoring all of them would
-    rank links by heading alone, at the cost of one fuzzy evaluation each.
+    Beyond 128 times candidate_radius only the nearest links are scored:
+    that far out the default rule base clamps pd, so scoring more would
+    rank links by heading alone.
     """
+    dist = {e: project_onto_polyline(p, network.edges[e].geometry)[0]
+            for e in network.index.nearest(p)}
+    nearest = min(dist.values())
     radius = cfg.candidate_radius
     for _ in range(8):
-        ids = candidate_links(network, p, radius)
-        if ids:
+        if nearest <= radius:
+            ids = candidate_links(network, p, radius)
             break
         radius *= 2.0
     else:
-        dist = {e: project_onto_polyline(p, edge.geometry)[0]
-                for e, edge in network.edges.items()}
-        nearest = min(dist.values())
         ids = sorted(e for e, d in dist.items() if d == nearest)
     return _best_candidate(score_links(network, ids, p, heading, rules))
 

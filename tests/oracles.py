@@ -262,3 +262,30 @@ def numpy_membership(shape, params, x):
         np.where(x <= (a + b) / 2.0, 2 * ((x - a) / (b - a)) ** 2,
                  np.where(x <= b, 1 - 2 * ((b - x) / (b - a)) ** 2, 1.0)))
     return 1.0 - s if shape == "z" else s
+
+
+def axis_segment_d2(px, py, a, b):
+    """Squared distance from (px, py) to an axis-aligned segment a-b; exact
+    for integer coordinates."""
+    dx = max(min(a[0], b[0]) - px, 0, px - max(a[0], b[0]))
+    dy = max(min(a[1], b[1]) - py, 0, py - max(a[1], b[1]))
+    return dx * dx + dy * dy
+
+
+def widening_fallback(edges, px, py, radius, steps=8):
+    """Edge ids the matcher's widening fallback scores, by brute force.
+
+    edges: (edge_id, [(x, y), ...]) with axis-aligned segments on integer
+    coordinates; radius an integer. Returns the ids within the first of
+    radius, 2 * radius, ..., 2**(steps - 1) * radius that holds any edge,
+    or else the ids at exactly the nearest distance. Every comparison is
+    between exact integer squared distances.
+    """
+    d2 = {eid: min(axis_segment_d2(px, py, a, b) for a, b in zip(pts, pts[1:]))
+          for eid, pts in edges}
+    for k in range(steps):
+        within = {eid for eid, d in d2.items() if d <= (radius << k) ** 2}
+        if within:
+            return within
+    nearest = min(d2.values())
+    return {eid for eid, d in d2.items() if d == nearest}

@@ -183,7 +183,7 @@ def test_criterion_6_geometry_property_suite():
         if (x, y) == (x2, y2):
             x2 += 1.0
         edges.append((f"e{i}", Polyline([PlanarPoint(x, y), PlanarPoint(x2, y2)])))
-    idx = index_build(edges, cell_size=100.0)
+    idx = index_build(edges)
     for _ in range(1000):
         p = PlanarPoint(rng.uniform(-50, 2050), rng.uniform(-50, 2050))
         radius = rng.uniform(1, 250)

@@ -113,6 +113,18 @@ def test_match_and_eval_duplicate_vertex_network(tmp_path, capsys):
         assert f"net.csv: row {rows}: consecutive duplicate vertex" in err
 
 
+def test_eval_duplicate_edge_network(tmp_path, capsys):
+    net = tmp_path / "net.csv"
+    net.write_text('edge_id,node_from,node_to,wkt\n'
+                   'e1,a,b,"LINESTRING (-122.3 47.6, -122.3 47.601)"\n'
+                   'e1,b,c,"LINESTRING (-122.3 47.601, -122.3 47.602)"\n')
+    truth = tmp_path / "truth.txt"
+    truth.write_text("e1\n")
+    assert run(["eval", "--network", str(net), "--edges", str(truth),
+                "--truth", str(truth)]) == 2
+    assert "net.csv: row 3: duplicate edge_id 'e1' (first at row 2)" in capsys.readouterr().err
+
+
 def test_match_short_trajectory(tmp_path, capsys):
     traj = tmp_path / "t.csv"
     traj.write_text("timestamp,lat,lon\n0,47.6,-122.295\n")

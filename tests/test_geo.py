@@ -209,29 +209,67 @@ def _random_polyline(rng, span=1000.0):
 
 def test_index_single_edge():
     pl = Polyline([PlanarPoint(10, 10), PlanarPoint(20, 10)])
-    idx = index_build([("e1", pl)], cell_size=100.0)
+    idx = index_build([("e1", pl)])
     assert idx.query(PlanarPoint(15, 12), 5.0) == {"e1"}
 
 
 def test_index_edge_spanning_cells():
     pl = Polyline([PlanarPoint(5, 5), PlanarPoint(250, 5)])
-    idx = index_build([("e1", pl)], cell_size=100.0)
+    idx = index_build([("e1", pl)])
     for x in (10, 150, 240):
         assert "e1" in idx.query(PlanarPoint(x, 5), 1.0)
 
 
 def test_index_empty():
-    idx = index_build([], cell_size=100.0)
+    idx = index_build([])
     assert idx.query(PlanarPoint(0, 0), 10.0) == set()
 
 
 def test_index_superset_property():
     rng = random.Random(6)
     edges = [(f"e{i}", _random_polyline(rng)) for i in range(500)]
-    idx = index_build(edges, cell_size=100.0)
+    idx = index_build(edges)
     for _ in range(1000):
         p = PlanarPoint(rng.uniform(-100, 1100), rng.uniform(-100, 1100))
         radius = rng.uniform(1.0, 200.0)
         truth = {eid for eid, pl in edges
                  if project_onto_polyline(p, pl)[0] <= radius}
         assert truth <= idx.query(p, radius)
+
+
+@pytest.mark.parametrize("bends", [0, 5])
+def test_index_superset_on_one_degree_diagonal(bends):
+    # 1 degree of latitude and longitude, as one segment or zigzagging
+    # through 5 bends; points on it and up to 300 m beside it
+    proj = Projection(GeoPoint(0.5, 0.5))
+    pl = Polyline([proj.project(GeoPoint(k / (bends + 1), k / (bends + 1) + 0.01 * (k % 2)))
+                   for k in range(bends + 2)])
+    idx = index_build([("long", pl)])
+    rng = random.Random(bends)
+    for _ in range(500):
+        seg = rng.randrange(len(pl) - 1)
+        u, v = pl.vertices[seg], pl.vertices[seg + 1]
+        t, off = rng.random(), rng.choice([0.0, rng.uniform(-300.0, 300.0)])
+        norm = math.hypot(v.x - u.x, v.y - u.y)
+        p = PlanarPoint(u.x + t * (v.x - u.x) - off * (v.y - u.y) / norm,
+                        u.y + t * (v.y - u.y) + off * (v.x - u.x) / norm)
+        radius = project_onto_polyline(p, pl)[0] + rng.uniform(1e-9, 5.0)
+        assert idx.query(p, radius) == {"long"}
+        assert idx.nearest(p) == {"long"}
+
+
+def test_index_nearest_holds_every_nearest_edge():
+    rng = random.Random(7)
+    edges = [(f"e{i}", _random_polyline(rng)) for i in range(200)]
+    # shared endpoints give exact ties
+    edges += [("t1", Polyline([PlanarPoint(500, 500), PlanarPoint(600, 500)])),
+              ("t2", Polyline([PlanarPoint(500, 500), PlanarPoint(500, 600)]))]
+    idx = index_build(edges)
+    points = [PlanarPoint(500, 500), PlanarPoint(-3000, -3000)]
+    points += [PlanarPoint(rng.uniform(-5000, 6000), rng.uniform(-5000, 6000))
+               for _ in range(300)]
+    for p in points:
+        dist = {eid: project_onto_polyline(p, pl)[0] for eid, pl in edges}
+        nearest = min(dist.values())
+        assert {eid for eid, d in dist.items() if d == nearest} <= idx.nearest(p)
+    assert index_build([]).nearest(PlanarPoint(0, 0)) == set()

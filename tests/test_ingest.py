@@ -99,6 +99,20 @@ def test_parse_network_duplicate_edge(tmp_path):
         parse_road_network(write(tmp_path / "n.csv", dup))
 
 
+def test_parse_network_duplicate_edge_names_file_and_rows(tmp_path):
+    dup = NET_CSV + "# a comment line\n" \
+        + 'e1,n3,n4,"LINESTRING (-121.999 47.001, -121.998 47.001)"\n'
+    with pytest.raises(ParseError, match=r"n\.csv: row 5: duplicate edge_id 'e1' "
+                                         r"\(first at row 2\)"):
+        parse_road_network(write(tmp_path / "n.csv", dup))
+
+
+def test_build_network_duplicate_edge():
+    verts = [GeoPoint(47.0, -122.0), GeoPoint(47.001, -122.0)]
+    with pytest.raises(ParseError, match="duplicate edge_id 'e1'"):
+        build_network([("e1", "a", "b", verts), ("e1", "b", "c", verts[::-1])])
+
+
 def test_parse_network_short_geometry(tmp_path):
     bad = 'edge_id,node_from,node_to,wkt\ne1,n1,n2,"LINESTRING (-122.0 47.0)"\n'
     with pytest.raises(ParseError):

@@ -417,3 +417,23 @@ def test_far_run_scores_only_nearest_links(monkeypatch):
     assert [m.phase_used for m in tail] == [PHASE_IMP] * 5
     assert all(m.edge_id in {"h0_5", "h1_5", "v1_4"} for m in tail)
     assert max(scored[before:]) <= 3 < len(net.edges)
+
+
+def test_far_point_projects_only_nearby_links(monkeypatch):
+    # 84 links 500 m apart; the point is 7 km north of the top row, beyond
+    # the last widening radius (6.4 km). Only the 9 links with a sample
+    # within 50 m of the nearest sample's distance may be measured, and the
+    # nearest one scored: not every link of the network.
+    net = grid_net(n=7, step=500.0)
+    calls = []
+
+    def counting(p, pl):
+        calls.append(pl)
+        return project_onto_polyline(p, pl)
+
+    monkeypatch.setattr(matcher, "project_onto_polyline", counting)
+    p = net.projection.project(g(1250, 3000 + 7000))
+    cand = matcher._forced_candidate(net, p, None, RULES, CFG)
+    assert cand.edge_id == "h2_6"
+    assert len(net.edges) == 84
+    assert len(calls) <= 10
