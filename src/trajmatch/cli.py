@@ -13,8 +13,8 @@ from pathlib import Path
 from . import evalbench, staypoint
 from .fuzzy import default_rule_base
 from .io import ParseError, parse_ground_truth, parse_road_network, parse_trajectory, \
-    write_trajectory
-from .matcher import MatcherConfig, load_matcher_config, match_trajectory, \
+    read_ids, write_trajectory
+from .matcher import MatcherConfig, MatchResult, load_matcher_config, match_trajectory, \
     write_edge_sequence, write_match_result
 from .staypoint import DbscanParams, DEGREE_EUCLIDEAN
 
@@ -100,9 +100,7 @@ def cmd_match(args) -> int:
 def cmd_eval(args) -> int:
     network = parse_road_network(args.network)
     truth = parse_ground_truth(args.truth, network)
-    with open(args.edges, encoding="utf-8") as fh:
-        seq = [line.strip() for line in fh if line.strip()]
-    from .matcher import MatchResult
+    seq = [edge_id for _, edge_id in read_ids(args.edges)]
     result = MatchResult(matched=[], edge_sequence=seq, total_points=0)
     correct = evalbench.correct_link_count(result, truth)
     print(f"correct_links={correct}")

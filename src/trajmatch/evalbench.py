@@ -4,7 +4,6 @@ volume metrics, synthetic scenario generation, and plot-ready exports.
 
 from __future__ import annotations
 
-import csv
 import math
 import statistics
 from dataclasses import dataclass
@@ -19,6 +18,11 @@ from .io import (
     Trajectory,
     TrajectoryRecord,
     build_network,
+    read_ids,
+    write_csv,
+    write_lines,
+    write_road_network,
+    write_trajectory,
 )
 from .fuzzy import RuleBase, default_rule_base
 from .matcher import MatcherConfig, MatchResult, match_trajectory
@@ -242,20 +246,11 @@ def _route_position(waypoints, speed, t):
 
 def write_scenario(scn: SyntheticScenario, out_dir):
     """Serialize a scenario to network/trajectory/truth files."""
-    from .io import write_trajectory
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "network.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["edge_id", "node_from", "node_to", "wkt"])
-        for e in sorted(scn.network.edges.values(), key=lambda e: e.edge_id):
-            wkt = "LINESTRING (" + ", ".join(
-                f"{repr(p.lon)} {repr(p.lat)}" for p in e.geo_vertices) + ")"
-            w.writerow([e.edge_id, e.node_from, e.node_to, wkt])
+    write_road_network(scn.network, out / "network.csv")
     write_trajectory(scn.trajectory, out / "trajectory.csv")
-    with open(out / "truth.txt", "w", encoding="utf-8") as fh:
-        for eid in scn.truth.edge_ids:
-            fh.write(eid + "\n")
+    write_lines(out / "truth.txt", scn.truth.edge_ids)
 
 
 def export_report(report: ComparisonReport, out_dir,
@@ -285,39 +280,19 @@ def export_report(report: ComparisonReport, out_dir,
         "timing.time_reduction_pct": repr(report.time_reduction_pct),
         "timing.speed_gain_pct": repr(report.speed_gain_pct),
     }
-    with open(out / "report.txt", "w", encoding="utf-8") as fh:
-        for key, val in lines.items():
-            fh.write(f"{key}={val}\n")
-
-    with open(out / "volume_pair.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["run", "input_points"])
-        w.writerow(["raw", report.raw.input_points])
-        w.writerow(["reduced", report.reduced.input_points])
-    with open(out / "timing_pair.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["run", "matching_wall_time_s"])
-        w.writerow(["raw", repr(report.raw.matching_wall_time)])
-        w.writerow(["reduced", repr(report.reduced.matching_wall_time)])
-    with open(out / "speed_pair.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["run", "per_point_time_us"])
-        w.writerow(["raw", repr(report.raw.per_point_time_us)])
-        w.writerow(["reduced", repr(report.reduced.per_point_time_us)])
+    write_lines(out / "report.txt", (f"{key}={val}" for key, val in lines.items()))
+    for name, column, attr in (("volume_pair.csv", "input_points", "input_points"),
+                               ("timing_pair.csv", "matching_wall_time_s",
+                                "matching_wall_time"),
+                               ("speed_pair.csv", "per_point_time_us", "per_point_time_us")):
+        write_csv(out / name, ["run", column],
+                  [["raw", repr(getattr(report.raw, attr))],
+                   ["reduced", repr(getattr(report.reduced, attr))]])
     if eps_sweep is not None:
-        with open(out / "eps_sweep.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["eps", "clustered_points", "noise_points"])
-            for eps, clustered, noise in eps_sweep:
-                w.writerow([repr(eps), clustered, noise])
+        write_csv(out / "eps_sweep.csv", ["eps", "clustered_points", "noise_points"],
+                  ([repr(eps), clustered, noise] for eps, clustered, noise in eps_sweep))
 
 
 def read_report(path) -> dict[str, str]:
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                key, _, val = line.partition("=")
-                out[key] = val
-    return out
+    pairs = (line.partition("=") for _, line in read_ids(path))
+    return {key: val for key, _, val in pairs}

@@ -1,16 +1,21 @@
 """Parsing and serialization of trajectories, road networks, and truth routes.
 
-Native formats (UTF-8 CSV, `#` comment lines ignored):
-  trajectory:  header `timestamp,lat,lon`; timestamps are ISO-8601 UTC or
-               epoch seconds, auto-detected per value.
-  network:     header `edge_id,node_from,node_to,wkt`; geometry is a WKT
+Every file the package reads or writes goes through this module: inputs
+through `read_utf8`, outputs through `write_csv` and `write_lines`.
+
+Native formats (UTF-8, `#` comment lines ignored):
+  trajectory:  CSV, header `timestamp,lat,lon`; timestamps are ISO-8601 UTC
+               or finite epoch seconds, auto-detected per value.
+  network:     CSV, header `edge_id,node_from,node_to,wkt`; geometry is a WKT
                LINESTRING with lon-lat vertex order.
   truth route: one edge id per line.
+An input that is not valid UTF-8 or not valid CSV raises ParseError.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -94,12 +99,50 @@ class GroundTruthRoute:
         return len(self.edge_ids)
 
 
+def read_utf8(path, parse):
+    """parse(fh) on the UTF-8 file at path, opened with newline="".
+
+    Invalid UTF-8 and malformed CSV raise ParseError naming the file.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            return parse(fh)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not valid UTF-8: {exc}") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}: malformed CSV: {exc}") from None
+
+
+def read_ids(path) -> list[tuple[int, str]]:
+    """Stripped lines with their 1-based line numbers; blank and `#` lines
+    skipped."""
+    return read_utf8(path, lambda fh: [
+        (lineno, token) for lineno, line in enumerate(fh, start=1)
+        if (token := line.strip()) and not token.startswith("#")])
+
+
+def write_csv(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_lines(path, lines):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
 def _parse_timestamp(text: str) -> float:
     text = text.strip()
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         pass
+    else:
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite timestamp {text!r}")
+        return value
     try:
         dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
     except ValueError:
@@ -109,30 +152,25 @@ def _parse_timestamp(text: str) -> float:
     return dt.timestamp()
 
 
-def _data_rows(path) -> list[tuple[int, list[str]]]:
-    """CSV rows with their 1-based line numbers, comments skipped."""
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (row[0].lstrip().startswith("#")):
-                continue
-            out.append((lineno, row))
-    return out
-
-
-def parse_trajectory(path, traj_id: str | None = None) -> Trajectory:
-    rows = _data_rows(path)
+def _data_rows(path, columns) -> tuple[list[int], list[tuple[int, list[str]]]]:
+    """The header's index of each of columns, and the CSV rows after the
+    header with their 1-based line numbers; comment lines skipped."""
+    rows = read_utf8(path, lambda fh: [
+        (lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1)
+        if row and not row[0].lstrip().startswith("#")])
     if not rows:
         raise ParseError(f"{path}: empty file")
     header = [c.strip().lower() for c in rows[0][1]]
     try:
-        i_t = header.index("timestamp")
-        i_lat = header.index("lat")
-        i_lon = header.index("lon")
+        return [header.index(k) for k in columns], rows[1:]
     except ValueError:
-        raise ParseError(f"{path}: header must contain timestamp,lat,lon")
+        raise ParseError(f"{path}: header must contain {','.join(columns)}") from None
+
+
+def parse_trajectory(path, traj_id: str | None = None) -> Trajectory:
+    (i_t, i_lat, i_lon), rows = _data_rows(path, ("timestamp", "lat", "lon"))
     records = []
-    for lineno, row in rows[1:]:
+    for lineno, row in rows:
         try:
             ts = _parse_timestamp(row[i_t])
             pos = GeoPoint(float(row[i_lat]), float(row[i_lon]))
@@ -145,12 +183,9 @@ def parse_trajectory(path, traj_id: str | None = None) -> Trajectory:
 
 
 def write_trajectory(traj: Trajectory, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["timestamp", "lat", "lon"])
-        for r in traj:
-            w.writerow([repr(float(r.timestamp)), repr(float(r.position.lat)),
-                        repr(float(r.position.lon))])
+    write_csv(path, ["timestamp", "lat", "lon"],
+              ([repr(float(r.timestamp)), repr(float(r.position.lat)),
+                repr(float(r.position.lon))] for r in traj))
 
 
 def _parse_wkt_linestring(text: str) -> list[GeoPoint]:
@@ -172,17 +207,10 @@ def _parse_wkt_linestring(text: str) -> list[GeoPoint]:
 
 
 def parse_road_network(path) -> RoadNetwork:
-    rows = _data_rows(path)
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    header = [c.strip().lower() for c in rows[0][1]]
-    try:
-        cols = [header.index(k) for k in ("edge_id", "node_from", "node_to", "wkt")]
-    except ValueError:
-        raise ParseError(f"{path}: header must contain edge_id,node_from,node_to,wkt")
+    cols, rows = _data_rows(path, ("edge_id", "node_from", "node_to", "wkt"))
     raw = []
     first_row: dict[str, int] = {}
-    for lineno, row in rows[1:]:
+    for lineno, row in rows:
         try:
             edge_id, node_from, node_to = (row[cols[0]].strip(),
                                            row[cols[1]].strip(),
@@ -200,6 +228,16 @@ def parse_road_network(path) -> RoadNetwork:
     if not raw:
         raise ParseError(f"{path}: no edges")
     return build_network(raw)
+
+
+def write_road_network(network: RoadNetwork, path):
+    """Write a network in the format parse_road_network reads, edges sorted
+    by id."""
+    write_csv(path, ["edge_id", "node_from", "node_to", "wkt"],
+              ([e.edge_id, e.node_from, e.node_to,
+                "LINESTRING (" + ", ".join(f"{p.lon!r} {p.lat!r}"
+                                           for p in e.geo_vertices) + ")"]
+               for e in sorted(network.edges.values(), key=lambda e: e.edge_id)))
 
 
 def build_network(edges: list[tuple[str, str, str, list[GeoPoint]]]) -> RoadNetwork:
@@ -228,14 +266,10 @@ def build_network(edges: list[tuple[str, str, str, list[GeoPoint]]]) -> RoadNetw
 
 def parse_ground_truth(path, network: RoadNetwork) -> GroundTruthRoute:
     ids = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            token = line.strip()
-            if not token or token.startswith("#"):
-                continue
-            if token not in network.edges:
-                raise ParseError(f"{path}: line {lineno}: unknown edge id {token!r}")
-            ids.append(token)
+    for lineno, token in read_ids(path):
+        if token not in network.edges:
+            raise ParseError(f"{path}: line {lineno}: unknown edge id {token!r}")
+        ids.append(token)
     if not ids:
         raise ParseError(f"{path}: empty ground-truth route")
     return GroundTruthRoute(tuple(ids))

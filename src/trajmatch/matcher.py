@@ -4,7 +4,6 @@ junction re-evaluation, driven by perpendicular distance and heading error.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, fields
@@ -13,7 +12,7 @@ import yaml
 
 from .fuzzy import RuleBase, default_rule_base, evaluate_batch, rule_base_from_config
 from .geo import PlanarPoint, bearing, heading_error, project_onto_polyline
-from .io import ParseError, RoadNetwork, Trajectory
+from .io import ParseError, RoadNetwork, Trajectory, read_utf8, write_csv, write_lines
 
 PHASE_IMP = "IMP"
 PHASE_ALONG = "SMP_ALONG"
@@ -75,11 +74,10 @@ def load_matcher_config(path) -> tuple[MatcherConfig, RuleBase]:
     threshold and a malformed rule base raise ParseError naming the
     offending key.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ParseError(f"{path}: malformed YAML: {exc}") from None
+    try:
+        doc = read_utf8(path, yaml.safe_load)
+    except yaml.YAMLError as exc:
+        raise ParseError(f"{path}: malformed YAML: {exc}") from None
     doc = {} if doc is None else doc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a mapping of thresholds and rule_base, "
@@ -166,19 +164,6 @@ def _confident(cand: LinkCandidate, cfg: MatcherConfig) -> bool:
     return cand.pd <= cfg.candidate_radius and cand.likelihood >= cfg.l_min
 
 
-def imp(network: RoadNetwork, p: PlanarPoint, heading: float | None,
-        rules: RuleBase, cfg: MatcherConfig) -> LinkCandidate | None:
-    """Initial link selection; None when no candidate exists in radius.
-
-    A returned candidate with likelihood below cfg.l_min is no-confidence;
-    the caller decides whether to accept it provisionally.
-    """
-    ids = candidate_links(network, p, cfg.candidate_radius)
-    if not ids:
-        return None
-    return _best_candidate(score_links(network, ids, p, heading, rules))
-
-
 def smp_step(network: RoadNetwork, state: MatchState, p: PlanarPoint,
              heading: float | None, rules: RuleBase,
              cfg: MatcherConfig) -> tuple[MatchState, LinkCandidate, str]:
@@ -215,14 +200,16 @@ def smp_step(network: RoadNetwork, state: MatchState, p: PlanarPoint,
     return new_state, best, PHASE_JUNCTION
 
 
-def _forced_candidate(network: RoadNetwork, p: PlanarPoint, heading,
-                      rules: RuleBase, cfg: MatcherConfig) -> LinkCandidate:
-    """Best of the links within the first radius candidate_radius * 2**k
-    (k < 8) that holds a link, picked by the nearest link's distance.
+def imp(network: RoadNetwork, p: PlanarPoint, heading: float | None,
+        rules: RuleBase, cfg: MatcherConfig) -> LinkCandidate:
+    """Initial link selection: the best of the links within the first radius
+    candidate_radius * 2**k (k < 8) that holds a link, picked by the nearest
+    link's distance.
 
     Beyond 128 times candidate_radius only the nearest links are scored:
     that far out the default rule base clamps pd, so scoring more would
-    rank links by heading alone.
+    rank links by heading alone. Whether the returned candidate is
+    confident (see _confident) is the caller's decision.
     """
     dist = {e: project_onto_polyline(p, network.edges[e].geometry)[0]
             for e in network.index.nearest(p)}
@@ -266,8 +253,6 @@ def match_trajectory(network: RoadNetwork, traj: Trajectory, rules: RuleBase,
         if state.edge_id is None:
             cand = imp(network, p, heading, rules, cfg)
             phase = PHASE_IMP
-            if cand is None:
-                cand = _forced_candidate(network, p, heading, rules, cfg)
             confident = _confident(cand, cfg)
             if confident:
                 state = MatchState(edge_id=cand.edge_id, last_heading=state.last_heading)
@@ -300,17 +285,12 @@ def match_trajectory(network: RoadNetwork, traj: Trajectory, rules: RuleBase,
 
 
 def write_match_result(result: MatchResult, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["source_index", "edge_id", "offset_m",
-                    "snapped_lat", "snapped_lon", "likelihood", "phase"])
-        for m in result.matched:
-            w.writerow([m.source_index, m.edge_id, repr(m.position_on_edge),
-                        repr(m.snapped_lat), repr(m.snapped_lon),
-                        repr(m.likelihood), m.phase_used])
+    write_csv(path, ["source_index", "edge_id", "offset_m",
+                     "snapped_lat", "snapped_lon", "likelihood", "phase"],
+              ([m.source_index, m.edge_id, repr(m.position_on_edge),
+                repr(m.snapped_lat), repr(m.snapped_lon),
+                repr(m.likelihood), m.phase_used] for m in result.matched))
 
 
 def write_edge_sequence(result: MatchResult, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for edge_id in result.edge_sequence:
-            fh.write(edge_id + "\n")
+    write_lines(path, result.edge_sequence)

@@ -8,7 +8,6 @@ Two metric spaces are supported:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import chain
 
@@ -16,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geo import GeoPoint, Projection, haversine_distance
-from .io import Trajectory, TrajectoryRecord
+from .io import Trajectory, TrajectoryRecord, write_csv
 
 NOISE = -1
 
@@ -270,17 +269,11 @@ def elbow_candidates(curve: KnnCurve, n: int = 5) -> list[ElbowCandidate]:
 
 
 def write_knn_curve(curve: KnnCurve, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["rank", "distance"])
-        for rank, dist in enumerate(curve.distances):
-            w.writerow([rank, repr(float(dist))])
+    write_csv(path, ["rank", "distance"],
+              ([rank, repr(float(dist))] for rank, dist in enumerate(curve.distances)))
 
 
 def write_staypoints(stay_points: list[StayPoint], path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["cluster_id", "lat", "lon", "t_arrive", "t_leave", "count"])
-        for s in stay_points:
-            w.writerow([s.cluster_id, repr(s.y), repr(s.x),
-                        repr(s.t_a), repr(s.t_l), s.member_count])
+    write_csv(path, ["cluster_id", "lat", "lon", "t_arrive", "t_leave", "count"],
+              ([s.cluster_id, repr(s.y), repr(s.x), repr(s.t_a), repr(s.t_l),
+                s.member_count] for s in stay_points))

@@ -273,7 +273,8 @@ def axis_segment_d2(px, py, a, b):
 
 
 def widening_fallback(edges, px, py, radius, steps=8):
-    """Edge ids the matcher's widening fallback scores, by brute force.
+    """Edge ids the matcher's initial link selection (`imp`) scores, by
+    brute force.
 
     edges: (edge_id, [(x, y), ...]) with axis-aligned segments on integer
     coordinates; radius an integer. Returns the ids within the first of

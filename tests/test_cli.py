@@ -1,7 +1,15 @@
+from pathlib import Path
+
+import pytest
+
 from trajmatch.cli import main
 from conftest import FIXTURES
 
 MINI = FIXTURES / "mini"
+TRUTH = str(MINI / "truth.txt")
+NETWORK = str(MINI / "network.csv")
+TRAJ = str(MINI / "trajectory.csv")
+CONFIG = str(FIXTURES.parent.parent / "demos" / "matcher_config.yaml")
 
 
 def run(argv):
@@ -234,3 +242,45 @@ def test_config_not_a_mapping(tmp_path, capsys):
     assert _match_with_config(tmp_path, "- candidate_radius\n- 80.0\n") == 2
     err = capsys.readouterr().err
     assert "expected a mapping" in err
+
+
+@pytest.mark.parametrize("name, source, argv", [
+    ("traj.csv", TRAJ, ["match", "--network", NETWORK, "--traj", "{bad}",
+                        "--out-dir", "{out}"]),
+    ("net.csv", NETWORK, ["eval", "--network", "{bad}", "--edges", TRUTH,
+                          "--truth", TRUTH]),
+    ("truth.txt", TRUTH, ["eval", "--network", NETWORK, "--edges", TRUTH,
+                          "--truth", "{bad}"]),
+    ("edges.txt", TRUTH, ["eval", "--network", NETWORK, "--edges", "{bad}",
+                          "--truth", TRUTH]),
+    ("matcher.yaml", CONFIG, ["match", "--network", NETWORK, "--traj", TRAJ,
+                              "--config", "{bad}", "--out-dir", "{out}"]),
+], ids=["trajectory", "network", "truth", "edges", "config"])
+def test_invalid_utf8_input_exits_2(tmp_path, capsys, name, source, argv):
+    # a copy of a valid input whose third line is the byte 0xff
+    lines = Path(source).read_bytes().splitlines(keepends=True)
+    bad = tmp_path / name
+    bad.write_bytes(b"".join(lines[:2]) + b"\xff\n" + b"".join(lines[2:]))
+    assert run([a.format(bad=bad, out=tmp_path / "out") for a in argv]) == 2
+    assert f"{name}: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_network_field_over_csv_field_limit_exits_2(tmp_path, capsys):
+    # one edge of 6,000 vertices: its WKT field is longer than the csv
+    # module's default field limit of 131,072 characters
+    wkt = "LINESTRING (" + ", ".join(f"{-122.3 + i * 1e-5!r} {47.6 + i * 1e-6!r}"
+                                     for i in range(6000)) + ")"
+    assert len(wkt) > 131072
+    net = tmp_path / "net.csv"
+    net.write_text(f'edge_id,node_from,node_to,wkt\ne1,a,b,"{wkt}"\n', encoding="utf-8")
+    assert run(["eval", "--network", str(net), "--edges", TRUTH, "--truth", TRUTH]) == 2
+    assert "net.csv: malformed CSV: field larger than field limit" in capsys.readouterr().err
+
+
+def test_staypoints_nan_timestamp_exits_2(tmp_path, capsys):
+    traj = tmp_path / "traj.csv"
+    traj.write_text("timestamp,lat,lon\n0,47.6,-122.3\nnan,47.6,-122.3\n2,47.6,-122.3\n",
+                    encoding="utf-8")
+    assert run(["staypoints", "--traj", str(traj), "--eps", "0.00004", "--min-pts", "3",
+                "--out-dir", str(tmp_path / "out")]) == 2
+    assert "traj.csv: row 3: non-finite timestamp 'nan'" in capsys.readouterr().err

@@ -1,4 +1,5 @@
-"""The matcher's widening fallback against a brute-force oracle.
+"""The matcher's initial link selection (`imp`, a widening search) against
+a brute-force oracle.
 
 Networks are axis-aligned polylines on an integer lattice and points have
 integer coordinates, so every distance the matcher compares is the square
@@ -61,8 +62,8 @@ def scored_ids(monkeypatch, edges, px, py):
         return real(network, edge_ids, *args)
 
     monkeypatch.setattr(matcher, "score_links", recording)
-    cand = matcher._forced_candidate(network(edges), PlanarPoint(float(px), float(py)),
-                                     None, RULES, CFG)
+    cand = matcher.imp(network(edges), PlanarPoint(float(px), float(py)),
+                      None, RULES, CFG)
     assert len(scored) == 1 and cand.edge_id in scored[0]
     return scored[0]
 

@@ -11,6 +11,7 @@ from trajmatch.io import (
     parse_ground_truth,
     parse_road_network,
     parse_trajectory,
+    read_ids,
     write_trajectory,
 )
 
@@ -65,6 +66,27 @@ def test_parse_trajectory_empty(tmp_path):
     p = write(tmp_path / "t.csv", "")
     with pytest.raises(ParseError):
         parse_trajectory(p)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_parse_trajectory_non_finite_timestamp(tmp_path, value):
+    # last row, so that no later timestamp can trip the monotonic check
+    p = write(tmp_path / "t.csv",
+              f"timestamp,lat,lon\n0,47.0,-122.0\n{value},47.001,-122.0\n")
+    with pytest.raises(ParseError, match=f"t.csv: row 3: non-finite timestamp '{value}'"):
+        parse_trajectory(p)
+
+
+def test_parse_trajectory_invalid_utf8_names_file(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_bytes(b"timestamp,lat,lon\n0,47.0,-122.\xff\n")
+    with pytest.raises(ParseError, match="t.csv: not valid UTF-8"):
+        parse_trajectory(p)
+
+
+def test_read_ids_line_numbers_skip_blank_and_comments(tmp_path):
+    p = write(tmp_path / "ids.txt", "# route\n e1 \n\n\r\ne2\r\n  # late comment\ne3")
+    assert read_ids(p) == [(2, "e1"), (5, "e2"), (7, "e3")]
 
 
 def test_trajectory_roundtrip(tmp_path):

@@ -143,9 +143,13 @@ def test_imp_parallel_roads_nearer_wins():
 
 
 def test_imp_empty_candidates():
+    # no link within candidate_radius: the nearest link is still returned,
+    # but not as a confident match
     net = straight_net()
     p = net.projection.project(g(9000, 9000))
-    assert imp(net, p, 0.0, RULES, CFG) is None
+    cand = imp(net, p, 0.0, RULES, CFG)
+    assert cand.edge_id == "e1"
+    assert not matcher._confident(cand, CFG)
 
 
 # --------------------------------------------------------------------- smp
@@ -433,7 +437,7 @@ def test_far_point_projects_only_nearby_links(monkeypatch):
 
     monkeypatch.setattr(matcher, "project_onto_polyline", counting)
     p = net.projection.project(g(1250, 3000 + 7000))
-    cand = matcher._forced_candidate(net, p, None, RULES, CFG)
+    cand = matcher.imp(net, p, None, RULES, CFG)
     assert cand.edge_id == "h2_6"
     assert len(net.edges) == 84
     assert len(calls) <= 10
