@@ -16,7 +16,6 @@ from .io import (
     GroundTruthRoute,
     RoadNetwork,
     Trajectory,
-    TrajectoryRecord,
     build_network,
     read_ids,
     write_csv,
@@ -204,9 +203,8 @@ def generate_scenario(seed: int, grid_size: int = 6, edge_len_m: float = 200.0,
     travel_time = edge_len_m / speed_mps * route_edges
     dwell_spec = sorted(dwell_spec or [])
 
-    records = []
+    emitted = []  # planar (x, y) of each 1 Hz sample
     dwell_centers: list[GeoPoint] = []
-    t_emit = 0.0
     t_route = 0.0
     pending = list(dwell_spec)
     while t_route <= travel_time + 1e-9:
@@ -215,21 +213,15 @@ def generate_scenario(seed: int, grid_size: int = 6, edge_len_m: float = 200.0,
             _, duration, sigma = pending.pop(0)
             dwell_centers.append(proj.unproject(PlanarPoint(x, y)))
             for _ in range(int(duration)):
-                jx, jy = rng.normal(0.0, sigma, size=2)
-                records.append(_record(proj, x + jx, y + jy, t_emit, len(records)))
-                t_emit += 1.0
-        jx, jy = rng.normal(0.0, jitter_sigma_m, size=2)
-        records.append(_record(proj, x + jx, y + jy, t_emit, len(records)))
-        t_emit += 1.0
+                emitted.append((x, y) + rng.normal(0.0, sigma, size=2))
+        emitted.append((x, y) + rng.normal(0.0, jitter_sigma_m, size=2))
         t_route += 1.0
-    traj = Trajectory(records, traj_id=f"synthetic:{seed}")
+    n = len(emitted)
+    lat, lon = proj.unproject_xy(*np.array(emitted).T)
+    traj = Trajectory.from_columns(np.arange(n, dtype=np.float64), lat, lon, np.arange(n),
+                                   traj_id=f"synthetic:{seed}")
     return SyntheticScenario(network, traj, truth,
                              dwell_windows=dwell_spec, dwell_centers=dwell_centers)
-
-
-def _record(proj, x, y, t, idx):
-    g = proj.unproject(PlanarPoint(float(x), float(y)))
-    return TrajectoryRecord(t, g, source_index=idx)
 
 
 def _route_position(waypoints, speed, t):

@@ -40,15 +40,17 @@ class MembershipFunction:
         if self.shape in ("z", "s") and self.params[0] == self.params[1]:
             raise ValueError(f"{self.shape} shape needs distinct parameters")
 
+    @property
+    def _corners(self) -> tuple[float, ...]:
+        """(a, b, c, d) of a trapezoid; triangular(a, b, c) is
+        trapezoidal(a, b, b, c)."""
+        p = self.params
+        return p if self.shape == "trapezoidal" else (p[0], p[1], p[1], p[2])
+
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if self.shape == "triangular":
-            a, b, c = self.params
-            left = np.where(a == b, 1.0, (x - a) / max(b - a, 1e-300))
-            right = np.where(b == c, 1.0, (c - x) / max(c - b, 1e-300))
-            return np.clip(np.minimum(left, right), 0.0, 1.0)
-        if self.shape == "trapezoidal":
-            a, b, c, d = self.params
+        if self.shape in ("triangular", "trapezoidal"):
+            a, b, c, d = self._corners
             left = np.where(a == b, 1.0, (x - a) / max(b - a, 1e-300))
             right = np.where(c == d, 1.0, (d - x) / max(d - c, 1e-300))
             return np.clip(np.minimum(np.minimum(left, 1.0), right), 0.0, 1.0)
@@ -69,13 +71,8 @@ class MembershipFunction:
         last bit.
         """
         x = float(x)
-        if self.shape == "triangular":
-            a, b, c = self.params
-            left = 1.0 if a == b else (x - a) / max(b - a, 1e-300)
-            right = 1.0 if b == c else (c - x) / max(c - b, 1e-300)
-            return min(1.0, max(0.0, min(left, right)))
-        if self.shape == "trapezoidal":
-            a, b, c, d = self.params
+        if self.shape in ("triangular", "trapezoidal"):
+            a, b, c, d = self._corners
             left = 1.0 if a == b else (x - a) / max(b - a, 1e-300)
             right = 1.0 if c == d else (d - x) / max(d - c, 1e-300)
             return min(1.0, max(0.0, min(left, 1.0, right)))

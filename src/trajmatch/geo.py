@@ -35,12 +35,18 @@ class GeoPoint:
     lon: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
-            raise InvalidCoordinateError(f"non-finite coordinate ({self.lat}, {self.lon})")
-        if not -90.0 <= self.lat <= 90.0:
-            raise InvalidCoordinateError(f"latitude {self.lat} out of [-90, 90]")
-        if not -180.0 <= self.lon <= 180.0:
-            raise InvalidCoordinateError(f"longitude {self.lon} out of [-180, 180]")
+        check_coordinate(self.lat, self.lon)
+
+
+def check_coordinate(lat: float, lon: float):
+    """Raise InvalidCoordinateError unless lat, lon is a finite WGS-84
+    position in decimal degrees."""
+    if not (math.isfinite(lat) and math.isfinite(lon)):
+        raise InvalidCoordinateError(f"non-finite coordinate ({lat}, {lon})")
+    if not -90.0 <= lat <= 90.0:
+        raise InvalidCoordinateError(f"latitude {lat} out of [-90, 90]")
+    if not -180.0 <= lon <= 180.0:
+        raise InvalidCoordinateError(f"longitude {lon} out of [-180, 180]")
 
 
 @dataclass(frozen=True)
@@ -102,10 +108,13 @@ class Projection:
                 (lat - self.origin.lat) * METERS_PER_DEGREE)
 
     def unproject(self, p: PlanarPoint) -> GeoPoint:
-        return GeoPoint(
-            lat=self.origin.lat + p.y / METERS_PER_DEGREE,
-            lon=self.origin.lon + p.x / (self._coslat * METERS_PER_DEGREE),
-        )
+        return GeoPoint(*self.unproject_xy(p.x, p.y))
+
+    def unproject_xy(self, x, y):
+        """(lat, lon) of bare planar coordinates; numpy arrays unproject
+        elementwise, with the same arithmetic as unproject()."""
+        return (self.origin.lat + y / METERS_PER_DEGREE,
+                self.origin.lon + x / (self._coslat * METERS_PER_DEGREE))
 
 
 def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:

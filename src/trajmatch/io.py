@@ -19,12 +19,14 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
+import numpy as np
+
 from .geo import (
     GeoPoint,
-    InvalidCoordinateError,
     Polyline,
     Projection,
     SpatialIndex,
+    check_coordinate,
     index_build,
 )
 
@@ -41,25 +43,49 @@ class TrajectoryRecord:
 
 
 class Trajectory:
+    """A trace as four columns: `t`, `lat`, `lon` (float64), `source_index`
+    (int). Iteration, indexing and `records` build TrajectoryRecord values of
+    plain Python floats and ints on demand."""
+
     def __init__(self, records: list[TrajectoryRecord], traj_id: str = ""):
         if not records:
             raise ParseError("empty trajectory")
-        for prev, cur in zip(records, records[1:]):
-            if cur.timestamp < prev.timestamp:
-                raise ParseError(
-                    f"non-monotonic timestamp at source_index {cur.source_index}"
-                )
-        self.records = tuple(records)
+        self._assign(*zip(*((r.timestamp, r.position.lat, r.position.lon, r.source_index)
+                            for r in records)), traj_id)
+        down = np.flatnonzero(np.diff(self.t) < 0)
+        if down.size:
+            raise ParseError(f"non-monotonic timestamp at source_index "
+                             f"{self.source_index[down[0] + 1]}")
+
+    @classmethod
+    def from_columns(cls, t, lat, lon, source_index, traj_id: str = "") -> Trajectory:
+        """A trajectory over columns that already hold a valid, non-empty
+        trace in non-decreasing time; nothing is checked."""
+        traj = cls.__new__(cls)
+        traj._assign(t, lat, lon, source_index, traj_id)
+        return traj
+
+    def _assign(self, t, lat, lon, source_index, traj_id):
+        self.t, self.lat, self.lon = (np.asarray(c, dtype=np.float64) for c in (t, lat, lon))
+        self.source_index = np.asarray(source_index, dtype=np.intp)
         self.id = traj_id
 
     def __len__(self):
-        return len(self.records)
+        return len(self.t)
 
     def __iter__(self):
-        return iter(self.records)
+        return map(TrajectoryRecord, self.t.tolist(),
+                   map(GeoPoint, self.lat.tolist(), self.lon.tolist()),
+                   self.source_index.tolist())
 
-    def __getitem__(self, i):
-        return self.records[i]
+    def __getitem__(self, i: int) -> TrajectoryRecord:
+        return TrajectoryRecord(self.t[i].item(),
+                                GeoPoint(self.lat[i].item(), self.lon[i].item()),
+                                self.source_index[i].item())
+
+    @property
+    def records(self) -> tuple[TrajectoryRecord, ...]:
+        return tuple(self)
 
 
 @dataclass(frozen=True)
@@ -152,9 +178,10 @@ def _parse_timestamp(text: str) -> float:
     return dt.timestamp()
 
 
-def _data_rows(path, columns) -> tuple[list[int], list[tuple[int, list[str]]]]:
-    """The header's index of each of columns, and the CSV rows after the
-    header with their 1-based line numbers; comment lines skipped."""
+def _data_rows(path, columns):
+    """(1-based line number, fields of columns) of each CSV row after the
+    header; comment lines skipped. A row too short for every column raises
+    ParseError when iteration reaches it, so an earlier bad row still wins."""
     rows = read_utf8(path, lambda fh: [
         (lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1)
         if row and not row[0].lstrip().startswith("#")])
@@ -162,30 +189,50 @@ def _data_rows(path, columns) -> tuple[list[int], list[tuple[int, list[str]]]]:
         raise ParseError(f"{path}: empty file")
     header = [c.strip().lower() for c in rows[0][1]]
     try:
-        return [header.index(k) for k in columns], rows[1:]
+        idx = [header.index(k) for k in columns]
     except ValueError:
         raise ParseError(f"{path}: header must contain {','.join(columns)}") from None
 
+    last = max(idx)
+
+    def fields():
+        for lineno, row in rows[1:]:
+            if len(row) <= last:
+                missing = ", ".join(k for k, i in zip(columns, idx) if i >= len(row))
+                raise ParseError(f"{path}: row {lineno}: no field for {missing} "
+                                 f"(expected columns {','.join(columns)})")
+            yield lineno, [row[i] for i in idx]
+    return fields()
+
 
 def parse_trajectory(path, traj_id: str | None = None) -> Trajectory:
-    (i_t, i_lat, i_lon), rows = _data_rows(path, ("timestamp", "lat", "lon"))
-    records = []
-    for lineno, row in rows:
+    """ParseError names the first row that does not parse; only then is the
+    time order checked."""
+    t, lat, lon, lines = [], [], [], []
+    for lineno, (ts, la, lo) in _data_rows(path, ("timestamp", "lat", "lon")):
         try:
-            ts = _parse_timestamp(row[i_t])
-            pos = GeoPoint(float(row[i_lat]), float(row[i_lon]))
-        except (IndexError, ValueError, InvalidCoordinateError) as exc:
+            t.append(_parse_timestamp(ts))
+            lat.append(float(la))
+            lon.append(float(lo))
+            check_coordinate(lat[-1], lon[-1])
+        except ValueError as exc:
             raise ParseError(f"{path}: row {lineno}: {exc}")
-        records.append(TrajectoryRecord(ts, pos, source_index=len(records)))
-    if not records:
+        lines.append(lineno)
+    if not t:
         raise ParseError(f"{path}: no data rows")
-    return Trajectory(records, traj_id or str(path))
+    traj = Trajectory.from_columns(t, lat, lon, np.arange(len(t)), traj_id or str(path))
+    down = np.flatnonzero(np.diff(traj.t) < 0)
+    if down.size:
+        k = down[0]
+        raise ParseError(f"{path}: row {lines[k + 1]}: non-monotonic timestamp "
+                         f"{t[k + 1]!r} after {t[k]!r} on row {lines[k]}")
+    return traj
 
 
 def write_trajectory(traj: Trajectory, path):
     write_csv(path, ["timestamp", "lat", "lon"],
-              ([repr(float(r.timestamp)), repr(float(r.position.lat)),
-                repr(float(r.position.lon))] for r in traj))
+              ([repr(t), repr(lat), repr(lon)] for t, lat, lon
+               in zip(traj.t.tolist(), traj.lat.tolist(), traj.lon.tolist())))
 
 
 def _parse_wkt_linestring(text: str) -> list[GeoPoint]:
@@ -207,16 +254,13 @@ def _parse_wkt_linestring(text: str) -> list[GeoPoint]:
 
 
 def parse_road_network(path) -> RoadNetwork:
-    cols, rows = _data_rows(path, ("edge_id", "node_from", "node_to", "wkt"))
     raw = []
     first_row: dict[str, int] = {}
-    for lineno, row in rows:
+    for lineno, row in _data_rows(path, ("edge_id", "node_from", "node_to", "wkt")):
+        edge_id, node_from, node_to = (field.strip() for field in row[:3])
         try:
-            edge_id, node_from, node_to = (row[cols[0]].strip(),
-                                           row[cols[1]].strip(),
-                                           row[cols[2]].strip())
-            verts = _parse_wkt_linestring(row[cols[3]])
-        except (IndexError, ValueError, InvalidCoordinateError) as exc:
+            verts = _parse_wkt_linestring(row[3])
+        except ValueError as exc:
             raise ParseError(f"{path}: row {lineno}: {exc}")
         if len(verts) < 2:
             raise ParseError(f"{path}: row {lineno}: edge {edge_id!r} has <2 vertices")

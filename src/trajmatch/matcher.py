@@ -236,12 +236,13 @@ def match_trajectory(network: RoadNetwork, traj: Trajectory, rules: RuleBase,
     if len(traj) < 2:
         raise ValueError("trajectory must have at least 2 points")
     proj = network.projection
-    planar = [proj.project(r.position) for r in traj]
+    xs, ys = proj.project_lonlat(traj.lon, traj.lat)
+    planar = list(map(PlanarPoint, xs.tolist(), ys.tolist()))
 
     t0 = time.perf_counter()
     state = MatchState()
     matched: list[MatchedPoint] = []
-    for k, (rec, p) in enumerate(zip(traj, planar)):
+    for k, (source_index, p) in enumerate(zip(traj.source_index.tolist(), planar)):
         if k > 0:
             prev = planar[k - 1]
             dx, dy = p.x - prev.x, p.y - prev.y
@@ -262,13 +263,13 @@ def match_trajectory(network: RoadNetwork, traj: Trajectory, rules: RuleBase,
             if state.edge_id is None:
                 reinit = True
 
-        snapped = proj.unproject(cand.foot)
+        snapped_lat, snapped_lon = proj.unproject_xy(cand.foot.x, cand.foot.y)
         matched.append(MatchedPoint(
-            source_index=rec.source_index,
+            source_index=source_index,
             edge_id=cand.edge_id,
             position_on_edge=cand.arc_offset,
-            snapped_lat=snapped.lat,
-            snapped_lon=snapped.lon,
+            snapped_lat=snapped_lat,
+            snapped_lon=snapped_lon,
             likelihood=cand.likelihood,
             phase_used=phase,
             confident=confident,

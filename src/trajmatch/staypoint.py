@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geo import GeoPoint, Projection, haversine_distance
-from .io import Trajectory, TrajectoryRecord, write_csv
+from .io import Trajectory, write_csv
 
 NOISE = -1
 
@@ -84,12 +84,10 @@ class ElbowCandidate:
 
 def _coords(traj: Trajectory, metric_space: str) -> np.ndarray:
     """Point coordinates as an (n, 2) array in the chosen metric space."""
-    lats = np.array([r.position.lat for r in traj])
-    lons = np.array([r.position.lon for r in traj])
     if metric_space == DEGREE_EUCLIDEAN:
-        return np.column_stack([lons, lats])
-    proj = Projection(GeoPoint(float(lats.mean()), float(lons.mean())))
-    return np.column_stack(proj.project_lonlat(lons, lats))
+        return np.column_stack([traj.lon, traj.lat])
+    proj = Projection(GeoPoint(float(traj.lat.mean()), float(traj.lon.mean())))
+    return np.column_stack(proj.project_lonlat(traj.lon, traj.lat))
 
 
 def knn_distance_curve(traj: Trajectory, k: int,
@@ -179,9 +177,7 @@ def summarize_clusters(traj: Trajectory, labels: ClusterLabel) -> list[StayPoint
     k = labels.cluster_count
     members = np.flatnonzero(labels.labels != NOISE)
     lab = labels.labels[members]
-    recs = traj.records
-    t, lon, lat = np.array([(recs[i].timestamp, recs[i].position.lon, recs[i].position.lat)
-                            for i in members.tolist()]).reshape(-1, 3).T
+    t, lon, lat = traj.t[members], traj.lon[members], traj.lat[members]
     count = np.bincount(lab, minlength=k)
     t_a = np.full(k, np.inf)
     t_l = np.full(k, -np.inf)
@@ -202,20 +198,20 @@ def reduce_trajectory(traj: Trajectory, labels: ClusterLabel,
     pass through untouched.
     """
     by_id = {s.cluster_id: s for s in stay_points}
-    k = labels.cluster_count
+    reps = [by_id[cid] for cid in range(labels.cluster_count)]
     member = labels.labels != NOISE
-    source = np.array([r.source_index for r in traj])
-    first = np.full(k, np.iinfo(source.dtype).max)
-    np.minimum.at(first, labels.labels[member], source[member])
-    records = [traj.records[i] for i in np.flatnonzero(~member).tolist()]
-    provenance = ["original"] * len(records)
-    for cid, src in enumerate(first.tolist()):
-        s = by_id[cid]
-        records.append(TrajectoryRecord(s.t_a, GeoPoint(s.y, s.x), source_index=src))
-        provenance.append(f"representative:{cid}")
+    first = np.full(len(reps), np.iinfo(traj.source_index.dtype).max)
+    np.minimum.at(first, labels.labels[member], traj.source_index[member])
+    noise = np.flatnonzero(~member)
+    t = np.concatenate([traj.t[noise], [s.t_a for s in reps]])
+    lat = np.concatenate([traj.lat[noise], [s.y for s in reps]])
+    lon = np.concatenate([traj.lon[noise], [s.x for s in reps]])
+    source = np.concatenate([traj.source_index[noise], first])
+    provenance = ["original"] * noise.size + [f"representative:{s.cluster_id}" for s in reps]
     # stable, like sorting (timestamp, source_index) tuples
-    order = np.lexsort(([r.source_index for r in records], [r.timestamp for r in records]))
-    reduced = Trajectory([records[i] for i in order.tolist()], traj_id=traj.id + ":reduced")
+    order = np.lexsort((source, t))
+    reduced = Trajectory.from_columns(t[order], lat[order], lon[order], source[order],
+                                      traj_id=traj.id + ":reduced")
     return ReducedTrajectory(reduced, tuple(provenance[i] for i in order.tolist()))
 
 

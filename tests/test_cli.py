@@ -284,3 +284,17 @@ def test_staypoints_nan_timestamp_exits_2(tmp_path, capsys):
     assert run(["staypoints", "--traj", str(traj), "--eps", "0.00004", "--min-pts", "3",
                 "--out-dir", str(tmp_path / "out")]) == 2
     assert "traj.csv: row 3: non-finite timestamp 'nan'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, text, argv", [
+    ("traj.csv", "timestamp,lat,lon\n0,47.6,-122.3\n1,47.6\n",
+     ["staypoints", "--traj", "{bad}", "--eps", "0.00004", "--min-pts", "3",
+      "--out-dir", "{out}"]),
+    ("net.csv", "edge_id,node_from,node_to,wkt\ne1,a,b,\"LINESTRING (0 0, 1 1)\"\ne2,b\n",
+     ["eval", "--network", "{bad}", "--edges", TRUTH, "--truth", TRUTH]),
+], ids=["trajectory", "network"])
+def test_short_row_exits_2(tmp_path, capsys, name, text, argv):
+    bad = tmp_path / name
+    bad.write_text(text, encoding="utf-8")
+    assert run([a.format(bad=bad, out=tmp_path / "out") for a in argv]) == 2
+    assert f"{name}: row 3: no field for " in capsys.readouterr().err

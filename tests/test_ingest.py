@@ -209,3 +209,58 @@ def test_build_network_origin_is_centroid():
     edges = [("e1", "a", "b", [GeoPoint(10.0, 20.0), GeoPoint(12.0, 22.0)])]
     net = build_network(edges)
     assert net.projection.origin == GeoPoint(11.0, 21.0)
+
+
+def test_parse_trajectory_non_monotonic_names_file_and_row(tmp_path):
+    # line 5 of the file, after a comment on line 3
+    p = write(tmp_path / "t.csv", "timestamp,lat,lon\n5,47.0,-122.0\n# stop\n"
+                                  "6,47.0,-122.0\n4,47.0,-122.0\n")
+    with pytest.raises(ParseError) as err:
+        parse_trajectory(p)
+    assert str(err.value) == (f"{p}: row 5: non-monotonic timestamp 4.0 after 6.0 "
+                              "on row 4")
+
+
+def test_parse_trajectory_later_malformed_row_beats_decrease(tmp_path):
+    p = write(tmp_path / "t.csv", "timestamp,lat,lon\n5,47.0,-122.0\n4,47.0,-122.0\n"
+                                  "6,91.0,-122.0\n")
+    with pytest.raises(ParseError, match="t.csv: row 4: latitude 91.0 out of"):
+        parse_trajectory(p)
+
+
+def test_parse_trajectory_short_row_names_missing_column(tmp_path):
+    p = write(tmp_path / "t.csv", "timestamp,lat,lon\n0,47.0,-122.0\n1,47.0\n")
+    with pytest.raises(ParseError) as err:
+        parse_trajectory(p)
+    assert str(err.value) == (f"{p}: row 3: no field for lon "
+                              "(expected columns timestamp,lat,lon)")
+
+
+def test_parse_trajectory_bad_row_before_short_row_wins(tmp_path):
+    p = write(tmp_path / "t.csv", "timestamp,lat,lon\n0,91.0,-122.0\n1,47.0\n")
+    with pytest.raises(ParseError, match="row 2: latitude 91.0"):
+        parse_trajectory(p)
+
+
+def test_parse_network_short_row_names_missing_columns(tmp_path):
+    p = write(tmp_path / "n.csv", NET_CSV + "e3,n3\n")
+    with pytest.raises(ParseError) as err:
+        parse_road_network(p)
+    assert str(err.value) == (f"{p}: row 4: no field for node_to, wkt "
+                              "(expected columns edge_id,node_from,node_to,wkt)")
+
+
+def test_trajectory_columns_and_record_view(tmp_path):
+    p = write(tmp_path / "t.csv", "timestamp,lat,lon\n0,47.0,-122.0\n1.5,47.001,-122.5\n")
+    traj = parse_trajectory(p)
+    assert traj.t.tolist() == [0.0, 1.5] and traj.t.dtype == float
+    assert traj.lat.tolist() == [47.0, 47.001] and traj.lon.tolist() == [-122.0, -122.5]
+    assert traj.source_index.tolist() == [0, 1]
+    # the view yields plain Python numbers, never numpy scalars
+    for rec in (traj[1], traj.records[1], list(traj)[1]):
+        assert rec == TrajectoryRecord(1.5, GeoPoint(47.001, -122.5), 1)
+        assert (type(rec.timestamp), type(rec.position.lat), type(rec.position.lon),
+                type(rec.source_index)) == (float, float, float, int)
+    again = Trajectory(traj.records, traj_id="copy")
+    copy = Trajectory.from_columns(traj.t, traj.lat, traj.lon, traj.source_index)
+    assert again.records == copy.records == traj.records
