@@ -7,6 +7,7 @@ precondition violation.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -139,6 +140,10 @@ def cmd_synth(args) -> int:
             start, duration, sigma = (float(v) for v in spec.split(":"))
         except ValueError:
             print(f"error: bad --dwell {spec!r}, expected start:duration:sigma",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        if not all(map(math.isfinite, (start, duration, sigma))):
+            print(f"error: bad --dwell {spec!r}, start, duration and sigma must be finite",
                   file=sys.stderr)
             return EXIT_USAGE
         dwells.append((start, duration, sigma))

@@ -5,21 +5,31 @@ perpendicular distance (meters) and heading error (degrees), onto a 0-100
 likelihood scale. It can be overridden from a YAML config file.
 
 A RuleBase is compiled when it is built: the output grid and each rule's
-consequent sampled on it are computed once, so inference only clips, takes
-the pointwise max and computes the centroid. Changing a rule base's rules or
-labels after construction is not supported.
+consequent sampled on it, and its antecedents (one flat membership vector,
+an index tuple per rule, and each input's flat intervals, where every label
+is exactly 0 or 1) are computed once. evaluate_rows, the one evaluator,
+takes rows as tuples in the rule base's input order; a row inside flat
+intervals gets its rule strengths with no label call, and a row whose
+strengths are all saturated gets its output from a table. Inference only
+clips, takes the pointwise max and computes the centroid. evaluate and
+evaluate_batch take rows as mappings from input name to value. Changing a
+rule base's rules or labels after construction is not supported.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
 DEFUZZ_SAMPLES = 1001
-BATCH_CELLS = 256  # (row, rule) pairs per evaluate_batch pass: 2 MB of samples
+# (row, rule) pairs per evaluate_rows pass: 256 KB of clipped samples. Larger
+# passes raised the peak memory of a match that scores thousands of on-link
+# rows at once, and were no faster.
+BATCH_CELLS = 32
 
 
 @dataclass(frozen=True)
@@ -139,6 +149,8 @@ class RuleBase:
 
     def __post_init__(self):
         for rule in self.rules:
+            if not rule.antecedent:
+                raise ValueError("rule has an empty antecedent")
             for var, label in rule.antecedent:
                 if var not in self.inputs:
                     raise ValueError(f"rule references unknown input {var!r}")
@@ -151,8 +163,77 @@ class RuleBase:
         sampled = {label: mf(self._grid) for label, mf in self.output.labels.items()}
         self._consequents = np.array([sampled[rule.consequent] for rule in self.rules]
                                      ).reshape(len(self.rules), DEFUZZ_SAMPLES)
-        # crisp output per saturated strength tuple (see evaluate_batch)
+        self._weights = tuple(rule.weight for rule in self.rules)
+        # crisp output per saturated strength tuple (see evaluate_rows)
         self._saturated: dict[tuple[float, ...], float] = {}
+        self._compile_antecedents()
+        # strength tuple per membership vector of a row whose every input
+        # lies inside a flat interval (see evaluate_rows)
+        self._flat_keys: dict[tuple[float, ...], tuple[float, ...]] = {}
+
+    def _compile_antecedents(self):
+        """Flatten the labels the rules use into one membership vector.
+
+        Per input, in `input_names` order: its universe, the `scalar` of each
+        used label and its flat intervals, the open intervals between label
+        parameters where every used label is exactly 0.0 or 1.0, with those
+        values. An interval that holds an end of the universe is extended to
+        infinity on that side, since a value beyond it clamps into the
+        interval. Per rule: an itemgetter of its antecedent's vector indices
+        (the one index twice for a one-input rule, so it always returns a
+        tuple) and its weight.
+        """
+        self.input_names = tuple(self.inputs)
+        used = {term for rule in self.rules for term in rule.antecedent}
+        index: dict[tuple[str, str], int] = {}
+        self._columns = []
+        for name, var in self.inputs.items():
+            labels = [label for label in var.labels if (name, label) in used]
+            mfs = [var.labels[label] for label in labels]
+            for label in labels:
+                index[name, label] = len(index)
+            lo, hi = var.universe
+            cuts = sorted({x for mf in mfs for x in mf.params})
+            flat = []
+            for p, q in zip([-math.inf, *cuts], [*cuts, math.inf]):
+                values = tuple(_flat_value(mf, p, q) for mf in mfs)
+                if p < hi and q > lo and None not in values:
+                    flat.append((-math.inf if p < lo else p, math.inf if q > hi else q, values))
+            self._columns.append((lo, hi, tuple(mf.scalar for mf in mfs), tuple(flat)))
+        self._terms = []
+        for rule in self.rules:
+            idx = [index[term] for term in rule.antecedent]
+            if len(idx) == 1:
+                idx *= 2
+            self._terms.append((itemgetter(*idx), rule.weight))
+
+
+def _flat_value(mf: MembershipFunction, p: float, q: float) -> float | None:
+    """The value mf.scalar returns everywhere strictly inside (p, q) when it
+    is exactly 0.0 or 1.0 there, else None. No parameter of mf lies inside.
+
+    A ramp from a to b of a triangle or trapezoid reaches 1.0 at b only when
+    its divisor is b - a, not the 1e-300 floor that guards a zero width.
+    """
+    if mf.shape in ("z", "s"):
+        a, b = mf.params
+        if q <= a:
+            s = 0.0
+        elif p >= b:
+            s = 1.0
+        else:
+            return None
+        return 1.0 - s if mf.shape == "z" else s
+    a, b, c, d = mf._corners
+    left = a == b or b - a >= 1e-300
+    right = c == d or d - c >= 1e-300
+    if q <= a:
+        return 0.0 if a < b else 1.0 if right else None
+    if p >= d:
+        return 0.0 if c < d else 1.0 if left else None
+    if b <= p and q <= c and left and right:
+        return 1.0
+    return None
 
 
 def fuzzify(var: FuzzyVariable, crisp: float) -> dict[str, float]:
@@ -198,7 +279,21 @@ def evaluate(rules: RuleBase, crisp_inputs: Mapping[str, float]) -> float:
 
 
 def evaluate_batch(rules: RuleBase, rows: Sequence[Mapping[str, float]]) -> list[float]:
+    """evaluate_rows over rows given as mappings from input name to value."""
+    return evaluate_rows(rules, [tuple([row[name] for name in rules.input_names])
+                                 for row in rows])
+
+
+def evaluate_rows(rules: RuleBase, rows: Iterable[Sequence[float]]) -> list[float]:
     """Crisp outputs for many input rows, a chunk of rows per array pass.
+
+    Rows are read once, in order, so an iterator of rows is never held
+    whole. A row holds one crisp value per input, in `rules.input_names` order.
+    Its rule strengths come from the compiled antecedents: each value is
+    clamped to its universe, and one that lies strictly inside a flat
+    interval takes that interval's memberships with no label call. Each
+    strength is the min over its rule's memberships times its weight, as
+    in infer().
 
     Each pass clips every consequent at every row's firing strength in one
     (rows x rules x DEFUZZ_SAMPLES) np.minimum, takes the max over rules
@@ -209,21 +304,40 @@ def evaluate_batch(rules: RuleBase, rows: Sequence[Mapping[str, float]]) -> list
     array as it sums a 1-D array. A pass holds at most BATCH_CELLS
     (row, rule) pairs, so memory stays bounded for any number of rows.
 
-    An output is thus a pure function of its row's strengths, so the rule
-    base keeps the outputs of saturated rows, whose every strength is 0 or
-    its rule's weight, and only other rows go through the array pass. There
-    are at most 2 ** rules saturated tuples and in practice a few: one per
-    region of the inputs where every label is exactly 0 or 1.
+    An output is thus a pure function of its row's strengths, whatever
+    batch, position or pass the row is in, so the rule base keeps the
+    outputs of saturated rows, whose every strength is 0 or its rule's
+    weight, and only other rows go through the array pass. There are at
+    most 2 ** rules saturated tuples and in practice a few: one per region
+    of the inputs where every label is exactly 0 or 1.
     """
-    n_rules = len(rules.rules)
-    chunk = max(1, BATCH_CELLS // max(1, n_rules))
-    lo, hi = rules.output.universe
+    columns, terms, weights = rules._columns, rules._terms, rules._weights
+    flat_keys = rules._flat_keys
+    keys = []
+    for row in rows:
+        memberships = ()
+        varies = False
+        for x, (lo, hi, labels, flat) in zip(row, columns, strict=True):
+            for p, q, values in flat:
+                if p < x < q:
+                    memberships += values
+                    break
+            else:
+                x = min(hi, max(lo, x))
+                memberships += tuple([label(x) for label in labels])
+                varies = True
+        key = None if varies else flat_keys.get(memberships)
+        if key is None:
+            key = tuple([min(get(memberships)) * w for get, w in terms])
+            if not varies:
+                flat_keys[memberships] = key
+        keys.append(key)
     table = rules._saturated
-    keys = [tuple(_strengths(rules, {name: fuzzify(var, row[name])
-                                     for name, var in rules.inputs.items()}))
-            for row in rows]
     out = [table.get(key) for key in keys]
     misses = [i for i, value in enumerate(out) if value is None]
+    n_rules = len(terms)
+    chunk = max(1, BATCH_CELLS // max(1, n_rules))
+    lo, hi = rules.output.universe
     for first in range(0, len(misses), chunk):
         part = misses[first:first + chunk]
         strengths = np.array([keys[i] for i in part]).reshape(len(part), n_rules, 1)
@@ -235,7 +349,7 @@ def evaluate_batch(rules: RuleBase, rows: Sequence[Mapping[str, float]]) -> list
         moments = np.add.reduce(rules._grid * agg, axis=1).tolist()
         for i, mass, moment in zip(part, masses, moments):
             out[i] = (lo + hi) / 2.0 if mass <= 0.0 else moment / mass
-            if all(s == 0.0 or s == rule.weight for s, rule in zip(keys[i], rules.rules)):
+            if all(s == 0.0 or s == w for s, w in zip(keys[i], weights)):
                 table[keys[i]] = out[i]
     return out
 

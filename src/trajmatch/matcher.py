@@ -1,22 +1,34 @@
 """Fuzzy-logic map matcher: initial link selection, on-link tracking, and
 junction re-evaluation, driven by perpendicular distance and heading error.
+
+Each decision that needs likelihoods scores its candidates in one fuzzy
+batch: initial selection its candidate links, a junction step the current
+edge together with the edges at the nearer node. On-link tracking decides
+from geometry alone (arc offset and PD), since its likelihood never steers
+the state; match_trajectory scores every on-link point in one batch after
+the pass, inside the timed match.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
+from operator import itemgetter
+from typing import NamedTuple
 
 import yaml
 
-from .fuzzy import RuleBase, default_rule_base, evaluate_batch, rule_base_from_config
+from .fuzzy import RuleBase, default_rule_base, evaluate_rows, rule_base_from_config
 from .geo import PlanarPoint, bearing, heading_error, project_onto_polyline
 from .io import ParseError, RoadNetwork, Trajectory, read_utf8, write_csv, write_lines
 
 PHASE_IMP = "IMP"
 PHASE_ALONG = "SMP_ALONG"
 PHASE_JUNCTION = "SMP_JUNCTION"
+MEASURES = ("pd", "he")  # the rule-base inputs a candidate link provides
 
 
 @dataclass(frozen=True)
@@ -29,12 +41,12 @@ class MatcherConfig:
     min_heading_separation: float = 1.0
 
 
-@dataclass(frozen=True)
-class LinkCandidate:
+class LinkCandidate(NamedTuple):
+    """A link measured against one point; likelihood is None until scored."""
     edge_id: str
     pd: float
     he: float
-    likelihood: float
+    likelihood: float | None
     foot: PlanarPoint
     arc_offset: float
 
@@ -71,7 +83,8 @@ def load_matcher_config(path) -> tuple[MatcherConfig, RuleBase]:
     """Read thresholds and an optional rule-base override from a YAML file.
 
     A file that is not a YAML mapping, an unknown key, a non-numeric
-    threshold and a malformed rule base raise ParseError naming the
+    threshold, a malformed rule base and a rule-base input the matcher does
+    not measure (one other than MEASURES) raise ParseError naming the
     offending key.
     """
     try:
@@ -101,9 +114,14 @@ def load_matcher_config(path) -> tuple[MatcherConfig, RuleBase]:
     if "rule_base" not in doc:
         return MatcherConfig(**thresholds), default_rule_base()
     try:
-        return MatcherConfig(**thresholds), rule_base_from_config(doc["rule_base"])
+        rules = rule_base_from_config(doc["rule_base"])
     except ValueError as exc:
         raise ParseError(f"{path}: rule_base: {exc}") from None
+    for name in rules.input_names:
+        if name not in MEASURES:
+            raise ParseError(f"{path}: rule_base.inputs.{name}: unknown input "
+                             f"(known: {', '.join(sorted(MEASURES))})")
+    return MatcherConfig(**thresholds), rules
 
 
 def candidate_links(network: RoadNetwork, p: PlanarPoint, radius: float) -> list[str]:
@@ -125,35 +143,56 @@ def score_link(network: RoadNetwork, edge_id: str, p: PlanarPoint,
 
 def score_links(network: RoadNetwork, edge_ids: list[str], p: PlanarPoint,
                 vehicle_heading: float | None, rules: RuleBase) -> list[LinkCandidate]:
-    """Score candidate links by fuzzy inference over PD and HE, in one batch.
+    """Score candidate links by fuzzy inference over PD and HE, in one batch."""
+    return _score([_measure(network, edge_id, p, vehicle_heading) for edge_id in edge_ids],
+                  rules)
+
+
+def _measure(network: RoadNetwork, edge_id: str, p: PlanarPoint,
+             vehicle_heading: float | None) -> LinkCandidate:
+    """The link's PD, HE, projection foot and arc offset, with no likelihood.
 
     The link direction is taken on the segment holding the projection foot
     and evaluated both ways (no one-way information in the network format);
     an absent vehicle heading is treated as perfectly aligned.
     """
-    measured = []
-    for edge_id in edge_ids:
-        pl = network.edges[edge_id].geometry
-        pd, foot, seg_idx, arc_offset = project_onto_polyline(p, pl)
-        if vehicle_heading is None:
-            he = 0.0
-        else:
-            link_bearing = bearing(pl.vertices[seg_idx], pl.vertices[seg_idx + 1])
-            he = min(heading_error(vehicle_heading, link_bearing),
-                     heading_error(vehicle_heading, (link_bearing + 180.0) % 360.0))
-        measured.append((edge_id, pd, he, foot, arc_offset))
-    likelihoods = evaluate_batch(rules, [{"pd": pd, "he": he} for _, pd, he, _, _ in measured])
-    return [LinkCandidate(edge_id, pd, he, likelihood, foot, arc_offset)
-            for (edge_id, pd, he, foot, arc_offset), likelihood in zip(measured, likelihoods)]
+    pl = network.edges[edge_id].geometry
+    pd, foot, seg_idx, arc_offset = project_onto_polyline(p, pl)
+    if vehicle_heading is None:
+        he = 0.0
+    else:
+        link_bearing = bearing(pl.vertices[seg_idx], pl.vertices[seg_idx + 1])
+        he = min(heading_error(vehicle_heading, link_bearing),
+                 heading_error(vehicle_heading, (link_bearing + 180.0) % 360.0))
+    return LinkCandidate(edge_id, pd, he, None, foot, arc_offset)
+
+
+def _score(measured: list[LinkCandidate], rules: RuleBase) -> list[LinkCandidate]:
+    """The measured candidates with their likelihoods."""
+    return [LinkCandidate(c.edge_id, c.pd, c.he, likelihood, c.foot, c.arc_offset)
+            for c, likelihood in zip(measured, _likelihoods(measured, rules))]
+
+
+def _likelihoods(measured: Iterable[LinkCandidate], rules: RuleBase) -> list[float]:
+    """The likelihoods of measured candidates, scored in one batch."""
+    return evaluate_rows(rules, map(_row_getter(rules.input_names), measured))
+
+
+@functools.cache
+def _row_getter(input_names: tuple[str, ...]):
+    """A candidate's row of rule-base inputs (MEASURES), in the rule base's
+    order."""
+    fields = [LinkCandidate._fields.index(name) for name in input_names]
+    return itemgetter(*fields) if len(fields) > 1 else lambda c: (c[fields[0]],)
 
 
 def _best_candidate(scored: list[LinkCandidate]) -> LinkCandidate:
     return min(scored, key=lambda c: (-c.likelihood, c.pd, c.edge_id))
 
 
-def _confident(cand: LinkCandidate, cfg: MatcherConfig) -> bool:
-    """True when the candidate lies within candidate_radius and scores at
-    least l_min.
+def _confident(pd: float, likelihood: float, cfg: MatcherConfig) -> bool:
+    """True when a candidate at distance pd lies within candidate_radius and
+    scores at least l_min.
 
     The likelihood test alone passes points far off every road: their pd is
     clamped to the universe maximum, where "pd long and he small" defuzzifies
@@ -161,7 +200,7 @@ def _confident(cand: LinkCandidate, cfg: MatcherConfig) -> bool:
     rounding), and the default l_min is 50. The pd test settles that case,
     so the likelihood test keeps an inclusive >= at l_min.
     """
-    return cand.pd <= cfg.candidate_radius and cand.likelihood >= cfg.l_min
+    return pd <= cfg.candidate_radius and likelihood >= cfg.l_min
 
 
 def smp_step(network: RoadNetwork, state: MatchState, p: PlanarPoint,
@@ -170,25 +209,28 @@ def smp_step(network: RoadNetwork, state: MatchState, p: PlanarPoint,
     """One tracking step while on a link.
 
     Stays on the current edge while the projection falls in the edge
-    interior with small PD; near an endpoint node (or on a large PD
-    excursion) re-scores the edges incident to the nearer node against the
-    current edge. Three consecutive junction decisions that are not
-    confident (see _confident) reset the state to uninitialized.
+    interior with small PD, a decision from geometry alone: the returned
+    candidate is unscored (likelihood None), since its likelihood does not
+    steer the state. Near an endpoint node (or on a large PD excursion) it
+    scores the current edge and the edges incident to the nearer node in one
+    batch and picks the best. Three consecutive junction decisions that are
+    not confident (see _confident) reset the state to uninitialized.
     """
     edge = network.edges[state.edge_id]
-    cand = score_link(network, state.edge_id, p, heading, rules)
-    interior = (cand.arc_offset > cfg.junction_radius
-                and edge.geometry.length - cand.arc_offset > cfg.junction_radius)
-    if interior and cand.pd <= cfg.pd_escape:
+    here = _measure(network, state.edge_id, p, heading)
+    interior = (here.arc_offset > cfg.junction_radius
+                and edge.geometry.length - here.arc_offset > cfg.junction_radius)
+    if interior and here.pd <= cfg.pd_escape:
         new_state = MatchState(edge_id=state.edge_id, last_heading=state.last_heading)
-        return new_state, cand, PHASE_ALONG
+        return new_state, here, PHASE_ALONG
 
     nearer = (edge.node_from
-              if cand.arc_offset <= edge.geometry.length - cand.arc_offset
+              if here.arc_offset <= edge.geometry.length - here.arc_offset
               else edge.node_to)
     others = sorted(network.adjacency.get(nearer, set()) - {state.edge_id})
-    best = _best_candidate([cand] + score_links(network, others, p, heading, rules))
-    if not _confident(best, cfg):
+    best = _best_candidate(_score([here] + [_measure(network, e, p, heading) for e in others],
+                                  rules))
+    if not _confident(best.pd, best.likelihood, cfg):
         low = state.consecutive_low_confidence + 1
         if low >= cfg.reinit_after:
             return MatchState(edge_id=None, last_heading=state.last_heading), best, PHASE_JUNCTION
@@ -237,44 +279,50 @@ def match_trajectory(network: RoadNetwork, traj: Trajectory, rules: RuleBase,
         raise ValueError("trajectory must have at least 2 points")
     proj = network.projection
     xs, ys = proj.project_lonlat(traj.lon, traj.lat)
-    planar = list(map(PlanarPoint, xs.tolist(), ys.tolist()))
 
     t0 = time.perf_counter()
     state = MatchState()
-    matched: list[MatchedPoint] = []
-    for k, (source_index, p) in enumerate(zip(traj.source_index.tolist(), planar)):
-        if k > 0:
-            prev = planar[k - 1]
+    steps = []  # (candidate, phase, reinitialized) per point
+    prev = None
+    # points are built as the pass reaches them: the steps already hold a
+    # candidate per point until the on-link batch is scored
+    for p in map(PlanarPoint, xs.tolist(), ys.tolist()):
+        if prev is not None:
             dx, dy = p.x - prev.x, p.y - prev.y
             if (dx * dx + dy * dy) ** 0.5 >= cfg.min_heading_separation:
                 state.last_heading = bearing(prev, p)
+        prev = p
         heading = state.last_heading
 
-        reinit = False
         if state.edge_id is None:
             cand = imp(network, p, heading, rules, cfg)
-            phase = PHASE_IMP
-            confident = _confident(cand, cfg)
-            if confident:
+            if _confident(cand.pd, cand.likelihood, cfg):
                 state = MatchState(edge_id=cand.edge_id, last_heading=state.last_heading)
+            steps.append((cand, PHASE_IMP, False))
         else:
             state, cand, phase = smp_step(network, state, p, heading, rules, cfg)
-            confident = _confident(cand, cfg)
-            if state.edge_id is None:
-                reinit = True
+            steps.append((cand, phase, state.edge_id is None))
 
+    # On-link steps come back unscored: score them all in one batch, then
+    # turn each step into its MatchedPoint in place.
+    scores = iter(_likelihoods((cand for cand, _, _ in steps if cand.likelihood is None),
+                               rules))
+    for i, (source_index, (cand, phase, reinit)) in enumerate(
+            zip(traj.source_index.tolist(), steps)):
+        likelihood = next(scores) if cand.likelihood is None else cand.likelihood
         snapped_lat, snapped_lon = proj.unproject_xy(cand.foot.x, cand.foot.y)
-        matched.append(MatchedPoint(
+        steps[i] = MatchedPoint(
             source_index=source_index,
             edge_id=cand.edge_id,
             position_on_edge=cand.arc_offset,
             snapped_lat=snapped_lat,
             snapped_lon=snapped_lon,
-            likelihood=cand.likelihood,
+            likelihood=likelihood,
             phase_used=phase,
-            confident=confident,
+            confident=_confident(cand.pd, likelihood, cfg),
             reinitialized=reinit,
-        ))
+        )
+    matched: list[MatchedPoint] = steps
     wall = time.perf_counter() - t0
 
     edge_sequence: list[str] = []

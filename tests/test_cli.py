@@ -1,9 +1,13 @@
+import copy
 from pathlib import Path
 
 import pytest
+import yaml
 
+from trajmatch import matcher
 from trajmatch.cli import main
 from conftest import FIXTURES
+from test_fuzzy_oracle import DEFAULT_CONFIG
 
 MINI = FIXTURES / "mini"
 TRUTH = str(MINI / "truth.txt")
@@ -203,6 +207,15 @@ def test_synth_bad_dwell(tmp_path):
                 "--out-dir", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("spec", ["0:inf:1", "0:5:inf", "nan:5:1", "-inf:5:1", "0:nan:1"])
+def test_synth_non_finite_dwell(tmp_path, capsys, spec):
+    # These ended in an OverflowError traceback, wrote inf coordinates that
+    # the trajectory parser rejects, or dropped the dwell without a word.
+    assert run(["synth", "--seed", "11", f"--dwell={spec}", "--out-dir", str(tmp_path)]) == 1
+    assert f"bad --dwell {spec!r}" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def _match_with_config(tmp_path, text):
     cfg = tmp_path / "matcher.yaml"
     cfg.write_text(text, encoding="utf-8")
@@ -230,6 +243,44 @@ def test_config_rule_base_without_output(tmp_path, capsys):
     assert _match_with_config(tmp_path, text) == 2
     err = capsys.readouterr().err
     assert "rule_base: output: missing" in err
+
+
+def test_config_rule_base_extra_input(tmp_path, capsys):
+    # The matcher measures pd and he only. A rule base with another input
+    # used to load, then end the match in a KeyError traceback (exit 1).
+    doc = copy.deepcopy(DEFAULT_CONFIG)
+    doc["inputs"]["speed"] = {"universe": [0.0, 50.0],
+                              "labels": {"slow": {"shape": "z", "params": [5.0, 15.0]},
+                                         "fast": {"shape": "s", "params": [5.0, 15.0]}}}
+    doc["rules"].append({"if": [["speed", "fast"]], "then": "low"})
+    assert _match_with_config(tmp_path, yaml.safe_dump({"rule_base": doc})) == 2
+    err = capsys.readouterr().err
+    assert "rule_base.inputs.speed: unknown input" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_he_before_pd_matches_like_pd_first(tmp_path, monkeypatch):
+    # Compiled rows follow the rule base's own input order, so a config that
+    # lists he first scores (he, pd) rows and matches exactly as pd-first.
+    scored = {}
+    real = matcher.evaluate_rows
+
+    def recording(rules, rows):
+        rows = list(rows)
+        scored.setdefault(rules.input_names, []).extend(rows)
+        return real(rules, rows)
+
+    monkeypatch.setattr(matcher, "evaluate_rows", recording)
+    he_first = dict(DEFAULT_CONFIG, inputs=dict(reversed(DEFAULT_CONFIG["inputs"].items())))
+    outputs = {}
+    for name, doc in (("pd_first", DEFAULT_CONFIG), ("he_first", he_first)):
+        (tmp_path / name).mkdir()
+        assert _match_with_config(tmp_path / name, yaml.safe_dump({"rule_base": doc},
+                                                                   sort_keys=False)) == 0
+        outputs[name] = (tmp_path / name / "out" / "matched.csv").read_bytes()
+    assert outputs["he_first"] == outputs["pd_first"]
+    assert sorted(scored) == [("he", "pd"), ("pd", "he")]
+    assert scored["he", "pd"] == [(he, pd) for pd, he in scored["pd", "he"]]
 
 
 def test_config_broken_yaml(tmp_path, capsys):

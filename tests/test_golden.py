@@ -9,9 +9,12 @@ alter outputs updates the hashes and says why.
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from trajmatch import evalbench
 from trajmatch.cli import main
+from trajmatch.io import Trajectory
 from conftest import FIXTURES
 
 MINI = FIXTURES / "mini"
@@ -64,3 +67,35 @@ def test_synth_regenerates_mini_fixture(tmp_path):
                  "--out-dir", str(tmp_path)]) == 0
     for name in ("network.csv", "trajectory.csv", "truth.txt"):
         assert (tmp_path / name).read_bytes() == (MINI / name).read_bytes(), name
+
+
+# Two seeded traces on a 10x10 grid, matched through `trajmatch match`:
+# name -> (seed, route edges, dwells, jitter m, keep every n-th sample, {file: sha256}).
+# The 1 Hz trace with dwells is mostly on-link tracking; its 0.1 Hz
+# counterpart jumps 150 m per point and is mostly junction re-evaluation.
+GOLDEN_SCALE = {
+    "1hz_dwells": (
+        11, 150, [(100.0, 60.0, 1.5), (700.0, 90.0, 2.0), (1500.0, 60.0, 1.5)], 1.5, 1,
+        {"matched.csv": "b60cf17d91c0a7462e997fb6f1a1fee20bda45c7ac7fb8b047e7b561c1e4f43e",
+         "edge_sequence.txt": "2d7d45f576f0e017a5a58b877ab325d44730e972f7521f2a37d438463cf44994"}),
+    "0.1hz": (
+        12, 400, None, 5.0, 10,
+        {"matched.csv": "ec40781158b800676df0772efbcd77c86a77a920794a656ba9bb511909fa94e7",
+         "edge_sequence.txt": "b6c655a71f418be8cab17f0655c85e786d6e5659d90cc74b8d3c08c4b80af27d"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCALE))
+def test_golden_match_at_scale(tmp_path, name):
+    seed, route_edges, dwells, jitter, keep, expected = GOLDEN_SCALE[name]
+    scn = evalbench.generate_scenario(seed, grid_size=10, route_edges=route_edges,
+                                      jitter_sigma_m=jitter, dwell_spec=dwells)
+    t = scn.trajectory
+    scn.trajectory = Trajectory.from_columns(t.t[::keep], t.lat[::keep], t.lon[::keep],
+                                             np.arange(len(t.t[::keep])), traj_id=t.id)
+    evalbench.write_scenario(scn, tmp_path / "in")
+    assert main(["match", "--network", str(tmp_path / "in" / "network.csv"),
+                 "--traj", str(tmp_path / "in" / "trajectory.csv"),
+                 "--out-dir", str(tmp_path)]) == 0
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in expected}
+    assert got == expected

@@ -149,7 +149,7 @@ def test_imp_empty_candidates():
     p = net.projection.project(g(9000, 9000))
     cand = imp(net, p, 0.0, RULES, CFG)
     assert cand.edge_id == "e1"
-    assert not matcher._confident(cand, CFG)
+    assert not matcher._confident(cand.pd, cand.likelihood, CFG)
 
 
 # --------------------------------------------------------------------- smp
@@ -340,6 +340,7 @@ def test_load_matcher_config_rule_base(tmp_path):
     ("weight: 0.5", "weight: half", "rules[1].weight"),
     ("[[pd, short]]", "[[speed, short]]", "'speed'"),
     ("[[pd, short]]", "[pd, short]", "rules[0].if"),
+    ("[[pd, short]]", "[]", "rules: rule has an empty antecedent"),
     ("    - {if: [[pd, short]], then: high}\n", "    - high\n", "rules[0]"),
     ("rule_base:\n", "thresholds: {l_min: high}\nrule_base:\n", "thresholds.l_min"),
     ("rule_base:\n", "thresholds: [l_min]\nrule_base:\n", "thresholds"),
