@@ -7,7 +7,8 @@ Native formats (UTF-8, `#` comment lines ignored):
   trajectory:  CSV, header `timestamp,lat,lon`; timestamps are ISO-8601 UTC
                or finite epoch seconds, auto-detected per value.
   network:     CSV, header `edge_id,node_from,node_to,wkt`; geometry is a WKT
-               LINESTRING with lon-lat vertex order.
+               LINESTRING with lon-lat vertex order, read strictly (see
+               _parse_wkt_linestring) into flat vertex columns.
   truth route: one edge id per line.
 An input that is not valid UTF-8 or not valid CSV raises ParseError.
 """
@@ -16,18 +17,24 @@ from __future__ import annotations
 
 import csv
 import math
+import re
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
 from .geo import (
     GeoPoint,
+    InvalidPolylineError,
     Polyline,
     Projection,
     SpatialIndex,
     check_coordinate,
     index_build,
+    polylines,
 )
 
 
@@ -88,13 +95,17 @@ class Trajectory:
         return tuple(self)
 
 
-@dataclass(frozen=True)
-class RoadEdge:
+class RoadEdge(NamedTuple):
     edge_id: str
     node_from: str
     node_to: str
-    geo_vertices: tuple[GeoPoint, ...]
+    lon: tuple[float, ...]  # WKT vertex order
+    lat: tuple[float, ...]
     geometry: Polyline  # projected, in the network's planar frame
+
+    @property
+    def geo_vertices(self) -> tuple[GeoPoint, ...]:
+        return tuple(map(GeoPoint, self.lat, self.lon))
 
     @property
     def length(self) -> float:
@@ -107,13 +118,14 @@ class RoadNetwork:
     def __init__(self, edges: list[RoadEdge], projection: Projection):
         self.projection = projection
         self.edges: dict[str, RoadEdge] = {}
-        self.adjacency: dict[str, set[str]] = {}
+        adjacency = defaultdict(set)
         for e in edges:
             if e.edge_id in self.edges:
                 raise ParseError(f"duplicate edge_id {e.edge_id!r}")
             self.edges[e.edge_id] = e
-            self.adjacency.setdefault(e.node_from, set()).add(e.edge_id)
-            self.adjacency.setdefault(e.node_to, set()).add(e.edge_id)
+            adjacency[e.node_from].add(e.edge_id)
+            adjacency[e.node_to].add(e.edge_id)
+        self.adjacency: dict[str, set[str]] = dict(adjacency)
         self.index: SpatialIndex = index_build([(e.edge_id, e.geometry) for e in edges])
 
 
@@ -179,29 +191,32 @@ def _parse_timestamp(text: str) -> float:
 
 
 def _data_rows(path, columns):
-    """(1-based line number, fields of columns) of each CSV row after the
-    header; comment lines skipped. A row too short for every column raises
-    ParseError when iteration reaches it, so an earlier bad row still wins."""
-    rows = read_utf8(path, lambda fh: [
-        (lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1)
-        if row and not row[0].lstrip().startswith("#")])
-    if not rows:
+    """(1-based line number, tuple of the fields of columns) of each CSV row
+    after the header, for two or more columns; comment lines skipped. A row
+    too short for every column raises ParseError when iteration reaches it,
+    so an earlier bad row still wins."""
+    numbered = enumerate(read_utf8(path, lambda fh: list(csv.reader(fh))), start=1)
+    rows = ((lineno, row) for lineno, row in numbered
+            if row and not row[0].lstrip().startswith("#"))
+    _, header = next(rows, (0, None))
+    if header is None:
         raise ParseError(f"{path}: empty file")
-    header = [c.strip().lower() for c in rows[0][1]]
+    header = [c.strip().lower() for c in header]
     try:
         idx = [header.index(k) for k in columns]
     except ValueError:
         raise ParseError(f"{path}: header must contain {','.join(columns)}") from None
 
     last = max(idx)
+    pick = itemgetter(*idx)
 
     def fields():
-        for lineno, row in rows[1:]:
+        for lineno, row in rows:
             if len(row) <= last:
                 missing = ", ".join(k for k, i in zip(columns, idx) if i >= len(row))
                 raise ParseError(f"{path}: row {lineno}: no field for {missing} "
                                  f"(expected columns {','.join(columns)})")
-            yield lineno, [row[i] for i in idx]
+            yield lineno, pick(row)
     return fields()
 
 
@@ -235,43 +250,77 @@ def write_trajectory(traj: Trajectory, path):
                in zip(traj.t.tolist(), traj.lat.tolist(), traj.lon.tolist())))
 
 
-def _parse_wkt_linestring(text: str) -> list[GeoPoint]:
+def _wkt_error(text: str) -> str:
+    """What keeps text from being one LINESTRING with one parenthesised body."""
     text = text.strip()
-    up = text.upper()
-    if not up.startswith("LINESTRING"):
-        raise ParseError(f"expected WKT LINESTRING, got {text[:40]!r}")
-    body = text[text.index("(") + 1 : text.rindex(")")]
-    pts = []
-    for pair in body.split(","):
+    keyword = re.match(r"[A-Za-z]*", text)[0]
+    rest = text[len(keyword):].lstrip()
+    if keyword.upper() != "LINESTRING":
+        return f"expected WKT LINESTRING, got {text[:40]!r}"
+    if rest.upper() == "EMPTY":
+        return "LINESTRING EMPTY has no vertices"
+    if not rest.startswith("("):
+        return f"expected '(' after LINESTRING, got {rest[:40]!r}"
+    close = rest.find(")")
+    if close < 0:
+        return "LINESTRING has no closing ')'"
+    if "(" in rest[1:close]:
+        return "LINESTRING has a nested '('"
+    return f"unexpected text after the LINESTRING's ')': {rest[close + 1:].strip()[:40]!r}"
+
+
+def _parse_wkt_linestring(text: str, lon: list[float], lat: list[float]) -> int:
+    """Append the vertices of a WKT LINESTRING to lon and lat; return their
+    number. The text is `LINESTRING (x y, ...)` in any case with optional
+    whitespace around each part; a coordinate is an ASCII float literal
+    without underscores."""
+    head, _, rest = text.partition("(")
+    body, close, tail = rest.partition(")")
+    # lower(), not upper(): "ı".upper() is "I"
+    if head.strip().lower() != "linestring" or not close or "(" in body or tail.strip():
+        raise ParseError(_wkt_error(text))
+    pairs = body.split(",")
+    if "_" in body or not body.isascii():
+        bad = next(pair for pair in pairs if "_" in pair or not pair.isascii())
+        raise ParseError(f"bad WKT coordinate {bad!r}")
+    x0 = y0 = None
+    for pair in pairs:
         parts = pair.split()
         if len(parts) != 2:
             raise ParseError(f"bad WKT coordinate {pair!r}")
-        lon, lat = float(parts[0]), float(parts[1])
-        if pts and pts[-1].lon == lon and pts[-1].lat == lat:
+        x, y = float(parts[0]), float(parts[1])
+        if x == x0 and y == y0:
             raise ParseError(f"consecutive duplicate vertex {pair.strip()!r}")
-        pts.append(GeoPoint(lat, lon))
-    return pts
+        if not (-90.0 <= y <= 90.0 and -180.0 <= x <= 180.0):
+            check_coordinate(y, x)  # raises, naming the bad value
+        lon.append(x)
+        lat.append(y)
+        x0, y0 = x, y
+    return len(pairs)
 
 
 def parse_road_network(path) -> RoadNetwork:
-    raw = []
-    first_row: dict[str, int] = {}
-    for lineno, row in _data_rows(path, ("edge_id", "node_from", "node_to", "wkt")):
-        edge_id, node_from, node_to = (field.strip() for field in row[:3])
+    nodes_from, nodes_to, lon, lat, sizes = [], [], [], [], []
+    first_row: dict[str, int] = {}  # edge ids in file order
+    for lineno, (edge_id, node_from, node_to, wkt) in _data_rows(
+            path, ("edge_id", "node_from", "node_to", "wkt")):
+        edge_id = edge_id.strip()
         try:
-            verts = _parse_wkt_linestring(row[3])
+            size = _parse_wkt_linestring(wkt, lon, lat)
         except ValueError as exc:
             raise ParseError(f"{path}: row {lineno}: {exc}")
-        if len(verts) < 2:
+        if size < 2:
             raise ParseError(f"{path}: row {lineno}: edge {edge_id!r} has <2 vertices")
         if edge_id in first_row:
             raise ParseError(f"{path}: row {lineno}: duplicate edge_id {edge_id!r} "
                              f"(first at row {first_row[edge_id]})")
         first_row[edge_id] = lineno
-        raw.append((edge_id, node_from, node_to, verts))
-    if not raw:
+        nodes_from.append(node_from.strip())
+        nodes_to.append(node_to.strip())
+        sizes.append(size)
+    if not first_row:
         raise ParseError(f"{path}: no edges")
-    return build_network(raw)
+    return _assemble(list(first_row), nodes_from, nodes_to, lon, lat, sizes)
 
 
 def write_road_network(network: RoadNetwork, path):
@@ -279,8 +328,8 @@ def write_road_network(network: RoadNetwork, path):
     by id."""
     write_csv(path, ["edge_id", "node_from", "node_to", "wkt"],
               ([e.edge_id, e.node_from, e.node_to,
-                "LINESTRING (" + ", ".join(f"{p.lon!r} {p.lat!r}"
-                                           for p in e.geo_vertices) + ")"]
+                "LINESTRING (" + ", ".join(f"{lon!r} {lat!r}"
+                                           for lon, lat in zip(e.lon, e.lat)) + ")"]
                for e in sorted(network.edges.values(), key=lambda e: e.edge_id)))
 
 
@@ -290,22 +339,36 @@ def build_network(edges: list[tuple[str, str, str, list[GeoPoint]]]) -> RoadNetw
     The projection origin is the centroid of all geometry vertices. An edge
     whose projected vertices do not form a polyline raises ParseError.
     """
-    all_pts = [p for _, _, _, verts in edges for p in verts]
-    if not all_pts:
+    return _assemble([e[0] for e in edges], [e[1] for e in edges], [e[2] for e in edges],
+                     [p.lon for e in edges for p in e[3]],
+                     [p.lat for e in edges for p in e[3]],
+                     [len(e[3]) for e in edges])
+
+
+def _assemble(ids, nodes_from, nodes_to, lon, lat, sizes) -> RoadNetwork:
+    """The network over flat vertex columns in edge order, sizes[i] vertices
+    for edge i.
+
+    The origin is the vertex mean by the builtin sum in that order. numpy's
+    pairwise sum and math.fsum round differently, and the builtin rounds
+    differently on Python 3.12 than on 3.11, so each interpreter keeps its
+    own origin only with the builtin.
+    """
+    if not lon:
         raise ParseError("network has no geometry")
-    origin = GeoPoint(
-        sum(p.lat for p in all_pts) / len(all_pts),
-        sum(p.lon for p in all_pts) / len(all_pts),
-    )
-    proj = Projection(origin)
-    built = []
-    for edge_id, node_from, node_to, verts in edges:
-        try:
-            pl = Polyline([proj.project(p) for p in verts])
-        except ValueError as exc:
-            raise ParseError(f"edge {edge_id!r}: {exc}") from None
-        built.append(RoadEdge(edge_id, node_from, node_to, tuple(verts), pl))
-    return RoadNetwork(built, proj)
+    proj = Projection(GeoPoint(sum(lat) / len(lat), sum(lon) / len(lon)))
+    try:
+        lines = polylines(*proj.project_lonlat(np.array(lon), np.array(lat)), sizes)
+    except InvalidPolylineError as exc:
+        raise ParseError(f"edge {ids[exc.index]!r}: {exc}") from None
+    lon, lat = tuple(lon), tuple(lat)
+    edges = []
+    v = 0
+    for edge_id, node_from, node_to, size, pl in zip(ids, nodes_from, nodes_to, sizes, lines):
+        edges.append(RoadEdge(edge_id, node_from, node_to,
+                              lon[v:v + size], lat[v:v + size], pl))
+        v += size
+    return RoadNetwork(edges, proj)
 
 
 def parse_ground_truth(path, network: RoadNetwork) -> GroundTruthRoute:

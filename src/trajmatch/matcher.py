@@ -33,12 +33,26 @@ MEASURES = ("pd", "he")  # the rule-base inputs a candidate link provides
 
 @dataclass(frozen=True)
 class MatcherConfig:
+    """Matcher thresholds; a value out of its range raises ValueError naming
+    the field. min_heading_separation > 0 keeps coincident fixes from
+    defining a heading."""
     candidate_radius: float = 50.0
     junction_radius: float = 15.0
     pd_escape: float = 35.0
     l_min: float = 50.0
     reinit_after: int = 3
     min_heading_separation: float = 1.0
+
+    def __post_init__(self):
+        for name, valid, expected in (
+                ("candidate_radius", self.candidate_radius > 0, "a number > 0"),
+                ("junction_radius", self.junction_radius >= 0, "a number >= 0"),
+                ("pd_escape", self.pd_escape >= 0, "a number >= 0"),
+                ("reinit_after", isinstance(self.reinit_after, int) and self.reinit_after >= 1,
+                 "an integer >= 1"),
+                ("min_heading_separation", self.min_heading_separation > 0, "a number > 0")):
+            if not valid:
+                raise ValueError(f"{name}: expected {expected}, got {getattr(self, name)!r}")
 
 
 class LinkCandidate(NamedTuple):
@@ -83,9 +97,9 @@ def load_matcher_config(path) -> tuple[MatcherConfig, RuleBase]:
     """Read thresholds and an optional rule-base override from a YAML file.
 
     A file that is not a YAML mapping, an unknown key, a non-numeric
-    threshold, a malformed rule base and a rule-base input the matcher does
-    not measure (one other than MEASURES) raise ParseError naming the
-    offending key.
+    threshold, a threshold out of its range (see MatcherConfig), a malformed
+    rule base and a rule-base input the matcher does not measure (one other
+    than MEASURES) raise ParseError naming the offending key.
     """
     try:
         doc = read_utf8(path, yaml.safe_load)
@@ -111,8 +125,12 @@ def load_matcher_config(path) -> tuple[MatcherConfig, RuleBase]:
                 or not math.isfinite(value):
             raise ParseError(f"{path}: thresholds.{key}: expected a finite number, "
                              f"got {value!r}")
+    try:
+        cfg = MatcherConfig(**thresholds)
+    except ValueError as exc:
+        raise ParseError(f"{path}: thresholds.{exc}") from None
     if "rule_base" not in doc:
-        return MatcherConfig(**thresholds), default_rule_base()
+        return cfg, default_rule_base()
     try:
         rules = rule_base_from_config(doc["rule_base"])
     except ValueError as exc:
@@ -121,7 +139,7 @@ def load_matcher_config(path) -> tuple[MatcherConfig, RuleBase]:
         if name not in MEASURES:
             raise ParseError(f"{path}: rule_base.inputs.{name}: unknown input "
                              f"(known: {', '.join(sorted(MEASURES))})")
-    return MatcherConfig(**thresholds), rules
+    return cfg, rules
 
 
 def candidate_links(network: RoadNetwork, p: PlanarPoint, radius: float) -> list[str]:
@@ -161,7 +179,7 @@ def _measure(network: RoadNetwork, edge_id: str, p: PlanarPoint,
     if vehicle_heading is None:
         he = 0.0
     else:
-        link_bearing = bearing(pl.vertices[seg_idx], pl.vertices[seg_idx + 1])
+        link_bearing = pl.bearings[seg_idx]
         he = min(heading_error(vehicle_heading, link_bearing),
                  heading_error(vehicle_heading, (link_bearing + 180.0) % 360.0))
     return LinkCandidate(edge_id, pd, he, None, foot, arc_offset)

@@ -290,3 +290,59 @@ def widening_fallback(edges, px, py, radius, steps=8):
             return within
     nearest = min(d2.values())
     return {eid for eid, d in d2.items() if d == nearest}
+
+
+def network_geometry(edges, spacing, radius=6_371_000.0):
+    """A road network's planar geometry and index samples, one vertex at a
+    time in Python floats.
+
+    edges: [(lons, lats)] in file order. The origin is the mean of every
+    latitude and longitude by the builtin sum in that order; each vertex is
+    projected equirectangularly around it. Segment i of an edge is
+    (dx, dy) = (x[i+1] - x[i], y[i+1] - y[i]); it adds math.hypot(dx, dy)
+    to the running arc length and has the compass bearing
+    degrees(atan2(dx, dy)) % 360. It is sampled at x[i] + dx * k / n for
+    k < n, n = ceil((cumlen[i+1] - cumlen[i]) / spacing), and each edge adds
+    its last vertex. Returns ((lat0, lon0), [(xs, ys, cumlen, bearings)],
+    samples, owners), owners holding edge positions, or None when some
+    projected segment has zero length.
+    """
+    lons = [lon for e_lons, _ in edges for lon in e_lons]
+    lats = [lat for _, e_lats in edges for lat in e_lats]
+    lat0, lon0 = sum(lats) / len(lats), sum(lons) / len(lons)
+    m_per_deg = radius * math.pi / 180.0
+    coslat = math.cos(math.radians(lat0))
+    lines, samples, owners = [], [], []
+    for pos, (e_lons, e_lats) in enumerate(edges):
+        xs = [(lon - lon0) * coslat * m_per_deg for lon in e_lons]
+        ys = [(lat - lat0) * m_per_deg for lat in e_lats]
+        cumlen, bearings = [0.0], []
+        for i in range(len(xs) - 1):
+            dx, dy = xs[i + 1] - xs[i], ys[i + 1] - ys[i]
+            if dx == 0 and dy == 0:
+                return None
+            cumlen.append(cumlen[-1] + math.hypot(dx, dy))
+            bearings.append(math.degrees(math.atan2(dx, dy)) % 360.0)
+            n = math.ceil((cumlen[i + 1] - cumlen[i]) / spacing)
+            for k in range(n):
+                samples.append((xs[i] + dx * k / n, ys[i] + dy * k / n))
+                owners.append(pos)
+        samples.append((xs[-1], ys[-1]))
+        owners.append(pos)
+        lines.append((xs, ys, cumlen, bearings))
+    return (lat0, lon0), lines, samples, owners
+
+
+def polyline_projection(px, py, xs, ys, cumlen):
+    """Closest point of a polyline to (px, py), one segment at a time:
+    (distance, foot x, foot y, segment index, arc offset). A later segment
+    wins only when nearer by more than 1e-12."""
+    best = None
+    for i in range(len(xs) - 1):
+        dx, dy = xs[i + 1] - xs[i], ys[i + 1] - ys[i]
+        t = min(1.0, max(0.0, ((px - xs[i]) * dx + (py - ys[i]) * dy) / (dx * dx + dy * dy)))
+        fx, fy = xs[i] + t * dx, ys[i] + t * dy
+        d = math.hypot(px - fx, py - fy)
+        if best is None or d < best[0] - 1e-12:
+            best = (d, fx, fy, i, cumlen[i] + t * (cumlen[i + 1] - cumlen[i]))
+    return best

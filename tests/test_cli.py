@@ -230,6 +230,23 @@ def test_config_unknown_threshold_key(tmp_path, capsys):
     assert "thresholds.candidate_radiuss" in err
 
 
+def test_config_zero_heading_separation_with_repeated_fix(tmp_path, capsys):
+    # With min_heading_separation 0 a repeated fix asked for the bearing
+    # between coincident points: exit 1, "bearing undefined".
+    rows = (MINI / "trajectory.csv").read_text().splitlines(keepends=True)
+    traj = tmp_path / "repeat.csv"
+    # file row 3 (t=1.0) again at t=1.5
+    traj.write_text("".join(rows[:3]) + "1.5" + rows[2][rows[2].index(","):] + "".join(rows[3:]))
+    cfg = tmp_path / "matcher.yaml"
+    argv = ["match", "--network", str(MINI / "network.csv"), "--traj", str(traj),
+            "--out-dir", str(tmp_path / "out")]
+    assert run(argv) == 0
+    cfg.write_text("thresholds: {min_heading_separation: 0}\n", encoding="utf-8")
+    assert run(argv + ["--config", str(cfg)]) == 2
+    assert ("thresholds.min_heading_separation: expected a number > 0, got 0"
+            in capsys.readouterr().err)
+
+
 def test_config_rule_base_without_output(tmp_path, capsys):
     text = ("rule_base:\n"
             "  inputs:\n"

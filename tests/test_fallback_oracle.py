@@ -47,7 +47,7 @@ POINTS = st.one_of(
 
 
 def network(edges):
-    built = [RoadEdge(eid, f"{eid}.a", f"{eid}.b", (),
+    built = [RoadEdge(eid, f"{eid}.a", f"{eid}.b", (), (),
                       Polyline([PlanarPoint(float(x), float(y)) for x, y in pts]))
              for eid, pts in edges]
     return RoadNetwork(built, Projection(GeoPoint(0.0, 0.0)))

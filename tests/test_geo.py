@@ -273,3 +273,11 @@ def test_index_nearest_holds_every_nearest_edge():
         nearest = min(dist.values())
         assert {eid for eid, d in dist.items() if d == nearest} <= idx.nearest(p)
     assert index_build([]).nearest(PlanarPoint(0, 0)) == set()
+
+
+def test_index_sample_at_last_vertex_is_that_vertex():
+    # a segment's first sample is a + 0.0, which turns -0.0 into 0.0; a
+    # polyline's last vertex is taken as it is
+    pl = Polyline([PlanarPoint(-0.0, 250.0), PlanarPoint(-0.0, -0.0)])
+    last = index_build([("e1", pl)])._tree.data[-1]
+    assert [math.copysign(1.0, v) for v in last] == [-1.0, -1.0]

@@ -264,3 +264,60 @@ def test_trajectory_columns_and_record_view(tmp_path):
     again = Trajectory(traj.records, traj_id="copy")
     copy = Trajectory.from_columns(traj.t, traj.lat, traj.lon, traj.source_index)
     assert again.records == copy.records == traj.records
+
+
+@pytest.mark.parametrize("wkt, message", [
+    # these four exited 2 with str.index's own "substring not found", or loaded
+    ("LINESTRING EMPTY", "LINESTRING EMPTY has no vertices"),
+    ("LINESTRING (-122.0 47.0, -122.001 47.0", "LINESTRING has no closing ')'"),
+    ("LINESTRINGFOO (-122.0 47.0, -122.001 47.0)",
+     "expected WKT LINESTRING, got 'LINESTRINGFOO (-122.0 47.0, -122.001 47.'"),
+    ("LINESTRING (-122.0 47.0, -122.001 47.0) garbage",
+     "unexpected text after the LINESTRING's ')': 'garbage'"),
+    ("LINESTRING (-122.0 47.0, -122.001 1_0)", "bad WKT coordinate ' -122.001 1_0'"),
+    ("LINESTRING (-122.0 47.0, -122.001 ٤٧.0)",
+     "bad WKT coordinate ' -122.001 ٤٧.0'"),
+    ("LINESTRıNG (-122.0 47.0, -122.001 47.0)",
+     "expected WKT LINESTRING, got 'LINESTRıNG (-122.0 47.0, -122.001 47.0)'"),
+    ("LINESTRING ((-122.0 47.0, -122.001 47.0))", "LINESTRING has a nested '('"),
+    ("LINESTRING -122.0 47.0, -122.001 47.0",
+     "expected '(' after LINESTRING, got '-122.0 47.0, -122.001 47.0'"),
+    ("LINESTRING (-122.0 47.0,, -122.001 47.0)", "bad WKT coordinate ''"),
+    ("LINESTRING (-122.0 47.0 1.0, -122.001 47.0)", "bad WKT coordinate '-122.0 47.0 1.0'"),
+])
+def test_parse_network_strict_wkt(tmp_path, capsys, wkt, message):
+    from trajmatch.cli import main
+
+    path = write(tmp_path / "n.csv", f'edge_id,node_from,node_to,wkt\ne1,n1,n2,"{wkt}"\n')
+    with pytest.raises(ParseError) as err:
+        parse_road_network(path)
+    assert str(err.value) == f"{path}: row 2: {message}"
+    assert main(["eval", "--network", str(path), "--edges", str(path),
+                 "--truth", str(path)]) == 2
+    assert f"row 2: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("wkt", [
+    "LINESTRING (-122.0 47.0, -122.0 47.001)",
+    "  linestring(-122.0   47.0,-122.0 47.001 )  ",
+    "LineString\t( -122.0 47.0 ,\t-122.0 47.001)",
+    "LINESTRING (-122.0 +47.0, -1.22e2 47.001)",
+])
+def test_parse_network_wkt_case_and_whitespace(tmp_path, wkt):
+    net = parse_road_network(write(tmp_path / "n.csv",
+                                   f'edge_id,node_from,node_to,wkt\ne1,n1,n2,"{wkt}"\n'))
+    e1 = net.edges["e1"]
+    assert (e1.lon, e1.lat) == ((-122.0, -122.0), (47.0, 47.001))
+    assert e1.geo_vertices == (GeoPoint(47.0, -122.0), GeoPoint(47.001, -122.0))
+
+
+def test_parse_network_first_bad_row_wins(tmp_path):
+    # row 3's bad coordinate comes before row 4's duplicate id and row 5's
+    # unclosed body; within a row the first bad vertex is named
+    p = write(tmp_path / "n.csv", NET_CSV.replace(
+        "-121.999 47.001)", "-121.999 91.0, -121.999 -91.0)")
+        + 'e1,n3,n4,"LINESTRING (-121.999 47.001, -121.998 47.001)"\n'
+        + 'e4,n4,n5,"LINESTRING (-121.998 47.001, -121.997 47.001"\n')
+    with pytest.raises(ParseError) as err:
+        parse_road_network(p)
+    assert str(err.value) == f"{p}: row 3: latitude 91.0 out of [-90, 90]"

@@ -357,6 +357,32 @@ def test_load_matcher_config_names_bad_key(tmp_path, old, new, named):
         load_matcher_config(cfg_file)
 
 
+@pytest.mark.parametrize("key, value, expected", [
+    ("candidate_radius", 0, "a number > 0"),
+    ("candidate_radius", -5, "a number > 0"),
+    ("min_heading_separation", 0, "a number > 0"),
+    ("junction_radius", -1.0, "a number >= 0"),
+    ("pd_escape", -0.5, "a number >= 0"),
+    ("reinit_after", 2.5, "an integer >= 1"),
+    ("reinit_after", 0, "an integer >= 1"),
+])
+def test_load_matcher_config_rejects_out_of_range_threshold(tmp_path, key, value, expected):
+    cfg_file = tmp_path / "matcher.yaml"
+    cfg_file.write_text(f"thresholds: {{{key}: {value}}}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_matcher_config(cfg_file)
+    assert str(err.value) == f"{cfg_file}: thresholds.{key}: expected {expected}, got {value!r}"
+
+
+def test_load_matcher_config_accepts_range_ends(tmp_path):
+    cfg_file = tmp_path / "matcher.yaml"
+    cfg_file.write_text("thresholds: {junction_radius: 0, pd_escape: 0.0, reinit_after: 1, "
+                        "candidate_radius: 1.0e-3, min_heading_separation: 1.0e-9}\n",
+                        encoding="utf-8")
+    cfg, _ = load_matcher_config(cfg_file)
+    assert (cfg.junction_radius, cfg.pd_escape, cfg.reinit_after) == (0, 0.0, 1)
+
+
 def test_junction_step_projects_each_edge_once(monkeypatch):
     net = t_junction_net()
     edge_of = {id(e.geometry): eid for eid, e in net.edges.items()}
