@@ -13,6 +13,7 @@ from pathlib import Path
 
 from . import evalbench, staypoint
 from .fuzzy import default_rule_base
+from .geo import InvalidCoordinateError, check_coordinate
 from .io import ParseError, parse_ground_truth, parse_road_network, parse_trajectory, \
     read_ids, write_trajectory
 from .matcher import MatcherConfig, MatchResult, load_matcher_config, match_trajectory, \
@@ -22,6 +23,7 @@ from .staypoint import DbscanParams, DEGREE_EUCLIDEAN
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
+MAX_DWELL_S = 86_400.0  # a synthetic dwell emits one point per second
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,14 +119,16 @@ def cmd_pipeline(args) -> int:
     if len(traj) < 2:
         print("error: trajectory must have at least 2 points", file=sys.stderr)
         return EXIT_DOMAIN
+    # checked before the run: eps / 2 can round to 0 and eps * 2 overflow
+    sweep_params = [DbscanParams(eps, args.min_pts, args.metric_space)
+                    for eps in (args.eps / 2, args.eps, args.eps * 2)]
     report = evalbench.run_pipeline(network, traj, truth, args.eps, args.min_pts,
                                     rules, cfg, args.metric_space)
     sweep = []
-    for eps in (args.eps / 2, args.eps, args.eps * 2):
-        labels = staypoint.dbscan(traj, DbscanParams(eps, args.min_pts,
-                                                     args.metric_space))
+    for params in sweep_params:
+        labels = staypoint.dbscan(traj, params)
         clustered = len(traj) - labels.noise_count
-        sweep.append((eps, clustered, labels.noise_count))
+        sweep.append((params.eps, clustered, labels.noise_count))
     evalbench.export_report(report, args.out_dir, eps_sweep=sweep)
     print(f"volume_reduction_pct={report.volume_reduction_pct:.2f}")
     print(f"time_reduction_pct={report.time_reduction_pct:.2f}")
@@ -146,8 +150,18 @@ def cmd_synth(args) -> int:
             print(f"error: bad --dwell {spec!r}, start, duration and sigma must be finite",
                   file=sys.stderr)
             return EXIT_USAGE
+        if not (0.0 <= duration <= MAX_DWELL_S and sigma >= 0.0):
+            print(f"error: bad --dwell {spec!r}, duration must lie in [0, {MAX_DWELL_S:g}] "
+                  f"and sigma must be >= 0", file=sys.stderr)
+            return EXIT_USAGE
         dwells.append((start, duration, sigma))
     scn = evalbench.generate_scenario(args.seed, dwell_spec=dwells)
+    try:
+        for lat, lon in zip(scn.trajectory.lat.tolist(), scn.trajectory.lon.tolist()):
+            check_coordinate(lat, lon)
+    except InvalidCoordinateError as exc:
+        print(f"error: a --dwell sigma puts points off the globe: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     evalbench.write_scenario(scn, args.out_dir)
     print(f"wrote scenario to {args.out_dir} "
           f"({len(scn.trajectory)} points, {len(scn.truth)} truth edges)")

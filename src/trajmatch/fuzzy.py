@@ -61,8 +61,11 @@ class MembershipFunction:
         x = np.asarray(x, dtype=float)
         if self.shape in ("triangular", "trapezoidal"):
             a, b, c, d = self._corners
-            left = np.where(a == b, 1.0, (x - a) / max(b - a, 1e-300))
-            right = np.where(c == d, 1.0, (d - x) / max(d - c, 1e-300))
+            # a ramp narrower than the distance to x overflows to +-inf,
+            # which the clip takes to 0 or 1; a zero-width ramp is 1
+            with np.errstate(over="ignore"):
+                left = np.ones_like(x) if a == b else (x - a) / max(b - a, 1e-300)
+                right = np.ones_like(x) if c == d else (d - x) / max(d - c, 1e-300)
             return np.clip(np.minimum(np.minimum(left, 1.0), right), 0.0, 1.0)
         a, b = self.params
         mid = (a + b) / 2.0
@@ -83,8 +86,8 @@ class MembershipFunction:
         x = float(x)
         if self.shape in ("triangular", "trapezoidal"):
             a, b, c, d = self._corners
-            left = 1.0 if a == b else (x - a) / max(b - a, 1e-300)
-            right = 1.0 if c == d else (d - x) / max(d - c, 1e-300)
+            left = 1.0 if a == b else _ramp(x - a, b - a)
+            right = 1.0 if c == d else _ramp(d - x, d - c)
             return min(1.0, max(0.0, min(left, 1.0, right)))
         a, b = self.params
         if x <= a:
@@ -96,6 +99,13 @@ class MembershipFunction:
         else:
             s = 1.0
         return 1.0 - s if self.shape == "z" else s
+
+
+def _ramp(rise: float, width: float) -> float:
+    """rise / max(width, 1e-300), as __call__ divides, in plain floats: a
+    ramp narrower than the distance to x overflows to +-inf silently, where
+    numpy floats (given as parameters) would warn."""
+    return float(rise) / max(float(width), 1e-300)
 
 
 def triangular(a, b, c) -> MembershipFunction:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -52,9 +53,9 @@ def check_coordinate(lat: float, lon: float):
         raise InvalidCoordinateError(f"longitude {lon} out of [-180, 180]")
 
 
-@dataclass(frozen=True)
-class PlanarPoint:
-    """Meters east (x) and north (y) of a projection origin."""
+class PlanarPoint(NamedTuple):
+    """Meters east (x) and north (y) of a projection origin; a tuple, so it
+    compares equal to (x, y) and unpacks as one."""
 
     x: float
     y: float

@@ -113,7 +113,11 @@ class RoadEdge(NamedTuple):
 
 
 class RoadNetwork:
-    """Edge map + node adjacency + spatial index, in one planar frame."""
+    """Edge map + node adjacency + spatial index, in one planar frame.
+
+    Edges and adjacency are fixed once built: `neighbours` keeps what it
+    derives from them for the network's life.
+    """
 
     def __init__(self, edges: list[RoadEdge], projection: Projection):
         self.projection = projection
@@ -127,6 +131,16 @@ class RoadNetwork:
             adjacency[e.node_to].add(e.edge_id)
         self.adjacency: dict[str, set[str]] = dict(adjacency)
         self.index: SpatialIndex = index_build([(e.edge_id, e.geometry) for e in edges])
+        self._neighbours: dict[tuple[str, str], tuple[str, ...]] = {}
+
+    def neighbours(self, node: str, edge_id: str) -> tuple[str, ...]:
+        """The ids of the edges at node other than edge_id, sorted; each
+        (node, edge_id) pair is computed on its first call."""
+        others = self._neighbours.get((node, edge_id))
+        if others is None:
+            others = tuple(sorted(self.adjacency.get(node, set()) - {edge_id}))
+            self._neighbours[node, edge_id] = others
+        return others
 
 
 @dataclass(frozen=True)
@@ -190,13 +204,26 @@ def _parse_timestamp(text: str) -> float:
     return dt.timestamp()
 
 
+def _read_records(fh):
+    """(1-based file line where the record starts, fields) of each CSV
+    record. A quoted field can hold line breaks, so a record can span
+    lines; only then is the file read a second time, for each record's
+    line."""
+    reader = csv.reader(fh)
+    rows = list(reader)
+    if reader.line_num == len(rows):  # one line per record
+        return enumerate(rows, start=1)
+    fh.seek(0)
+    reader = csv.reader(fh)
+    return zip([1] + [reader.line_num + 1 for _ in reader], rows)
+
+
 def _data_rows(path, columns):
-    """(1-based line number, tuple of the fields of columns) of each CSV row
-    after the header, for two or more columns; comment lines skipped. A row
-    too short for every column raises ParseError when iteration reaches it,
-    so an earlier bad row still wins."""
-    numbered = enumerate(read_utf8(path, lambda fh: list(csv.reader(fh))), start=1)
-    rows = ((lineno, row) for lineno, row in numbered
+    """(1-based file line where the record starts, tuple of the fields of
+    columns) of each CSV record after the header, for two or more columns;
+    comment lines skipped. A row too short for every column raises
+    ParseError when iteration reaches it, so an earlier bad row still wins."""
+    rows = ((lineno, row) for lineno, row in read_utf8(path, _read_records)
             if row and not row[0].lstrip().startswith("#"))
     _, header = next(rows, (0, None))
     if header is None:

@@ -7,6 +7,12 @@ edge together with the edges at the nearer node. On-link tracking decides
 from geometry alone (arc offset and PD), since its likelihood never steers
 the state; match_trajectory scores every on-link point in one batch after
 the pass, inside the timed match.
+
+Per point the pass builds little: points, candidates and matches are
+NamedTuples, smp_step updates the MatchState in place, a junction step
+builds a scored candidate only for the edge it keeps and reads the other
+edges at its node from RoadNetwork.neighbours (computed once per network),
+and the snapped positions come from one array unprojection after the pass.
 """
 
 from __future__ import annotations
@@ -19,10 +25,11 @@ from dataclasses import dataclass, fields
 from operator import itemgetter
 from typing import NamedTuple
 
+import numpy as np
 import yaml
 
 from .fuzzy import RuleBase, default_rule_base, evaluate_rows, rule_base_from_config
-from .geo import PlanarPoint, bearing, heading_error, project_onto_polyline
+from .geo import PlanarPoint, bearing, project_onto_polyline
 from .io import ParseError, RoadNetwork, Trajectory, read_utf8, write_csv, write_lines
 
 PHASE_IMP = "IMP"
@@ -72,8 +79,7 @@ class MatchState:
     consecutive_low_confidence: int = 0
 
 
-@dataclass(frozen=True)
-class MatchedPoint:
+class MatchedPoint(NamedTuple):
     source_index: int
     edge_id: str
     position_on_edge: float
@@ -179,9 +185,13 @@ def _measure(network: RoadNetwork, edge_id: str, p: PlanarPoint,
     if vehicle_heading is None:
         he = 0.0
     else:
+        # geo.heading_error against the bearing and its reverse, inlined
+        # with the same arithmetic
         link_bearing = pl.bearings[seg_idx]
-        he = min(heading_error(vehicle_heading, link_bearing),
-                 heading_error(vehicle_heading, (link_bearing + 180.0) % 360.0))
+        h = vehicle_heading % 360.0
+        d = abs(h - link_bearing % 360.0)
+        r = abs(h - (link_bearing + 180.0) % 360.0 % 360.0)
+        he = min(min(d, 360.0 - d), min(r, 360.0 - r))
     return LinkCandidate(edge_id, pd, he, None, foot, arc_offset)
 
 
@@ -204,8 +214,11 @@ def _row_getter(input_names: tuple[str, ...]):
     return itemgetter(*fields) if len(fields) > 1 else lambda c: (c[fields[0]],)
 
 
-def _best_candidate(scored: list[LinkCandidate]) -> LinkCandidate:
-    return min(scored, key=lambda c: (-c.likelihood, c.pd, c.edge_id))
+def _best_index(candidates: list[LinkCandidate], likelihoods: list[float]) -> int:
+    """The index of the candidate of highest likelihood, ties to the smaller
+    pd, then the smaller edge id."""
+    return min(range(len(candidates)),
+               key=lambda i: (-likelihoods[i], candidates[i].pd, candidates[i].edge_id))
 
 
 def _confident(pd: float, likelihood: float, cfg: MatcherConfig) -> bool:
@@ -224,7 +237,8 @@ def _confident(pd: float, likelihood: float, cfg: MatcherConfig) -> bool:
 def smp_step(network: RoadNetwork, state: MatchState, p: PlanarPoint,
              heading: float | None, rules: RuleBase,
              cfg: MatcherConfig) -> tuple[MatchState, LinkCandidate, str]:
-    """One tracking step while on a link.
+    """One tracking step while on a link; updates state in place and
+    returns it.
 
     Stays on the current edge while the projection falls in the edge
     interior with small PD, a decision from geometry alone: the returned
@@ -236,28 +250,27 @@ def smp_step(network: RoadNetwork, state: MatchState, p: PlanarPoint,
     """
     edge = network.edges[state.edge_id]
     here = _measure(network, state.edge_id, p, heading)
-    interior = (here.arc_offset > cfg.junction_radius
-                and edge.geometry.length - here.arc_offset > cfg.junction_radius)
-    if interior and here.pd <= cfg.pd_escape:
-        new_state = MatchState(edge_id=state.edge_id, last_heading=state.last_heading)
-        return new_state, here, PHASE_ALONG
+    length = edge.geometry.length
+    if (here.arc_offset > cfg.junction_radius and length - here.arc_offset > cfg.junction_radius
+            and here.pd <= cfg.pd_escape):
+        state.consecutive_low_confidence = 0
+        return state, here, PHASE_ALONG
 
-    nearer = (edge.node_from
-              if here.arc_offset <= edge.geometry.length - here.arc_offset
-              else edge.node_to)
-    others = sorted(network.adjacency.get(nearer, set()) - {state.edge_id})
-    best = _best_candidate(_score([here] + [_measure(network, e, p, heading) for e in others],
-                                  rules))
-    if not _confident(best.pd, best.likelihood, cfg):
-        low = state.consecutive_low_confidence + 1
-        if low >= cfg.reinit_after:
-            return MatchState(edge_id=None, last_heading=state.last_heading), best, PHASE_JUNCTION
-        new_state = MatchState(edge_id=state.edge_id, last_heading=state.last_heading,
-                               consecutive_low_confidence=low)
-        return new_state, best, PHASE_JUNCTION
-    new_state = MatchState(edge_id=best.edge_id, last_heading=state.last_heading,
-                           consecutive_low_confidence=0)
-    return new_state, best, PHASE_JUNCTION
+    nearer = edge.node_from if here.arc_offset <= length - here.arc_offset else edge.node_to
+    measured = [here] + [_measure(network, e, p, heading)
+                         for e in network.neighbours(nearer, state.edge_id)]
+    likelihoods = _likelihoods(measured, rules)
+    i = _best_index(measured, likelihoods)
+    best = measured[i]._replace(likelihood=likelihoods[i])  # the one candidate built scored
+    if _confident(best.pd, best.likelihood, cfg):
+        state.edge_id = best.edge_id
+        state.consecutive_low_confidence = 0
+    else:
+        state.consecutive_low_confidence += 1
+        if state.consecutive_low_confidence >= cfg.reinit_after:
+            state.edge_id = None
+            state.consecutive_low_confidence = 0
+    return state, best, PHASE_JUNCTION
 
 
 def imp(network: RoadNetwork, p: PlanarPoint, heading: float | None,
@@ -282,7 +295,8 @@ def imp(network: RoadNetwork, p: PlanarPoint, heading: float | None,
         radius *= 2.0
     else:
         ids = sorted(e for e, d in dist.items() if d == nearest)
-    return _best_candidate(score_links(network, ids, p, heading, rules))
+    scored = score_links(network, ids, p, heading, rules)
+    return scored[_best_index(scored, [c.likelihood for c in scored])]
 
 
 def match_trajectory(network: RoadNetwork, traj: Trajectory, rules: RuleBase,
@@ -315,31 +329,29 @@ def match_trajectory(network: RoadNetwork, traj: Trajectory, rules: RuleBase,
         if state.edge_id is None:
             cand = imp(network, p, heading, rules, cfg)
             if _confident(cand.pd, cand.likelihood, cfg):
-                state = MatchState(edge_id=cand.edge_id, last_heading=state.last_heading)
+                state.edge_id = cand.edge_id
             steps.append((cand, PHASE_IMP, False))
         else:
             state, cand, phase = smp_step(network, state, p, heading, rules, cfg)
             steps.append((cand, phase, state.edge_id is None))
 
-    # On-link steps come back unscored: score them all in one batch, then
-    # turn each step into its MatchedPoint in place.
+    # On-link steps come back unscored: score them all in one batch and
+    # unproject every foot in one array call (elementwise + and /, as exact
+    # as one call per point), then turn each step into its MatchedPoint in
+    # place. The feet go straight into one (n, 2) array, and the snapped
+    # floats are made as the steps are replaced: np.array over a list of
+    # feet and whole-trace float lists both raised the match's peak memory.
     scores = iter(_likelihoods((cand for cand, _, _ in steps if cand.likelihood is None),
                                rules))
-    for i, (source_index, (cand, phase, reinit)) in enumerate(
-            zip(traj.source_index.tolist(), steps)):
+    feet = np.fromiter((cand.foot for cand, _, _ in steps), np.dtype((float, 2)), len(steps))
+    lat, lon = proj.unproject_xy(feet[:, 0], feet[:, 1])
+    del feet
+    for i, (source_index, snapped_lat, snapped_lon, (cand, phase, reinit)) in enumerate(
+            zip(traj.source_index.tolist(), map(float, lat), map(float, lon), steps)):
         likelihood = next(scores) if cand.likelihood is None else cand.likelihood
-        snapped_lat, snapped_lon = proj.unproject_xy(cand.foot.x, cand.foot.y)
-        steps[i] = MatchedPoint(
-            source_index=source_index,
-            edge_id=cand.edge_id,
-            position_on_edge=cand.arc_offset,
-            snapped_lat=snapped_lat,
-            snapped_lon=snapped_lon,
-            likelihood=likelihood,
-            phase_used=phase,
-            confident=_confident(cand.pd, likelihood, cfg),
-            reinitialized=reinit,
-        )
+        steps[i] = MatchedPoint(source_index, cand.edge_id, cand.arc_offset,
+                                snapped_lat, snapped_lon, likelihood, phase,
+                                _confident(cand.pd, likelihood, cfg), reinit)
     matched: list[MatchedPoint] = steps
     wall = time.perf_counter() - t0
 

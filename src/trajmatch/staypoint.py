@@ -8,6 +8,7 @@ Two metric spaces are supported:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -30,8 +31,8 @@ class DbscanParams:
     metric_space: str = DEGREE_EUCLIDEAN
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be > 0")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be a finite number > 0, got {self.eps!r}")
         if self.min_pts < 1:
             raise ValueError("min_pts must be >= 1")
         if self.metric_space not in (DEGREE_EUCLIDEAN, METER_PLANAR):

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,27 @@ def test_membership_param_validation():
         MembershipFunction("z", (4.0, 4.0))
     with pytest.raises(ValueError):
         MembershipFunction("blob", (1, 2))
+
+
+@pytest.mark.parametrize("params, x, want", [
+    ((0.0, 0.0, 1e-310, 1.0), 1e10, 0.0),      # zero-width left ramp, far right
+    ((0.0, 0.0, 1.0, 1.0 + 1e-300), -1e10, 1.0),  # zero-width right ramp (1 + 1e-300 == 1)
+    ((0.0, 1e-310, 1.0, 2.0), -1e10, 0.0),     # floored left ramp, far left
+    ((0.0, 1e-310, 1.0, 2.0), 1e10, 0.0),      # floored left ramp, far right
+    ((-1.0, 0.0, 5e-324, 1e-310), 1e10, 0.0),  # floored right ramp
+    ((0.0, 1e-10, 1.0, 2.0), 1e300, 0.0),      # narrow left ramp, far right
+    ((0.0, 1e-10, 1.0, 2.0), -1e300, 0.0),     # narrow left ramp, far left
+])
+def test_narrow_ramps_do_not_warn(params, x, want):
+    # a ramp narrower than its distance to x overflows to +-inf before the
+    # clip; no RuntimeWarning may reach the user
+    for ps in (params, tuple(np.array(params))):
+        mf = MembershipFunction("trapezoidal", ps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mf.scalar(x) == want
+            assert float(mf(x)) == want
+            assert mf(np.array([x, 0.5])).tolist() == [want, mf.scalar(0.5)]
 
 
 def test_memberships_bounded_random():

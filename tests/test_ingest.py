@@ -129,6 +129,36 @@ def test_parse_network_duplicate_edge_names_file_and_rows(tmp_path):
         parse_road_network(write(tmp_path / "n.csv", dup))
 
 
+def test_parse_network_rows_are_file_lines_after_a_multiline_record(tmp_path):
+    # the first record's quoted node name spans lines 2 and 3, so the
+    # duplicate vertex is on file line 4, the third record of the file
+    p = write(tmp_path / "n.csv", 'edge_id,node_from,node_to,wkt\n'
+                                  'e1,"n\n1",n2,"LINESTRING (-122.0 47.0, -122.0 47.001)"\n'
+                                  'e2,n2,n3,"LINESTRING (-122.3 47.6, -122.3 47.6)"\n')
+    with pytest.raises(ParseError) as err:
+        parse_road_network(p)
+    assert str(err.value) == f"{p}: row 4: consecutive duplicate vertex '-122.3 47.6'"
+
+
+def test_parse_trajectory_rows_are_file_lines_after_a_multiline_comment(tmp_path):
+    # a quoted comment field spans lines 3 and 4; the decrease is on line 6
+    p = write(tmp_path / "t.csv", 'timestamp,lat,lon\n5,47.0,-122.0\n"# a\nstop"\n'
+                                  "6,47.0,-122.0\n4,47.0,-122.0\n")
+    with pytest.raises(ParseError) as err:
+        parse_trajectory(p)
+    assert str(err.value) == (f"{p}: row 6: non-monotonic timestamp 4.0 after 6.0 "
+                              "on row 5")
+
+
+def test_network_neighbours_exclude_the_edge_and_are_sorted(tmp_path):
+    net = parse_road_network(write(tmp_path / "n.csv", NET_CSV + (
+        'e0,n2,n9,"LINESTRING (-122.0 47.001, -122.0 47.002)"\n')))
+    assert net.neighbours("n2", "e1") == ("e0", "e2")
+    assert net.neighbours("n2", "e0") == ("e1", "e2")
+    assert net.neighbours("n1", "e1") == ()
+    assert net.neighbours("n1", "e1") is net.neighbours("n1", "e1")
+
+
 def test_build_network_duplicate_edge():
     verts = [GeoPoint(47.0, -122.0), GeoPoint(47.001, -122.0)]
     with pytest.raises(ParseError, match="duplicate edge_id 'e1'"):

@@ -426,6 +426,27 @@ def test_far_points_not_confident_and_reinitialize():
     assert [m.reinitialized for m in tail[:3]] == [False, False, True]
 
 
+def test_networks_sharing_node_ids_keep_their_own_neighbours():
+    # Both networks meet at node j, where only the first has "continue".
+    # Matched alternately in one process, each must give what it gives
+    # alone: neighbours at a node are kept per network, never shared.
+    def networks():
+        return t_junction_net(), net_from_planar([
+            ("north", "a", "j", [(0, 0), (0, 200)]),
+            ("east", "j", "b", [(0, 200), (200, 200)]),
+        ])
+    points = [(0, y) for y in range(0, 200, 10)] + [(x, 200) for x in range(10, 200, 10)]
+    alone = [match_trajectory(net, traj_from_planar(net, points), RULES, CFG).matched
+             for net in networks()]
+    assert all(any(m.phase_used == PHASE_JUNCTION for m in matched) for matched in alone)
+    assert alone[0] != alone[1]
+    nets = networks()
+    for _ in range(2):
+        for net, expected in zip(nets, alone):
+            assert match_trajectory(net, traj_from_planar(net, points), RULES,
+                                    CFG).matched == expected
+
+
 def test_far_run_scores_only_nearest_links(monkeypatch):
     # Every far point after the reinitialization finds no link within the
     # widening radii; the fallback must score the nearest links only.
