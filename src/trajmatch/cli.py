@@ -16,8 +16,8 @@ from .fuzzy import default_rule_base
 from .geo import InvalidCoordinateError, check_coordinate
 from .io import ParseError, parse_ground_truth, parse_road_network, parse_trajectory, \
     read_ids, write_trajectory
-from .matcher import MatcherConfig, MatchResult, load_matcher_config, match_trajectory, \
-    write_edge_sequence, write_match_result
+from .matcher import MatcherConfig, MatchResult, TooFewPointsError, load_matcher_config, \
+    match_trajectory, write_edge_sequence, write_match_result
 from .staypoint import DbscanParams, DEGREE_EUCLIDEAN
 
 EXIT_USAGE = 1
@@ -243,6 +243,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except TooFewPointsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -24,7 +24,7 @@ from .io import (
     write_trajectory,
 )
 from .fuzzy import RuleBase, default_rule_base
-from .matcher import MatcherConfig, MatchResult, match_trajectory
+from .matcher import MatcherConfig, MatchResult, TooFewPointsError, match_trajectory
 from .staypoint import DbscanParams, dbscan, reduce_trajectory, summarize_clusters
 
 TIMING_REPEATS = 5
@@ -120,11 +120,18 @@ def run_pipeline(network: RoadNetwork, traj: Trajectory,
                  cfg: MatcherConfig = MatcherConfig(),
                  metric_space: str = "degree-euclidean") -> ComparisonReport:
     """Match the raw trajectory, then cluster-reduce and match again with
-    identical configuration; report both runs side by side."""
+    identical configuration; report both runs side by side.
+
+    Raises TooFewPointsError, before any matching, when the reduced
+    trajectory has fewer than 2 points.
+    """
     rules = rules or default_rule_base()
     labels = dbscan(traj, DbscanParams(eps, min_pts, metric_space))
     stay_points = summarize_clusters(traj, labels)
     reduced = reduce_trajectory(traj, labels, stay_points).trajectory
+    if len(reduced) < 2:
+        raise TooFewPointsError(f"eps={eps!r} and min_pts={min_pts} reduce the trajectory "
+                                f"to {len(reduced)} point, fewer than the 2 matching needs")
 
     raw_result, raw_time = _timed_match(network, traj, rules, cfg)
     red_result, red_time = _timed_match(network, reduced, rules, cfg)
@@ -158,7 +165,8 @@ def generate_scenario(seed: int, grid_size: int = 6, edge_len_m: float = 200.0,
     A route walks the grid at constant speed with 1 Hz Gaussian-jittered
     samples. Inside each dwell window (start_s, duration_s, sigma_m) the
     true position freezes while emitted points keep jittering around it,
-    reproducing the stationary-receiver noise pattern.
+    reproducing the stationary-receiver noise pattern. A dwell that starts
+    after the route's last sample raises ValueError.
     """
     rng = np.random.default_rng(seed)
     proj = Projection(origin)
@@ -216,6 +224,11 @@ def generate_scenario(seed: int, grid_size: int = 6, edge_len_m: float = 200.0,
                 emitted.append((x, y) + rng.normal(0.0, sigma, size=2))
         emitted.append((x, y) + rng.normal(0.0, jitter_sigma_m, size=2))
         t_route += 1.0
+    if pending:
+        dropped = ", ".join(f"{start:g}:{duration:g}:{sigma:g}"
+                            for start, duration, sigma in pending)
+        raise ValueError(f"dwell {dropped} starts after the route's last sample "
+                         f"at {t_route - 1.0:g} s")
     n = len(emitted)
     lat, lon = proj.unproject_xy(*np.array(emitted).T)
     traj = Trajectory.from_columns(np.arange(n, dtype=np.float64), lat, lon, np.arange(n),

@@ -38,6 +38,10 @@ PHASE_JUNCTION = "SMP_JUNCTION"
 MEASURES = ("pd", "he")  # the rule-base inputs a candidate link provides
 
 
+class TooFewPointsError(ValueError):
+    """A trajectory with fewer than the 2 points matching needs."""
+
+
 @dataclass(frozen=True)
 class MatcherConfig:
     """Matcher thresholds; a value out of its range raises ValueError naming
@@ -308,7 +312,7 @@ def match_trajectory(network: RoadNetwork, traj: Trajectory, rules: RuleBase,
     forward (dwelling points would otherwise produce arbitrary headings).
     """
     if len(traj) < 2:
-        raise ValueError("trajectory must have at least 2 points")
+        raise TooFewPointsError("trajectory must have at least 2 points")
     proj = network.projection
     xs, ys = proj.project_lonlat(traj.lon, traj.lat)
 

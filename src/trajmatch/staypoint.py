@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -132,40 +131,38 @@ def _lowest_connected(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 
 def dbscan(traj: Trajectory, params: DbscanParams) -> ClusterLabel:
-    """DBSCAN with self-inclusive neighborhood counting.
+    """DBSCAN with self-inclusive neighborhood counting, from one pair list.
 
-    A point is core iff its eps-ball (including itself) holds >= min_pts
-    points. Clusters are the connected components of the graph that joins
-    core points within eps of each other, numbered 0, 1, ... in order of
-    their lowest core index. A non-core point takes the smallest cluster id
-    among its core neighbors, or NOISE if it has none. The labelling
-    depends only on the points and their order.
+    One k-d tree over all points gives every pair within eps once
+    (`query_pairs`), and every label comes from that list:
+      - a point is core iff its eps-ball, itself included, holds >= min_pts
+        points: 1 + its number of pairs;
+      - clusters are the connected components of the core-core pairs,
+        numbered 0, 1, ... in order of their lowest core index;
+      - a non-core point takes the smallest cluster id over its pairs with a
+        core point, or NOISE if it has none.
+    The labelling depends only on the points and their order.
     """
     coords = _coords(traj, params.metric_space)
-    counts = cKDTree(coords).query_ball_point(coords, r=params.eps, return_length=True)
-    core = counts >= params.min_pts
-    labels = np.full(len(coords), NOISE, dtype=int)
-    core_idx = np.flatnonzero(core)
-    if core_idx.size == 0:
-        return ClusterLabel(labels=labels, core=core)
+    n = len(coords)
+    tree = cKDTree(coords, balanced_tree=False, compact_nodes=False)
+    pairs = tree.query_pairs(params.eps, output_type="ndarray")
+    core = np.bincount(pairs.ravel(), minlength=n) + 1 >= params.min_pts
+    pairs = pairs.astype(np.min_scalar_type(n))  # a smaller working set
+    i, j = pairs[:, 0], pairs[:, 1]
+    core_i, core_j = core[i], core[j]
 
-    # cluster the core points alone: a tree and a pair list over them only
-    core_tree = cKDTree(coords[core_idx])
-    pairs = core_tree.query_pairs(params.eps, output_type="ndarray")
-    pairs = pairs.astype(np.min_scalar_type(core_idx.size))  # a smaller working set
-    _, cluster = np.unique(_lowest_connected(core_idx.size, pairs[:, 0], pairs[:, 1]),
-                           return_inverse=True)
-    labels[core_idx] = cluster
-    n_clusters = int(cluster.max()) + 1
-
-    other = np.flatnonzero(~core)
-    if other.size:
-        hoods = core_tree.query_ball_point(coords[other], r=params.eps)
-        sizes = np.fromiter(map(len, hoods), dtype=np.intp, count=other.size)
-        near = np.fromiter(chain.from_iterable(hoods), dtype=np.intp, count=sizes.sum())
-        best = np.full(other.size, n_clusters)
-        np.minimum.at(best, np.repeat(np.arange(other.size), sizes), cluster[near])
-        labels[other] = np.where(best < n_clusters, best, NOISE)
+    both = core_i & core_j
+    roots, cluster = np.unique(_lowest_connected(n, i[both], j[both])[core],
+                               return_inverse=True)
+    n_clusters = roots.size
+    best = np.full(n, n_clusters)
+    best[core] = cluster
+    # a pair with one core end: its other end is a border point
+    one = core_i != core_j
+    i, j, core_i = i[one], j[one], core_i[one]
+    np.minimum.at(best, np.where(core_i, j, i), best[np.where(core_i, i, j)])
+    labels = np.where(best < n_clusters, best, NOISE)
     return ClusterLabel(labels=labels, core=core)
 
 

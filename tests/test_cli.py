@@ -177,6 +177,16 @@ def test_pipeline_missing_truth(tmp_path):
     assert rc == 2
 
 
+def test_pipeline_reduced_to_one_point_exits_3(tmp_path, capsys):
+    # An eps this wide merges all 401 points into one stay point; matching
+    # the reduced trace used to fail with exit 1, as if the usage were wrong.
+    rc = run(["pipeline", "--network", NETWORK, "--traj", TRAJ, "--truth", TRUTH,
+              "--eps", "1e300", "--min-pts", "3", "--out-dir", str(tmp_path)])
+    assert rc == 3
+    assert "reduce the trajectory to 1 point" in capsys.readouterr().err
+    assert not (tmp_path / "report.txt").exists()
+
+
 def test_pipeline_deterministic_excluding_timing(tmp_path):
     args = ["pipeline", "--network", str(MINI / "network.csv"),
             "--traj", str(MINI / "trajectory.csv"),
@@ -214,6 +224,16 @@ def test_synth_non_finite_dwell(tmp_path, capsys, spec):
     assert run(["synth", "--seed", "11", f"--dwell={spec}", "--out-dir", str(tmp_path)]) == 1
     assert f"bad --dwell {spec!r}" in capsys.readouterr().err
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_synth_dwell_after_route_end(tmp_path, capsys):
+    # The seed-1 route's last sample is at 160 s: a dwell starting at 500 s
+    # was dropped without a word and the run exited 0.
+    assert run(["synth", "--seed", "1", "--dwell", "500:60:1.5",
+                "--out-dir", str(tmp_path)]) == 1
+    assert "dwell 500:60:1.5 starts after the route's last sample at 160 s" \
+        in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def _match_with_config(tmp_path, text):

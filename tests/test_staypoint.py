@@ -2,10 +2,12 @@ import random
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from trajmatch.evalbench import generate_scenario
 from trajmatch.geo import GeoPoint
 from trajmatch.io import Trajectory, TrajectoryRecord
+from trajmatch import staypoint
 from trajmatch.staypoint import (
     DEGREE_EUCLIDEAN,
     METER_PLANAR,
@@ -117,6 +119,40 @@ def test_dbscan_chain_in_shuffled_order():
     assert set(labels.labels.tolist()) == {0, 1}
     assert all((labels.labels[i] == labels.labels[0]) == ((k >= 1500) == (steps[0] >= 1500))
                for i, k in enumerate(steps))
+
+
+@pytest.mark.parametrize("a_first", [True, False])
+def test_dbscan_one_tree_one_pair_query(monkeypatch, a_first):
+    # Along one parallel, in steps of H: cluster A at 0..2, cluster B at
+    # 6..8, a border point p at 4 within eps of a core of each, and two
+    # points at 12 and 13 within eps of each other only.
+    calls = []
+
+    class CountingTree(cKDTree):
+        def __init__(self, *args, **kwargs):
+            calls.append("tree")
+            super().__init__(*args, **kwargs)
+
+    for name in ("query", "query_ball_point", "query_ball_tree", "query_pairs",
+                 "count_neighbors", "sparse_distance_matrix"):
+        def counting(self, *args, _name=name, **kwargs):
+            calls.append(_name)
+            return getattr(cKDTree, _name)(self, *args, **kwargs)
+        setattr(CountingTree, name, counting)
+
+    monkeypatch.setattr(staypoint, "cKDTree", CountingTree)
+    H = 1e-5
+    a, b = [0.0, 0.5, 1.0, 1.5, 2.0], [6.0, 6.5, 7.0, 7.5, 8.0]
+    xs = [4.0] + (a + b if a_first else b + a) + [12.0, 13.0]
+    traj = traj_from([(i, 0.0, x * H) for i, x in enumerate(xs)])
+    got = dbscan(traj, DbscanParams(2.2 * H, 4))
+    assert calls == ["tree", "query_pairs"]
+
+    labels = got.labels.tolist()
+    assert got.core.tolist() == [False] + [True] * 10 + [False, False]
+    assert labels[1:11] == [0] * 5 + [1] * 5
+    assert labels[0] == 0                     # the smaller of the two cluster ids
+    assert labels[11:] == [NOISE, NOISE]      # near only non-core points
 
 
 def test_dbscan_params_validation():

@@ -1,19 +1,25 @@
-"""DBSCAN labels against the breadth-first and brute-force oracles, as a
-Hypothesis property over small lattice point sets.
+"""DBSCAN labels against the breadth-first and brute-force oracles, as
+Hypothesis properties.
 
-Points sit on a lattice of pitch H degrees, so repeated cells give
-duplicate points, and eps is an odd multiple of H/2, which no lattice
-distance comes near: the oracles' distances and the k-d tree's cannot
-disagree on a tie.
+On lattice point sets, points sit on a lattice of pitch H degrees, so
+repeated cells give duplicate points, and eps is an odd multiple of H/2,
+which no lattice distance comes near: the oracles' distances and the k-d
+tree's cannot disagree on a tie.
+
+On float point sets, eps is the distance of a pair of the sample itself, so
+that pair and any other at the same distance sit on the eps boundary. Only
+the breadth-first oracle is compared there: its eps-balls come from
+`query_ball_point`, the k-d tree's own distance arithmetic, while a brute
+force distance may round the other way.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from trajmatch.geo import GeoPoint
 from trajmatch.io import Trajectory, TrajectoryRecord
-from trajmatch.staypoint import DbscanParams, dbscan
-from oracles import bfs_dbscan, brute_dbscan, brute_dbscan_labels
+from trajmatch.staypoint import DEGREE_EUCLIDEAN, METER_PLANAR, DbscanParams, dbscan
+from oracles import bfs_dbscan, brute_dbscan, brute_dbscan_labels, planar_coords
 
 H = 1e-5
 
@@ -34,3 +40,39 @@ def test_dbscan_lattice_labels(cells, reach, min_pts):
     assert np.array_equal(got.labels, brute_dbscan_labels(coords, eps, min_pts))
     labels, bfs_core = bfs_dbscan(coords, eps, min_pts)
     assert np.array_equal(got.labels, labels) and np.array_equal(got.core, bfs_core)
+
+
+@st.composite
+def blobs(draw):
+    """(points, bridges): up to about 80 (lat, lon) points. Two to four blobs
+    of 3 to 20 points, each within H/4 of its centre, sit in a row 2H apart;
+    the first 1 or 2 points are bridges, each near the midpoint between two
+    neighbouring blobs, where it can reach the cores of both."""
+    offset, near = st.floats(-H / 4, H / 4), st.floats(-H / 16, H / 16)
+    n_blobs = draw(st.integers(2, 4))
+    bridges = [(dy, (2 * draw(st.integers(0, n_blobs - 2)) + 1) * H + dx)
+               for dy, dx in draw(st.lists(st.tuples(near, near), min_size=1, max_size=2))]
+    members = [(dy, 2 * c * H + dx) for c in range(n_blobs)
+               for dy, dx in draw(st.lists(st.tuples(offset, offset), min_size=3, max_size=20))]
+    return [(47.0 + y, -122.0 + x) for y, x in bridges + members], len(bridges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sample=blobs(), bridge=st.integers(0, 1), rank=st.integers(1, 4),
+       min_pts=st.integers(2, 8), space=st.sampled_from([DEGREE_EUCLIDEAN, METER_PLANAR]))
+def test_dbscan_float_labels_with_eps_on_a_pair_distance(sample, bridge, rank, min_pts, space):
+    points, bridges = sample
+    traj = Trajectory([TrajectoryRecord(float(i), GeoPoint(lat, lon), i)
+                       for i, (lat, lon) in enumerate(points)])
+    lats, lons = [p[0] for p in points], [p[1] for p in points]
+    coords = (np.column_stack([lons, lats]) if space == DEGREE_EUCLIDEAN
+              else planar_coords(lats, lons))
+    # eps: the distance from a bridge to its rank-th nearest other point
+    dist = np.sqrt(np.sum((coords - coords[bridge % bridges]) ** 2, axis=1))
+    eps = float(np.sort(dist)[rank])
+    assume(eps > 0)
+
+    got = dbscan(traj, DbscanParams(eps, min_pts, space))
+    labels, core = bfs_dbscan(coords, eps, min_pts)
+    assert np.array_equal(got.core, core)
+    assert np.array_equal(got.labels, labels)
