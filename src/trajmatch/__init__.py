@@ -5,11 +5,9 @@ from .geo import (
     PlanarPoint,
     Polyline,
     Projection,
-    Segment,
     bearing,
     haversine_distance,
     heading_error,
-    point_segment_distance,
     project_onto_polyline,
 )
 from .io import (

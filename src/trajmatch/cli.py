@@ -87,9 +87,6 @@ def cmd_match(args) -> int:
     network = parse_road_network(args.network)
     traj = parse_trajectory(args.traj)
     cfg, rules = _load_matcher(args)
-    if len(traj) < 2:
-        print("error: trajectory must have at least 2 points", file=sys.stderr)
-        return EXIT_DOMAIN
     result = match_trajectory(network, traj, rules, cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

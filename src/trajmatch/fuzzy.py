@@ -11,9 +11,9 @@ is exactly 0 or 1) are computed once. evaluate_rows, the one evaluator,
 takes rows as tuples in the rule base's input order; a row inside flat
 intervals gets its rule strengths with no label call, and a row whose
 strengths are all saturated gets its output from a table. Inference only
-clips, takes the pointwise max and computes the centroid. evaluate and
-evaluate_batch take rows as mappings from input name to value. Changing a
-rule base's rules or labels after construction is not supported.
+clips, takes the pointwise max and computes the centroid. evaluate takes
+one row as a mapping from input name to value. Changing a rule base's
+rules or labels after construction is not supported.
 """
 
 from __future__ import annotations
@@ -140,9 +140,6 @@ class FuzzyVariable:
         if np.any(cover <= 0):
             raise ValueError(f"variable {self.name!r}: labels do not cover universe")
 
-    def clamp(self, crisp: float) -> float:
-        return min(self.universe[1], max(self.universe[0], crisp))
-
 
 @dataclass(frozen=True)
 class Rule:
@@ -246,52 +243,9 @@ def _flat_value(mf: MembershipFunction, p: float, q: float) -> float | None:
     return None
 
 
-def fuzzify(var: FuzzyVariable, crisp: float) -> dict[str, float]:
-    """Membership of the (clamped) crisp value under every label."""
-    x = var.clamp(crisp)
-    return {label: mf.scalar(x) for label, mf in var.labels.items()}
-
-
-def _strengths(rules: RuleBase, memberships: dict[str, dict[str, float]]) -> list[float]:
-    """Firing strength of every rule: min over its antecedent memberships
-    times its weight."""
-    return [min([memberships[v][l] for v, l in rule.antecedent]) * rule.weight
-            for rule in rules.rules]
-
-
-def infer(rules: RuleBase, memberships: dict[str, dict[str, float]]) -> np.ndarray:
-    """Aggregated output membership, sampled on the output universe.
-
-    Consequents are clipped at their rule's firing strength and aggregated
-    by pointwise max; rules with strength <= 0 do not fire.
-    """
-    agg = np.zeros(DEFUZZ_SAMPLES)
-    for strength, consequent in zip(_strengths(rules, memberships), rules._consequents):
-        if strength <= 0:
-            continue
-        agg = np.maximum(agg, np.minimum(consequent, strength))
-    return agg
-
-
-def defuzzify_centroid(aggregate: np.ndarray, universe: tuple[float, float]) -> float:
-    """Centroid of the aggregated set; universe midpoint when mass is zero."""
-    lo, hi = universe
-    grid = np.linspace(lo, hi, len(aggregate))
-    mass = float(np.sum(aggregate))
-    if mass <= 0.0:
-        return (lo + hi) / 2.0
-    return float(np.sum(grid * aggregate) / mass)
-
-
 def evaluate(rules: RuleBase, crisp_inputs: Mapping[str, float]) -> float:
-    """Full fuzzify -> infer -> defuzzify pass; returns the crisp output."""
-    return evaluate_batch(rules, [crisp_inputs])[0]
-
-
-def evaluate_batch(rules: RuleBase, rows: Sequence[Mapping[str, float]]) -> list[float]:
-    """evaluate_rows over rows given as mappings from input name to value."""
-    return evaluate_rows(rules, [tuple([row[name] for name in rules.input_names])
-                                 for row in rows])
+    """evaluate_rows of one row given as a mapping from input name to value."""
+    return evaluate_rows(rules, [tuple([crisp_inputs[name] for name in rules.input_names])])[0]
 
 
 def evaluate_rows(rules: RuleBase, rows: Iterable[Sequence[float]]) -> list[float]:
@@ -302,17 +256,16 @@ def evaluate_rows(rules: RuleBase, rows: Iterable[Sequence[float]]) -> list[floa
     Its rule strengths come from the compiled antecedents: each value is
     clamped to its universe, and one that lies strictly inside a flat
     interval takes that interval's memberships with no label call. Each
-    strength is the min over its rule's memberships times its weight, as
-    in infer().
+    strength is the min over its rule's memberships times its weight.
 
     Each pass clips every consequent at every row's firing strength in one
-    (rows x rules x DEFUZZ_SAMPLES) np.minimum, takes the max over rules
-    from an initial 0 and sums each row. Every output equals infer() and
-    defuzzify_centroid() on its row bit for bit: a consequent (>= 0) clipped
-    at a strength <= 0 cannot raise the max above the 0 that infer() starts
-    from, max is exact in any order, and numpy sums each row of a C-ordered
-    array as it sums a 1-D array. A pass holds at most BATCH_CELLS
-    (row, rule) pairs, so memory stays bounded for any number of rows.
+    (rows x rules x DEFUZZ_SAMPLES) np.minimum and aggregates by the max over
+    rules from an initial 0, so a rule of strength <= 0 does not fire. The
+    output is the aggregate's centroid on the output grid, or the universe
+    midpoint when its mass is 0. It is the same in any pass: max is exact in
+    any order, and numpy sums each row of a C-ordered array as it sums a 1-D
+    array. A pass holds at most BATCH_CELLS (row, rule) pairs, so memory
+    stays bounded for any number of rows.
 
     An output is thus a pure function of its row's strengths, whatever
     batch, position or pass the row is in, so the rule base keeps the

@@ -61,16 +61,6 @@ class PlanarPoint(NamedTuple):
     y: float
 
 
-@dataclass(frozen=True)
-class Segment:
-    a: PlanarPoint
-    b: PlanarPoint
-
-    def __post_init__(self):
-        if self.a == self.b:
-            raise ValueError("zero-length segment")
-
-
 class InvalidPolylineError(ValueError):
     """A vertex chain that is no polyline; `index` is its place in the batch."""
 
@@ -83,25 +73,13 @@ class Polyline:
     """An ordered planar vertex chain with no repeated consecutive vertices,
     held as tuples of floats: the vertex coordinates `xs` and `ys`, the
     arc length `cumlen` up to each vertex and the compass `bearings` of each
-    segment. `vertices` builds PlanarPoints on demand."""
+    segment. The constructor checks nothing; `polylines` builds checked
+    ones."""
 
     __slots__ = ("xs", "ys", "cumlen", "bearings")
 
-    def __init__(self, vertices: list[PlanarPoint]):
-        (pl,) = polylines([v.x for v in vertices], [v.y for v in vertices], [len(vertices)])
-        self.xs, self.ys, self.cumlen, self.bearings = pl.xs, pl.ys, pl.cumlen, pl.bearings
-
-    @classmethod
-    def from_columns(cls, xs, ys, cumlen, bearings) -> Polyline:
-        """A polyline over columns that already hold a valid one; nothing is
-        checked."""
-        pl = cls.__new__(cls)
-        pl.xs, pl.ys, pl.cumlen, pl.bearings = xs, ys, cumlen, bearings
-        return pl
-
-    @property
-    def vertices(self) -> tuple[PlanarPoint, ...]:
-        return tuple(map(PlanarPoint, self.xs, self.ys))
+    def __init__(self, xs, ys, cumlen, bearings):
+        self.xs, self.ys, self.cumlen, self.bearings = xs, ys, cumlen, bearings
 
     @property
     def length(self) -> float:
@@ -140,7 +118,7 @@ def polylines(x, y, sizes) -> list[Polyline]:
     out = []
     v = s = 0
     for size in sizes.tolist():
-        out.append(Polyline.from_columns(
+        out.append(Polyline(
             xs[v:v + size], ys[v:v + size],
             tuple(accumulate(seglen[s:s + size - 1], initial=0.0)),
             bearings[s:s + size - 1]))
@@ -177,9 +155,14 @@ class Projection:
 
 def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance in meters (mean Earth radius)."""
-    phi1, phi2 = math.radians(a.lat), math.radians(b.lat)
+    return haversine_lat_lon(a.lat, a.lon, b.lat, b.lon)
+
+
+def haversine_lat_lon(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
+    """haversine_distance of bare latitudes and longitudes in degrees."""
+    phi1, phi2 = math.radians(lat1), math.radians(lat2)
     dphi = phi2 - phi1
-    dlam = math.radians(b.lon - a.lon)
+    dlam = math.radians(lon2 - lon1)
     h = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2) ** 2
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
 
@@ -197,21 +180,11 @@ def heading_error(h1: float, h2: float) -> float:
     return min(d, 360.0 - d)
 
 
-def point_segment_distance(p: PlanarPoint, s: Segment) -> tuple[float, PlanarPoint, float]:
-    """Distance from p to segment s, the closest point, and its parameter t."""
-    dx, dy = s.b.x - s.a.x, s.b.y - s.a.y
-    t = ((p.x - s.a.x) * dx + (p.y - s.a.y) * dy) / (dx * dx + dy * dy)
-    t = min(1.0, max(0.0, t))
-    foot = PlanarPoint(s.a.x + t * dx, s.a.y + t * dy)
-    return math.hypot(p.x - foot.x, p.y - foot.y), foot, t
-
-
 def project_onto_polyline(p: PlanarPoint, pl: Polyline) -> tuple[float, PlanarPoint, int, float]:
     """Closest point of a polyline: (distance, foot, segment_index, arc_offset).
 
     Ties between segments go to the lower segment index.
     """
-    # point_segment_distance inlined: this runs for every scored candidate.
     px, py = p.x, p.y
     xs, ys, cum = pl.xs, pl.ys, pl.cumlen
     best = None

@@ -104,10 +104,6 @@ class RoadEdge(NamedTuple):
     geometry: Polyline  # projected, in the network's planar frame
 
     @property
-    def geo_vertices(self) -> tuple[GeoPoint, ...]:
-        return tuple(map(GeoPoint, self.lat, self.lon))
-
-    @property
     def length(self) -> float:
         return self.geometry.length
 

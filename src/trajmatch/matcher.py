@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from typing import NamedTuple
@@ -152,28 +152,19 @@ def load_matcher_config(path) -> tuple[MatcherConfig, RuleBase]:
     return cfg, rules
 
 
-def candidate_links(network: RoadNetwork, p: PlanarPoint, radius: float) -> list[str]:
-    """Edge ids within exact polyline distance of p, nearest first."""
-    hits = []
-    for edge_id in network.index.query(p, radius):
-        d, _, _, _ = project_onto_polyline(p, network.edges[edge_id].geometry)
-        if d <= radius:
-            hits.append((d, edge_id))
-    hits.sort()
-    return [edge_id for _, edge_id in hits]
+def candidate_links(network: RoadNetwork, p: PlanarPoint, radius: float,
+                    measure: Callable[[str], LinkCandidate]) -> list[LinkCandidate]:
+    """The links within exact polyline distance radius of p, measured by
+    measure(edge_id), nearest first (ties to the smaller edge id)."""
+    near = [c for c in map(measure, network.index.query(p, radius)) if c.pd <= radius]
+    near.sort(key=lambda c: (c.pd, c.edge_id))
+    return near
 
 
 def score_link(network: RoadNetwork, edge_id: str, p: PlanarPoint,
                vehicle_heading: float | None, rules: RuleBase) -> LinkCandidate:
     """Score one candidate link by fuzzy inference over PD and HE."""
-    return score_links(network, [edge_id], p, vehicle_heading, rules)[0]
-
-
-def score_links(network: RoadNetwork, edge_ids: list[str], p: PlanarPoint,
-                vehicle_heading: float | None, rules: RuleBase) -> list[LinkCandidate]:
-    """Score candidate links by fuzzy inference over PD and HE, in one batch."""
-    return _score([_measure(network, edge_id, p, vehicle_heading) for edge_id in edge_ids],
-                  rules)
+    return _score([_measure(network, edge_id, p, vehicle_heading)], rules)[0]
 
 
 def _measure(network: RoadNetwork, edge_id: str, p: PlanarPoint,
@@ -286,20 +277,22 @@ def imp(network: RoadNetwork, p: PlanarPoint, heading: float | None,
     Beyond 128 times candidate_radius only the nearest links are scored:
     that far out the default rule base clamps pd, so scoring more would
     rank links by heading alone. Whether the returned candidate is
-    confident (see _confident) is the caller's decision.
+    confident (see _confident) is the caller's decision. Each link is
+    measured at most once, whether the nearest-link scan or the radius
+    query reaches it first.
     """
-    dist = {e: project_onto_polyline(p, network.edges[e].geometry)[0]
-            for e in network.index.nearest(p)}
-    nearest = min(dist.values())
+    measure = functools.cache(lambda edge_id: _measure(network, edge_id, p, heading))
+    near = [measure(e) for e in network.index.nearest(p)]
+    nearest = min(c.pd for c in near)
     radius = cfg.candidate_radius
     for _ in range(8):
         if nearest <= radius:
-            ids = candidate_links(network, p, radius)
+            candidates = candidate_links(network, p, radius, measure)
             break
         radius *= 2.0
     else:
-        ids = sorted(e for e, d in dist.items() if d == nearest)
-    scored = score_links(network, ids, p, heading, rules)
+        candidates = sorted((c for c in near if c.pd == nearest), key=lambda c: c.edge_id)
+    scored = _score(candidates, rules)
     return scored[_best_index(scored, [c.likelihood for c in scored])]
 
 

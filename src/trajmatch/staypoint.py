@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geo import GeoPoint, Projection, haversine_distance
+from .geo import GeoPoint, Projection, haversine_lat_lon
 from .io import Trajectory, write_csv
 
 NOISE = -1
@@ -216,31 +216,24 @@ def reduce_trajectory(traj: Trajectory, labels: ClusterLabel,
 def threshold_staypoint_detect(traj: Trajectory, delta: float = 10.0,
                                tau: float = 60.0) -> list[StayPoint]:
     """Baseline detector: maximal windows where every consecutive hop is
-    under delta meters (haversine) and the dwell exceeds tau seconds."""
+    under delta meters (haversine) and the dwell exceeds tau seconds.
+
+    Hops of delta or more split the trace into maximal runs, and each run
+    whose duration exceeds tau is one stay point; timestamps never
+    decrease, so no window that starts inside a run lasts longer than the
+    whole run. The means are builtin sums over the run in time order.
+    """
     if delta <= 0 or tau <= 0:
         raise ValueError("delta and tau must be > 0")
-    recs = traj.records
+    t, lat, lon = traj.t.tolist(), traj.lat.tolist(), traj.lon.tolist()
+    hops = map(haversine_lat_lon, lat, lon, lat[1:], lon[1:])
+    starts = [0] + [k for k, hop in enumerate(hops, start=1) if not hop < delta]
     out = []
-    i = 0
-    n = len(recs)
-    while i < n:
-        j = i
-        while j + 1 < n and haversine_distance(recs[j].position,
-                                               recs[j + 1].position) < delta:
-            j += 1
-        if recs[j].timestamp - recs[i].timestamp > tau:
-            members = recs[i:j + 1]
-            out.append(StayPoint(
-                x=sum(r.position.lon for r in members) / len(members),
-                y=sum(r.position.lat for r in members) / len(members),
-                t_a=recs[i].timestamp,
-                t_l=recs[j].timestamp,
-                member_count=len(members),
-                cluster_id=len(out),
-            ))
-            i = j + 1
-        else:
-            i += 1
+    for i, end in zip(starts, starts[1:] + [len(t)]):
+        if t[end - 1] - t[i] > tau:
+            out.append(StayPoint(x=sum(lon[i:end]) / (end - i), y=sum(lat[i:end]) / (end - i),
+                                 t_a=t[i], t_l=t[end - 1], member_count=end - i,
+                                 cluster_id=len(out)))
     return out
 
 

@@ -17,6 +17,39 @@ def law_of_cosines_distance(lat1, lon1, lat2, lon2, radius=6_371_000.0):
     return radius * math.acos(min(1.0, max(-1.0, c)))
 
 
+def haversine_m(lat1, lon1, lat2, lon2, radius=6_371_000.0):
+    """Haversine great-circle distance (meters), in plain floats."""
+    phi1, phi2 = math.radians(lat1), math.radians(lat2)
+    dphi = phi2 - phi1
+    dlam = math.radians(lon2 - lon1)
+    h = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2) ** 2
+    return 2.0 * radius * math.asin(min(1.0, math.sqrt(h)))
+
+
+def window_staypoints(rows, delta, tau):
+    """The threshold stay-point detector, one record at a time. rows are
+    (t, lat, lon) in time order. From each start, the window grows while the
+    next hop is under delta meters; a window lasting more than tau seconds
+    is kept and the next start follows it, else the start moves one record
+    on. Each kept window gives (mean lon, mean lat, first t, last t, count,
+    ordinal)."""
+    out = []
+    i, n = 0, len(rows)
+    while i < n:
+        j = i
+        while j + 1 < n and haversine_m(*rows[j][1:], *rows[j + 1][1:]) < delta:
+            j += 1
+        if rows[j][0] - rows[i][0] > tau:
+            members = rows[i:j + 1]
+            out.append((sum(r[2] for r in members) / len(members),
+                        sum(r[1] for r in members) / len(members),
+                        rows[i][0], rows[j][0], len(members), len(out)))
+            i = j + 1
+        else:
+            i += 1
+    return out
+
+
 def sampled_segment_distance(px, py, ax, ay, bx, by, samples=1001):
     """Min distance from p to the segment, by dense sampling."""
     ts = np.linspace(0.0, 1.0, samples)

@@ -143,6 +143,8 @@ def test_match_short_trajectory(tmp_path, capsys):
     rc = run(["match", "--network", str(MINI / "network.csv"),
               "--traj", str(traj), "--out-dir", str(tmp_path / "out")])
     assert rc == 3
+    assert capsys.readouterr().err == "error: trajectory must have at least 2 points\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_command(capsys, tmp_path):

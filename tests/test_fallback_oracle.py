@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from trajmatch import matcher
 from trajmatch.fuzzy import default_rule_base
-from trajmatch.geo import GeoPoint, PlanarPoint, Polyline, Projection
+from trajmatch.geo import GeoPoint, PlanarPoint, Projection, polylines
 from trajmatch.io import RoadEdge, RoadNetwork
 from oracles import widening_fallback
 
@@ -47,21 +47,23 @@ POINTS = st.one_of(
 
 
 def network(edges):
-    built = [RoadEdge(eid, f"{eid}.a", f"{eid}.b", (), (),
-                      Polyline([PlanarPoint(float(x), float(y)) for x, y in pts]))
-             for eid, pts in edges]
+    lines = polylines([float(x) for _, pts in edges for x, _ in pts],
+                      [float(y) for _, pts in edges for _, y in pts],
+                      [len(pts) for _, pts in edges])
+    built = [RoadEdge(eid, f"{eid}.a", f"{eid}.b", (), (), pl)
+             for (eid, _), pl in zip(edges, lines)]
     return RoadNetwork(built, Projection(GeoPoint(0.0, 0.0)))
 
 
 def scored_ids(monkeypatch, edges, px, py):
     scored = []
-    real = matcher.score_links
+    real = matcher._score
 
-    def recording(network, edge_ids, *args):
-        scored.append(set(edge_ids))
-        return real(network, edge_ids, *args)
+    def recording(measured, rules):
+        scored.append({c.edge_id for c in measured})
+        return real(measured, rules)
 
-    monkeypatch.setattr(matcher, "score_links", recording)
+    monkeypatch.setattr(matcher, "_score", recording)
     cand = matcher.imp(network(edges), PlanarPoint(float(px), float(py)),
                       None, RULES, CFG)
     assert len(scored) == 1 and cand.edge_id in scored[0]

@@ -11,10 +11,8 @@ from trajmatch.fuzzy import (
     Rule,
     RuleBase,
     default_rule_base,
-    defuzzify_centroid,
     evaluate,
-    fuzzify,
-    infer,
+    evaluate_rows,
     rule_base_from_config,
     s_shaped,
     triangular,
@@ -94,64 +92,95 @@ def test_variable_coverage_enforced():
         FuzzyVariable("gap", (0.0, 100.0), {"left": triangular(0, 0, 10)})
 
 
+def _centroid(aggregate):
+    """Centroid of an aggregate sampled on the default 0-100 output grid."""
+    grid = np.linspace(0.0, 100.0, DEFUZZ_SAMPLES)
+    return float(np.sum(grid * aggregate) / np.sum(aggregate))
+
+
 def test_fuzzify_clamps():
+    # a crisp value beyond its universe scores as the universe's end
     rb = default_rule_base()
-    m = fuzzify(rb.inputs["pd"], 500.0)  # beyond the universe
-    assert m["long"] == 1.0 and m["short"] == 0.0
+    for he in (0.0, 20.0, 45.0, 180.0):
+        assert evaluate_rows(rb, [(500.0, he), (-50.0, he)]) == \
+            evaluate_rows(rb, [(100.0, he), (0.0, he)])
+    assert evaluate_rows(rb, [(30.0, 400.0), (30.0, -1.0)]) == \
+        evaluate_rows(rb, [(30.0, 180.0), (30.0, 0.0)])
+    # pd 500 is fully long and not short: only the long rules fire, and he 0
+    # is fully small, so the output is the average label's centroid
+    [out] = evaluate_rows(rb, [(500.0, 0.0)])
+    assert out == pytest.approx(50.0, abs=1e-9)
 
 
 def test_infer_single_rule_full_strength():
+    # pd 0 and he 0 fire only "short and small -> high", at strength 1
     rb = default_rule_base()
-    memberships = {"pd": {"short": 1.0, "long": 0.0},
-                   "he": {"small": 1.0, "large": 0.0}}
-    agg = infer(rb, memberships)
     grid = np.linspace(0, 100, DEFUZZ_SAMPLES)
-    assert np.allclose(agg, rb.output.labels["high"](grid))
+    [out] = evaluate_rows(rb, [(0.0, 0.0)])
+    assert out == pytest.approx(_centroid(rb.output.labels["high"](grid)), abs=1e-9)
+
+
+# One input with two labels and one rule onto "mid", a symmetric triangle;
+# three output labels cover the output universe.
+PINNED_CONFIG = {
+    "inputs": {"x": {"universe": [0.0, 100.0],
+                     "labels": {"lo": {"shape": "z", "params": [20.0, 40.0]},
+                                "hi": {"shape": "s", "params": [20.0, 40.0]}}}},
+    "output": {"universe": [0.0, 100.0],
+               "labels": {"left": {"shape": "triangular", "params": [0.0, 0.0, 45.0]},
+                          "mid": {"shape": "triangular", "params": [40.0, 50.0, 60.0]},
+                          "right": {"shape": "triangular", "params": [55.0, 100.0, 100.0]}}},
+    "rules": [{"if": [["x", "hi"]], "then": "mid"}],
+}
 
 
 def test_infer_no_rule_fires():
-    rb = default_rule_base()
-    memberships = {"pd": {"short": 0.0, "long": 0.0},
-                   "he": {"small": 0.0, "large": 0.0}}
-    agg = infer(rb, memberships)
-    assert np.all(agg == 0.0)
-    assert defuzzify_centroid(agg, rb.output.universe) == 50.0
+    # at x <= 20, "hi" is 0: the one rule does not fire, and the output is
+    # the universe midpoint, not the centroid of "left" (15)
+    config = {**PINNED_CONFIG, "rules": [{"if": [["x", "hi"]], "then": "left"}]}
+    rb = rule_base_from_config(config)
+    assert evaluate_rows(rb, [(0.0,), (20.0,), (-5.0,)]) == [50.0, 50.0, 50.0]
+    [fired] = evaluate_rows(rb, [(40.0,)])
+    assert fired == pytest.approx(15.0, abs=0.1)
 
 
 def test_infer_two_rules_discretized_check():
+    # pd 20 is partly short and partly long, he 5 fully small: "short and
+    # small -> high" and "long and small -> average" fire, at different
+    # strengths
     rb = default_rule_base()
-    memberships = {"pd": {"short": 0.6, "long": 0.0},
-                   "he": {"small": 1.0, "large": 0.3}}
-    agg = infer(rb, memberships)
+    pd, he = 20.0, 5.0
+    short, long = float(rb.inputs["pd"].labels["short"](pd)), \
+        float(rb.inputs["pd"].labels["long"](pd))
+    assert 0.0 < long < short < 1.0
+    assert float(rb.inputs["he"].labels["large"](he)) == 0.0
     grid = np.linspace(0, 100, DEFUZZ_SAMPLES)
     # independent pointwise evaluation of the min-max combination
-    expect = np.maximum(np.minimum(rb.output.labels["high"](grid), 0.6),
-                        np.minimum(rb.output.labels["average"](grid), 0.3))
-    assert np.allclose(agg, expect)
+    expect = np.maximum(np.minimum(rb.output.labels["high"](grid), short),
+                        np.minimum(rb.output.labels["average"](grid), long))
+    [out] = evaluate_rows(rb, [(pd, he)])
+    assert out == pytest.approx(_centroid(expect), abs=1e-9)
 
 
 def test_centroid_symmetric_triangle():
-    grid = np.linspace(0, 100, DEFUZZ_SAMPLES)
-    agg = triangular(40, 50, 60)(grid)
-    assert defuzzify_centroid(agg, (0.0, 100.0)) == pytest.approx(50.0, abs=1e-9)
+    rb = rule_base_from_config(PINNED_CONFIG)
+    for x in (40.0, 75.0, 100.0, 250.0):  # "hi" is 1
+        [out] = evaluate_rows(rb, [(x,)])
+        assert out == pytest.approx(50.0, abs=1e-9)
 
 
 def test_centroid_vs_highres_oracle_random_firings():
     rb = default_rule_base()
     rng = random.Random(21)
     for _ in range(100):
-        memberships = {
-            "pd": {"short": rng.random(), "long": rng.random()},
-            "he": {"small": rng.random(), "large": rng.random()},
-        }
-        agg = infer(rb, memberships)
-        got = defuzzify_centroid(agg, rb.output.universe)
+        row = {"pd": rng.uniform(0, 50), "he": rng.uniform(0, 75)}
+        [got] = evaluate_rows(rb, [(row["pd"], row["he"])])
 
         # dense independent evaluation of the clipped-max combination
         xs = np.linspace(0.0, 100.0, 100_001)
         dense = np.zeros_like(xs)
         for rule in rb.rules:
-            strength = min(memberships[v][l] for v, l in rule.antecedent)
+            strength = min(float(rb.inputs[v].labels[l](row[v])) for v, l in rule.antecedent)
             dense = np.maximum(dense,
                                np.minimum(strength, rb.output.labels[rule.consequent](xs)))
         assert got == pytest.approx(highres_centroid(dense, 0.0, 100.0), abs=0.1)

@@ -1,6 +1,6 @@
 """The compiled fuzzy scorer against a per-call numpy copy of the algorithm.
 
-`evaluate`, `evaluate_batch` and `MembershipFunction.scalar` must equal the
+`evaluate`, `evaluate_rows` and `MembershipFunction.scalar` must equal the
 oracles in tests/oracles.py bit for bit, so these tests compare with ==,
 whether a row's output comes from the array pass or from the rule base's
 table of saturated rows.
@@ -17,10 +17,15 @@ from trajmatch.fuzzy import (
     MembershipFunction,
     default_rule_base,
     evaluate,
-    evaluate_batch,
+    evaluate_rows,
     rule_base_from_config,
 )
 from oracles import numpy_mamdani, numpy_membership
+
+
+def evaluate_batch(rb, rows):
+    """evaluate_rows over rows given as mappings from input name to value."""
+    return evaluate_rows(rb, [tuple(row[name] for name in rb.input_names) for row in rows])
 
 DEFAULT_CONFIG = {
     "inputs": {

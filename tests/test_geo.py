@@ -6,19 +6,24 @@ import pytest
 from trajmatch.geo import (
     GeoPoint,
     InvalidCoordinateError,
+    InvalidPolylineError,
     PlanarPoint,
-    Polyline,
     Projection,
-    Segment,
     UndefinedBearingError,
     bearing,
     haversine_distance,
     heading_error,
     index_build,
-    point_segment_distance,
+    polylines,
     project_onto_polyline,
 )
 from oracles import law_of_cosines_distance, sampled_segment_distance
+
+
+def polyline(points):
+    """The polyline through points, checked by `polylines`."""
+    (pl,) = polylines([x for x, _ in points], [y for _, y in points], [len(points)])
+    return pl
 
 
 def test_geopoint_range_validation():
@@ -115,24 +120,25 @@ def test_heading_error_properties():
 
 
 def test_segment_rejects_zero_length():
-    with pytest.raises(ValueError):
-        Segment(PlanarPoint(1, 1), PlanarPoint(1, 1))
+    with pytest.raises(InvalidPolylineError, match="consecutive duplicate vertex"):
+        polyline([PlanarPoint(1, 1), PlanarPoint(1, 1)])
 
 
 def test_point_segment_distance_examples():
-    s = Segment(PlanarPoint(0, 0), PlanarPoint(2, 0))
-    d, foot, t = point_segment_distance(PlanarPoint(1, 0), s)
-    assert d == 0.0 and foot == PlanarPoint(1, 0)
+    s = polyline([PlanarPoint(0, 0), PlanarPoint(2, 0)])
+    d, foot, seg, off = project_onto_polyline(PlanarPoint(1, 0), s)
+    assert d == 0.0 and foot == PlanarPoint(1, 0) and seg == 0
 
-    d, foot, t = point_segment_distance(PlanarPoint(1, 1), s)
+    d, foot, _, off = project_onto_polyline(PlanarPoint(1, 1), s)
     assert d == pytest.approx(1.0)
     assert foot == PlanarPoint(1, 0)
-    assert t == pytest.approx(0.5)
+    assert off == pytest.approx(1.0)
 
-    d, foot, t = point_segment_distance(PlanarPoint(5, 1), s)
+    # beyond the end: the foot clamps to the last vertex
+    d, foot, _, off = project_onto_polyline(PlanarPoint(5, 1), s)
     assert d == pytest.approx(math.sqrt(10))
     assert foot == PlanarPoint(2, 0)
-    assert t == 1.0
+    assert off == 2.0
 
 
 def test_point_segment_distance_vs_sampling():
@@ -142,8 +148,7 @@ def test_point_segment_distance_vs_sampling():
         if (ax, ay) == (bx, by):
             continue
         px, py = rng.uniform(-60, 60), rng.uniform(-60, 60)
-        d, _, _ = point_segment_distance(PlanarPoint(px, py),
-                                         Segment(PlanarPoint(ax, ay), PlanarPoint(bx, by)))
+        d, _, _, _ = project_onto_polyline(PlanarPoint(px, py), polyline([(ax, ay), (bx, by)]))
         ref = sampled_segment_distance(px, py, ax, ay, bx, by)
         # sampling overestimates by at most the sample spacing
         assert d <= ref + 1e-9
@@ -151,20 +156,24 @@ def test_point_segment_distance_vs_sampling():
 
 
 def test_polyline_validation():
-    with pytest.raises(ValueError):
-        Polyline([PlanarPoint(0, 0)])
-    with pytest.raises(ValueError):
-        Polyline([PlanarPoint(0, 0), PlanarPoint(0, 0)])
+    with pytest.raises(InvalidPolylineError, match="at least 2 vertices"):
+        polyline([PlanarPoint(0, 0)])
+    with pytest.raises(InvalidPolylineError, match="consecutive duplicate vertex"):
+        polyline([PlanarPoint(0, 0), PlanarPoint(1, 0), PlanarPoint(1, 0)])
+    # the error names the first bad chain of a batch
+    with pytest.raises(InvalidPolylineError) as err:
+        polylines([0, 1, 5, 0, 0], [0, 0, 5, 0, 0], [2, 1, 2])
+    assert err.value.index == 1
 
 
 def test_project_onto_polyline_vertex():
-    pl = Polyline([PlanarPoint(0, 0), PlanarPoint(2, 0), PlanarPoint(2, 2)])
+    pl = polyline([PlanarPoint(0, 0), PlanarPoint(2, 0), PlanarPoint(2, 2)])
     d, foot, seg, off = project_onto_polyline(PlanarPoint(2, 0), pl)
     assert d == 0.0 and foot == PlanarPoint(2, 0) and off == pytest.approx(2.0)
 
 
 def test_project_onto_polyline_tiebreak():
-    pl = Polyline([PlanarPoint(0, 0), PlanarPoint(2, 0), PlanarPoint(2, 2)])
+    pl = polyline([PlanarPoint(0, 0), PlanarPoint(2, 0), PlanarPoint(2, 2)])
     d, foot, seg, off = project_onto_polyline(PlanarPoint(1, 1), pl)
     assert d == pytest.approx(1.0)
     assert seg == 0  # tie with segment 1 broken toward lower index
@@ -183,12 +192,15 @@ def test_project_onto_polyline_vs_bruteforce():
                 dedup.append(p)
         if len(dedup) < 2:
             continue
-        pl = Polyline(dedup)
+        pl = polyline(dedup)
         p = PlanarPoint(rng.uniform(-120, 120), rng.uniform(-120, 120))
         d, _, _, _ = project_onto_polyline(p, pl)
-        brute = min(point_segment_distance(p, Segment(u, v))[0]
-                    for u, v in zip(pl.vertices, pl.vertices[1:]))
-        assert d == pytest.approx(brute, abs=1e-9)
+        segments = list(zip(pl.xs, pl.ys, pl.xs[1:], pl.ys[1:]))
+        brute = min(sampled_segment_distance(p.x, p.y, *s) for s in segments)
+        # sampling overestimates by at most half the longest sample spacing
+        assert d <= brute + 1e-9
+        assert brute - d <= max(math.hypot(bx - ax, by - ay)
+                                for ax, ay, bx, by in segments) / 1000 / 2 + 1e-6
 
 
 def _random_polyline(rng, span=1000.0):
@@ -204,17 +216,17 @@ def _random_polyline(rng, span=1000.0):
             dedup.append(p)
     if len(dedup) < 2:
         dedup.append(PlanarPoint(dedup[-1].x + 1.0, dedup[-1].y))
-    return Polyline(dedup)
+    return polyline(dedup)
 
 
 def test_index_single_edge():
-    pl = Polyline([PlanarPoint(10, 10), PlanarPoint(20, 10)])
+    pl = polyline([PlanarPoint(10, 10), PlanarPoint(20, 10)])
     idx = index_build([("e1", pl)])
     assert idx.query(PlanarPoint(15, 12), 5.0) == {"e1"}
 
 
 def test_index_edge_spanning_cells():
-    pl = Polyline([PlanarPoint(5, 5), PlanarPoint(250, 5)])
+    pl = polyline([PlanarPoint(5, 5), PlanarPoint(250, 5)])
     idx = index_build([("e1", pl)])
     for x in (10, 150, 240):
         assert "e1" in idx.query(PlanarPoint(x, 5), 1.0)
@@ -242,13 +254,14 @@ def test_index_superset_on_one_degree_diagonal(bends):
     # 1 degree of latitude and longitude, as one segment or zigzagging
     # through 5 bends; points on it and up to 300 m beside it
     proj = Projection(GeoPoint(0.5, 0.5))
-    pl = Polyline([proj.project(GeoPoint(k / (bends + 1), k / (bends + 1) + 0.01 * (k % 2)))
+    pl = polyline([proj.project(GeoPoint(k / (bends + 1), k / (bends + 1) + 0.01 * (k % 2)))
                    for k in range(bends + 2)])
     idx = index_build([("long", pl)])
     rng = random.Random(bends)
     for _ in range(500):
         seg = rng.randrange(len(pl) - 1)
-        u, v = pl.vertices[seg], pl.vertices[seg + 1]
+        u = PlanarPoint(pl.xs[seg], pl.ys[seg])
+        v = PlanarPoint(pl.xs[seg + 1], pl.ys[seg + 1])
         t, off = rng.random(), rng.choice([0.0, rng.uniform(-300.0, 300.0)])
         norm = math.hypot(v.x - u.x, v.y - u.y)
         p = PlanarPoint(u.x + t * (v.x - u.x) - off * (v.y - u.y) / norm,
@@ -262,8 +275,8 @@ def test_index_nearest_holds_every_nearest_edge():
     rng = random.Random(7)
     edges = [(f"e{i}", _random_polyline(rng)) for i in range(200)]
     # shared endpoints give exact ties
-    edges += [("t1", Polyline([PlanarPoint(500, 500), PlanarPoint(600, 500)])),
-              ("t2", Polyline([PlanarPoint(500, 500), PlanarPoint(500, 600)]))]
+    edges += [("t1", polyline([PlanarPoint(500, 500), PlanarPoint(600, 500)])),
+              ("t2", polyline([PlanarPoint(500, 500), PlanarPoint(500, 600)]))]
     idx = index_build(edges)
     points = [PlanarPoint(500, 500), PlanarPoint(-3000, -3000)]
     points += [PlanarPoint(rng.uniform(-5000, 6000), rng.uniform(-5000, 6000))
@@ -278,6 +291,6 @@ def test_index_nearest_holds_every_nearest_edge():
 def test_index_sample_at_last_vertex_is_that_vertex():
     # a segment's first sample is a + 0.0, which turns -0.0 into 0.0; a
     # polyline's last vertex is taken as it is
-    pl = Polyline([PlanarPoint(-0.0, 250.0), PlanarPoint(-0.0, -0.0)])
+    pl = polyline([PlanarPoint(-0.0, 250.0), PlanarPoint(-0.0, -0.0)])
     last = index_build([("e1", pl)])._tree.data[-1]
     assert [math.copysign(1.0, v) for v in last] == [-1.0, -1.0]

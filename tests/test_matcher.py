@@ -59,17 +59,23 @@ def t_junction_net():
 
 # --------------------------------------------------------- candidate links
 
+def candidate_ids(net, p, radius):
+    """The ids candidate_links gives, each link measured with no heading."""
+    return [c.edge_id for c in candidate_links(
+        net, p, radius, lambda edge_id: matcher._measure(net, edge_id, p, None))]
+
+
 def test_candidate_point_on_edge_first():
     net = t_junction_net()
     p = net.projection.project(g(0, 100))
-    ids = candidate_links(net, p, 50.0)
+    ids = candidate_ids(net, p, 50.0)
     assert ids[0] == "north"
 
 
 def test_candidate_isolated_point_empty():
     net = straight_net()
     p = net.projection.project(g(5000, 5000))
-    assert candidate_links(net, p, 50.0) == []
+    assert candidate_ids(net, p, 50.0) == []
 
 
 def test_candidate_links_vs_linear_scan():
@@ -83,7 +89,7 @@ def test_candidate_links_vs_linear_scan():
     for _ in range(100):
         p = PlanarPoint(rng.uniform(-100, 2100), rng.uniform(-100, 2100))
         radius = rng.uniform(10, 300)
-        got = set(candidate_links(net, p, radius))
+        got = set(candidate_ids(net, p, radius))
         want = {eid for eid, e in net.edges.items()
                 if project_onto_polyline(p, e.geometry)[0] <= radius}
         assert got == want
@@ -452,13 +458,13 @@ def test_far_run_scores_only_nearest_links(monkeypatch):
     # widening radii; the fallback must score the nearest links only.
     net = grid_net(n=6)
     scored = []
-    real = matcher.score_links
+    real = matcher._score
 
-    def counting(network, edge_ids, *args):
-        scored.append(len(edge_ids))
-        return real(network, edge_ids, *args)
+    def counting(measured, rules):
+        scored.append(len(measured))
+        return real(measured, rules)
 
-    monkeypatch.setattr(matcher, "score_links", counting)
+    monkeypatch.setattr(matcher, "_score", counting)
     on_road = [g(200, y) for y in range(20, 180, 20)]
     far = GeoPoint(on_road[-1].lat + 0.5, on_road[-1].lon)
     positions = on_road + [far] * 8
@@ -489,3 +495,23 @@ def test_far_point_projects_only_nearby_links(monkeypatch):
     assert cand.edge_id == "h2_6"
     assert len(net.edges) == 84
     assert len(calls) <= 10
+
+
+@pytest.mark.parametrize("x, y, among", [
+    (0, 200, {"continue", "east", "north"}),  # at the junction: all three in radius
+    (0, 9000, {"continue"}),                  # beyond every radius: the nearest link
+])
+def test_initial_selection_projects_each_edge_once(monkeypatch, x, y, among):
+    net = t_junction_net()
+    edge_of = {id(e.geometry): eid for eid, e in net.edges.items()}
+    calls = []
+
+    def counting(p, pl):
+        calls.append(edge_of[id(pl)])
+        return project_onto_polyline(p, pl)
+
+    monkeypatch.setattr(matcher, "project_onto_polyline", counting)
+    cand = imp(net, net.projection.project(g(x, y)), 90.0, RULES, CFG)
+    assert cand.edge_id in among
+    assert len(calls) == len(set(calls))
+    assert among <= set(calls)

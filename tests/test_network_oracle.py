@@ -82,7 +82,6 @@ def test_network_matches_per_vertex_reference(edges, points):
             assert hexes(pl.xs) == hexes(xs) and hexes(pl.ys) == hexes(ys)
             assert hexes(pl.cumlen) == hexes(cumlen)
             assert hexes(pl.bearings) == hexes(bearings)
-            assert pl.vertices == tuple(map(PlanarPoint, xs, ys))
             for px, py in points + [(xs[0], ys[0]), (xs[-1] + 0.5, ys[-1])]:
                 d, foot, seg, arc = project_onto_polyline(PlanarPoint(px, py), pl)
                 rd, rfx, rfy, rseg, rarc = polyline_projection(px, py, xs, ys, cumlen)

@@ -1,5 +1,6 @@
-"""DBSCAN labels against the breadth-first and brute-force oracles, as
-Hypothesis properties.
+"""DBSCAN labels against the breadth-first and brute-force oracles, and the
+threshold detector against a record-at-a-time copy, as Hypothesis
+properties.
 
 On lattice point sets, points sit on a lattice of pitch H degrees, so
 repeated cells give duplicate points, and eps is an odd multiple of H/2,
@@ -14,12 +15,19 @@ force distance may round the other way.
 """
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from trajmatch.geo import GeoPoint
 from trajmatch.io import Trajectory, TrajectoryRecord
-from trajmatch.staypoint import DEGREE_EUCLIDEAN, METER_PLANAR, DbscanParams, dbscan
-from oracles import bfs_dbscan, brute_dbscan, brute_dbscan_labels, planar_coords
+from trajmatch.staypoint import (
+    DEGREE_EUCLIDEAN,
+    METER_PLANAR,
+    DbscanParams,
+    dbscan,
+    threshold_staypoint_detect,
+)
+from oracles import bfs_dbscan, brute_dbscan, brute_dbscan_labels, planar_coords, \
+    window_staypoints
 
 H = 1e-5
 
@@ -76,3 +84,29 @@ def test_dbscan_float_labels_with_eps_on_a_pair_distance(sample, bridge, rank, m
     labels, core = bfs_dbscan(coords, eps, min_pts)
     assert np.array_equal(got.core, core)
     assert np.array_equal(got.labels, labels)
+
+
+# A hop is a few meters (a dwell) or about 55 m (a move) against delta 10 m;
+# whole-second gaps, zero included, let runs last exactly tau.
+HOPS = st.tuples(st.sampled_from([0, 1, 2, 5, 10]),
+                 st.one_of(st.floats(-3e-5, 3e-5), st.sampled_from([5e-4, -5e-4])),
+                 st.floats(-3e-5, 3e-5))
+
+
+@example(hops=[], tau=5)                                   # a single point
+@example(hops=[(1, 0.0, 0.0)] * 5, tau=5)                  # a run lasting exactly tau
+@example(hops=[(1, 0.0, 0.0)] * 6, tau=5)
+@example(hops=[(0, 1e-5, 0.0)] * 8 + [(7, 0.0, 0.0)], tau=5)  # repeated timestamps
+@example(hops=[(3, 0.0, 0.0)] * 3 + [(1, 5e-4, 0.0)] + [(3, 0.0, 0.0)] * 3, tau=8)
+@settings(max_examples=300, deadline=None)
+@given(hops=st.lists(HOPS, max_size=40), tau=st.sampled_from([1, 5, 10, 20]))
+def test_threshold_detector_equals_record_loop(hops, tau):
+    rows = [(1000.0, 47.6, -122.3)]
+    for dt, dlat, dlon in hops:
+        t, lat, lon = rows[-1]
+        rows.append((t + dt, lat + dlat, lon + dlon))
+    t, lat, lon = zip(*rows)
+    traj = Trajectory.from_columns(t, lat, lon, np.arange(len(rows)))
+    got = [(s.x, s.y, s.t_a, s.t_l, s.member_count, s.cluster_id)
+           for s in threshold_staypoint_detect(traj, delta=10.0, tau=float(tau))]
+    assert got == window_staypoints(rows, 10.0, float(tau))
