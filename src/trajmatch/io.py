@@ -3,9 +3,11 @@
 Every file the package reads or writes goes through this module: inputs
 through `read_utf8`, outputs through `write_csv` and `write_lines`.
 
-Native formats (UTF-8, `#` comment lines ignored):
+Native formats (UTF-8, one leading byte-order mark dropped, `#` comment
+lines ignored):
   trajectory:  CSV, header `timestamp,lat,lon`; timestamps are ISO-8601 UTC
-               or finite epoch seconds, auto-detected per value.
+               or finite epoch seconds, auto-detected per value; like a WKT
+               coordinate, each of the three fields is ASCII without `_`.
   network:     CSV, header `edge_id,node_from,node_to,wkt`; geometry is a WKT
                LINESTRING with lon-lat vertex order, read strictly (see
                _parse_wkt_linestring) into flat vertex columns.
@@ -21,6 +23,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import compress, islice
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -148,11 +151,12 @@ class GroundTruthRoute:
 
 
 def read_utf8(path, parse):
-    """parse(fh) on the UTF-8 file at path, opened with newline="".
+    """parse(fh) on the UTF-8 file at path, opened with newline="". One
+    leading byte-order mark is dropped.
 
     Invalid UTF-8 and malformed CSV raise ParseError naming the file.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             return parse(fh)
         except UnicodeDecodeError as exc:
@@ -200,71 +204,160 @@ def _parse_timestamp(text: str) -> float:
     return dt.timestamp()
 
 
-def _read_records(fh):
-    """(1-based file line where the record starts, fields) of each CSV
-    record. A quoted field can hold line breaks, so a record can span
-    lines; only then is the file read a second time, for each record's
-    line."""
-    reader = csv.reader(fh)
-    rows = list(reader)
-    if reader.line_num == len(rows):  # one line per record
-        return enumerate(rows, start=1)
-    fh.seek(0)
-    reader = csv.reader(fh)
-    return zip([1] + [reader.line_num + 1 for _ in reader], rows)
+def _is_data(row) -> bool:
+    """Whether a CSV record is neither blank nor a `#` comment."""
+    return bool(row) and not row[0].lstrip().startswith("#")
 
 
-def _data_rows(path, columns):
-    """(1-based file line where the record starts, tuple of the fields of
-    columns) of each CSV record after the header, for two or more columns;
-    comment lines skipped. A row too short for every column raises
-    ParseError when iteration reaches it, so an earlier bad row still wins."""
-    rows = ((lineno, row) for lineno, row in read_utf8(path, _read_records)
-            if row and not row[0].lstrip().startswith("#"))
-    _, header = next(rows, (0, None))
+def _read_columns(path, columns):
+    """One list per name in columns (two or more) of that field of each data
+    record after the header, and the message for the first data record too
+    short for every column, or None; the lists end before that record.
+
+    Data records are those _is_data keeps. Fields go straight from
+    csv.reader into one flat list, so no record is kept; the first field
+    rides along so that comment records can be dropped after the read, and
+    only when a `#` occurs in it. The whole file is read before any header
+    or row is judged, so invalid UTF-8 or CSV anywhere wins.
+    """
+    def read(fh):
+        reader = csv.reader(fh)
+        header = next(filter(_is_data, reader), None)
+        names = [c.strip().lower() for c in header or ()]
+        idx = [names.index(k) for k in columns if k in names]
+        flat, short = [], None
+        if len(idx) == len(columns):
+            extend = flat.extend
+            pick = itemgetter(0, *idx)
+            for row in reader:
+                try:
+                    extend(pick(row))
+                except IndexError:
+                    if _is_data(row):
+                        missing = ", ".join(k for k, i in zip(columns, idx) if i >= len(row))
+                        short = (f"no field for {missing} "
+                                 f"(expected columns {','.join(columns)})")
+                        break
+        for _ in reader:
+            pass
+        return header, idx, flat, short
+
+    header, idx, flat, short = read_utf8(path, read)
     if header is None:
         raise ParseError(f"{path}: empty file")
-    header = [c.strip().lower() for c in header]
+    if len(idx) < len(columns):
+        raise ParseError(f"{path}: header must contain {','.join(columns)}")
+    width = len(columns) + 1
+    first, *cols = (flat[i::width] for i in range(width))
+    if "#" in "".join(first):
+        keep = [not f.lstrip().startswith("#") for f in first]
+        cols = [list(compress(c, keep)) for c in cols]
+    return cols, short
+
+
+def _record_lines(path, records) -> list[int]:
+    """The 1-based file line where each data record in records (numbered
+    from 0 after the header) starts. A quoted field can hold line breaks,
+    so a record can span lines; the file is read again to find them."""
+    def scan(fh):
+        reader = csv.reader(fh)
+        starts, start, last = [], 1, max(records) + 1  # starts[0] is the header's
+        for row in reader:
+            if _is_data(row):
+                starts.append(start)
+                if len(starts) > last:
+                    break
+            start = reader.line_num + 1
+        return [starts[r + 1] for r in records]
+    return read_utf8(path, scan)
+
+
+def _row_error(path, record, message) -> ParseError:
+    return ParseError(f"{path}: row {_record_lines(path, [record])[0]}: {message}")
+
+
+def _not_plain(text: str) -> bool:
+    """Whether text holds a `_` or a non-ASCII character: float() reads
+    `4_7.6` and `-1٢2.3`, but no number field or WKT coordinate may."""
+    return "_" in text or not text.isascii()
+
+
+def _check_number_text(name: str, text: str):
+    if _not_plain(text):
+        raise ParseError(f"{name} {text!r} has a non-ASCII character or '_'")
+
+
+def _first_not_plain(column: list[str]) -> int:
+    """The index of the first field of column that _not_plain, or
+    len(column); judged on the joined column when none is."""
+    if not _not_plain("".join(column)):
+        return len(column)
+    return next(i for i, text in enumerate(column) if _not_plain(text))
+
+
+def _check_trajectory_record(ts: str, lat: str, lon: str):
+    """Raise ValueError at the first fault of one record, in this order:
+    timestamp, lat, lon, each by _check_number_text and then by conversion,
+    then the coordinate range."""
+    _check_number_text("timestamp", ts)
+    _parse_timestamp(ts)
+    _check_number_text("lat", lat)
+    la = float(lat)
+    _check_number_text("lon", lon)
+    check_coordinate(la, float(lon))
+
+
+def _leading_floats(column, n, parse=None) -> list[float]:
+    """float() of column[:n], stopping before the first value float cannot
+    read; from there on, parse of each value (if given), stopping before the
+    first value it rejects."""
+    out = []
     try:
-        idx = [header.index(k) for k in columns]
+        out.extend(map(float, islice(column, n)))
     except ValueError:
-        raise ParseError(f"{path}: header must contain {','.join(columns)}") from None
-
-    last = max(idx)
-    pick = itemgetter(*idx)
-
-    def fields():
-        for lineno, row in rows:
-            if len(row) <= last:
-                missing = ", ".join(k for k, i in zip(columns, idx) if i >= len(row))
-                raise ParseError(f"{path}: row {lineno}: no field for {missing} "
-                                 f"(expected columns {','.join(columns)})")
-            yield lineno, pick(row)
-    return fields()
+        if parse is not None:
+            try:
+                for text in islice(column, len(out), n):
+                    out.append(parse(text))
+            except ValueError:
+                pass
+    return out
 
 
 def parse_trajectory(path, traj_id: str | None = None) -> Trajectory:
     """ParseError names the first row that does not parse; only then is the
-    time order checked."""
-    t, lat, lon, lines = [], [], [], []
-    for lineno, (ts, la, lo) in _data_rows(path, ("timestamp", "lat", "lon")):
+    time order checked.
+
+    Each column is converted whole, and the first bad record is the lowest
+    index any column check fails at; _check_trajectory_record then names
+    what is wrong with it.
+    """
+    (ts, lats, lons), short = _read_columns(path, ("timestamp", "lat", "lon"))
+    n = min(map(_first_not_plain, (ts, lats, lons)))
+    t = _leading_floats(ts, n, _parse_timestamp)
+    lat = _leading_floats(lats, len(t))
+    lon = _leading_floats(lons, len(lat))
+    n = len(lon)
+    t, lat, lon = np.array(t[:n]), np.array(lat[:n]), np.array(lon)
+    bad = np.flatnonzero(~(np.isfinite(t) & (-90.0 <= lat) & (lat <= 90.0)
+                           & (-180.0 <= lon) & (lon <= 180.0)))
+    n = int(bad[0]) if bad.size else n
+    if n < len(ts):
         try:
-            t.append(_parse_timestamp(ts))
-            lat.append(float(la))
-            lon.append(float(lo))
-            check_coordinate(lat[-1], lon[-1])
+            _check_trajectory_record(ts[n], lats[n], lons[n])
         except ValueError as exc:
-            raise ParseError(f"{path}: row {lineno}: {exc}")
-        lines.append(lineno)
-    if not t:
+            raise _row_error(path, n, exc) from None
+    if short:
+        raise _row_error(path, len(ts), short)
+    if not ts:
         raise ParseError(f"{path}: no data rows")
-    traj = Trajectory.from_columns(t, lat, lon, np.arange(len(t)), traj_id or str(path))
-    down = np.flatnonzero(np.diff(traj.t) < 0)
+    down = np.flatnonzero(np.diff(t) < 0)
     if down.size:
-        k = down[0]
-        raise ParseError(f"{path}: row {lines[k + 1]}: non-monotonic timestamp "
-                         f"{t[k + 1]!r} after {t[k]!r} on row {lines[k]}")
-    return traj
+        k = int(down[0])
+        before, after = _record_lines(path, [k, k + 1])
+        raise ParseError(f"{path}: row {after}: non-monotonic timestamp "
+                         f"{t[k + 1].item()!r} after {t[k].item()!r} on row {before}")
+    return Trajectory.from_columns(t, lat, lon, np.arange(len(t)), traj_id or str(path))
 
 
 def write_trajectory(traj: Trajectory, path):
@@ -303,9 +396,8 @@ def _parse_wkt_linestring(text: str, lon: list[float], lat: list[float]) -> int:
     if head.strip().lower() != "linestring" or not close or "(" in body or tail.strip():
         raise ParseError(_wkt_error(text))
     pairs = body.split(",")
-    if "_" in body or not body.isascii():
-        bad = next(pair for pair in pairs if "_" in pair or not pair.isascii())
-        raise ParseError(f"bad WKT coordinate {bad!r}")
+    if _not_plain(body):
+        raise ParseError(f"bad WKT coordinate {next(filter(_not_plain, pairs))!r}")
     x0 = y0 = None
     for pair in pairs:
         parts = pair.split()
@@ -323,27 +415,30 @@ def _parse_wkt_linestring(text: str, lon: list[float], lat: list[float]) -> int:
 
 
 def parse_road_network(path) -> RoadNetwork:
-    nodes_from, nodes_to, lon, lat, sizes = [], [], [], [], []
-    first_row: dict[str, int] = {}  # edge ids in file order
-    for lineno, (edge_id, node_from, node_to, wkt) in _data_rows(
-            path, ("edge_id", "node_from", "node_to", "wkt")):
+    (ids, nodes_from, nodes_to, wkts), short = _read_columns(
+        path, ("edge_id", "node_from", "node_to", "wkt"))
+    lon, lat, sizes = [], [], []
+    first_record: dict[str, int] = {}  # edge ids in file order
+    for k, (edge_id, wkt) in enumerate(zip(ids, wkts)):
         edge_id = edge_id.strip()
         try:
             size = _parse_wkt_linestring(wkt, lon, lat)
         except ValueError as exc:
-            raise ParseError(f"{path}: row {lineno}: {exc}")
+            raise _row_error(path, k, exc) from None
         if size < 2:
-            raise ParseError(f"{path}: row {lineno}: edge {edge_id!r} has <2 vertices")
-        if edge_id in first_row:
-            raise ParseError(f"{path}: row {lineno}: duplicate edge_id {edge_id!r} "
-                             f"(first at row {first_row[edge_id]})")
-        first_row[edge_id] = lineno
-        nodes_from.append(node_from.strip())
-        nodes_to.append(node_to.strip())
+            raise _row_error(path, k, f"edge {edge_id!r} has <2 vertices")
+        if edge_id in first_record:
+            first, this = _record_lines(path, [first_record[edge_id], k])
+            raise ParseError(f"{path}: row {this}: duplicate edge_id {edge_id!r} "
+                             f"(first at row {first})")
+        first_record[edge_id] = k
         sizes.append(size)
-    if not first_row:
+    if short:
+        raise _row_error(path, len(ids), short)
+    if not first_record:
         raise ParseError(f"{path}: no edges")
-    return _assemble(list(first_row), nodes_from, nodes_to, lon, lat, sizes)
+    return _assemble(list(first_record), [v.strip() for v in nodes_from],
+                     [v.strip() for v in nodes_to], lon, lat, sizes)
 
 
 def write_road_network(network: RoadNetwork, path):

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's own code paths.
 """
 
+import csv
 import math
+from datetime import datetime, timezone
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -48,6 +50,93 @@ def window_staypoints(rows, delta, tau):
         else:
             i += 1
     return out
+
+
+def _per_record_timestamp(text):
+    text = text.strip()
+    try:
+        value = float(text)
+    except ValueError:
+        pass
+    else:
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite timestamp {text!r}")
+        return value
+    try:
+        dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    except ValueError:
+        raise ValueError(f"unparseable timestamp {text!r}") from None
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt.timestamp()
+
+
+def per_record_trajectory(path):
+    """(t, lat, lon) lists of a trajectory CSV, read and checked one record
+    at a time; a fault raises ValueError with the message the library's
+    ParseError must carry.
+
+    The whole file is read first, so invalid UTF-8 or CSV anywhere wins.
+    Blank records and those whose first field starts with `#` are skipped;
+    the first one left is the header. Each record is checked in this order:
+    too short for a column, then timestamp, lat and lon (each ASCII without
+    `_`, then converted), then the coordinate range; its row is the file
+    line where it starts. The time order is checked last.
+    """
+    columns = ("timestamp", "lat", "lon")
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            records, start = [], 1
+            for row in reader:
+                records.append((start, row))
+                start = reader.line_num + 1
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8: {exc}") from None
+    except csv.Error as exc:
+        raise ValueError(f"{path}: malformed CSV: {exc}") from None
+    records = [(line, row) for line, row in records
+               if row and not row[0].lstrip().startswith("#")]
+    if not records:
+        raise ValueError(f"{path}: empty file")
+    header = [c.strip().lower() for c in records[0][1]]
+    if any(k not in header for k in columns):
+        raise ValueError(f"{path}: header must contain timestamp,lat,lon")
+    idx = [header.index(k) for k in columns]
+    t, lat, lon, lines = [], [], [], []
+    for line, row in records[1:]:
+        if len(row) <= max(idx):
+            missing = ", ".join(k for k, i in zip(columns, idx) if i >= len(row))
+            raise ValueError(f"{path}: row {line}: no field for {missing} "
+                             "(expected columns timestamp,lat,lon)")
+        values = []
+        try:
+            for name, i in zip(columns, idx):
+                text = row[i]
+                if "_" in text or not text.isascii():
+                    raise ValueError(f"{name} {text!r} has a non-ASCII character or '_'")
+                values.append(_per_record_timestamp(text) if name == "timestamp"
+                              else float(text))
+            la, lo = values[1:]
+            if not (math.isfinite(la) and math.isfinite(lo)):
+                raise ValueError(f"non-finite coordinate ({la}, {lo})")
+            if not -90.0 <= la <= 90.0:
+                raise ValueError(f"latitude {la} out of [-90, 90]")
+            if not -180.0 <= lo <= 180.0:
+                raise ValueError(f"longitude {lo} out of [-180, 180]")
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {line}: {exc}") from None
+        t.append(values[0])
+        lat.append(la)
+        lon.append(lo)
+        lines.append(line)
+    if not t:
+        raise ValueError(f"{path}: no data rows")
+    for k in range(1, len(t)):
+        if t[k] < t[k - 1]:
+            raise ValueError(f"{path}: row {lines[k]}: non-monotonic timestamp {t[k]!r} "
+                             f"after {t[k - 1]!r} on row {lines[k - 1]}")
+    return t, lat, lon
 
 
 def sampled_segment_distance(px, py, ax, ay, bx, by, samples=1001):

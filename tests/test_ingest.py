@@ -351,3 +351,94 @@ def test_parse_network_first_bad_row_wins(tmp_path):
     with pytest.raises(ParseError) as err:
         parse_road_network(p)
     assert str(err.value) == f"{p}: row 3: latitude 91.0 out of [-90, 90]"
+
+
+BOM = "\ufeff"
+
+
+def test_parse_trajectory_reads_a_byte_order_mark(tmp_path):
+    p = write(tmp_path / "t.csv", BOM + "timestamp,lat,lon\n0,47.0,-122.0\n1,47.001,-122.0\n")
+    assert parse_trajectory(p).lat.tolist() == [47.0, 47.001]
+
+
+def test_parse_network_reads_a_byte_order_mark(tmp_path):
+    net = parse_road_network(write(tmp_path / "n.csv", BOM + NET_CSV))
+    assert set(net.edges) == {"e1", "e2"}
+
+
+def test_read_ids_reads_a_byte_order_mark(tmp_path):
+    net = parse_road_network(write(tmp_path / "n.csv", NET_CSV))
+    p = write(tmp_path / "truth.txt", BOM + "e1\ne2\n")
+    assert parse_ground_truth(p, net).edge_ids == ("e1", "e2")
+
+
+def test_only_one_byte_order_mark_is_dropped(tmp_path):
+    p = write(tmp_path / "t.csv", BOM + BOM + "timestamp,lat,lon\n0,47.0,-122.0\n")
+    with pytest.raises(ParseError, match="header must contain timestamp,lat,lon"):
+        parse_trajectory(p)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1,4_7.6,-122.3", "lat '4_7.6' has a non-ASCII character or '_'"),
+    ("1_0,47.6,-122.3", "timestamp '1_0' has a non-ASCII character or '_'"),
+    ("1,47.6,-1٢2.3", "lon '-1٢2.3' has a non-ASCII character or '_'"),
+    ("1,47.6,\u2003-122.3", "lon '\\u2003-122.3' has a non-ASCII character or '_'"),
+    ("2020-01-01_00:00:01,47.6,-122.3",
+     "timestamp '2020-01-01_00:00:01' has a non-ASCII character or '_'"),
+])
+def test_parse_trajectory_numbers_follow_the_wkt_rule(tmp_path, capsys, row, message):
+    # float() reads every one of these; a later bad row and an earlier
+    # decrease do not change which row is named
+    from trajmatch.cli import main
+
+    p = write(tmp_path / "t.csv", f"timestamp,lat,lon\n5,47.6,-122.3\n{row}\n9,x,-122.3\n")
+    with pytest.raises(ParseError) as err:
+        parse_trajectory(p)
+    assert str(err.value) == f"{p}: row 3: {message}"
+    assert main(["staypoints", "--traj", str(p), "--eps", "0.00004", "--min-pts", "3",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"row 3: {message}" in capsys.readouterr().err
+
+
+def test_parse_trajectory_rule_is_checked_field_by_field(tmp_path):
+    # an unparseable timestamp comes before an underscore in lat
+    p = write(tmp_path / "t.csv", "timestamp,lat,lon\nx,4_7.6,-122.3\n")
+    with pytest.raises(ParseError, match="row 2: unparseable timestamp 'x'"):
+        parse_trajectory(p)
+
+
+@pytest.fixture
+def csv_readers(monkeypatch):
+    """The number of csv.reader objects made since the fixture began."""
+    from trajmatch import io
+
+    made = []
+
+    def counting(*args, **kwargs):
+        made.append(1)
+        return csv_reader(*args, **kwargs)
+
+    csv_reader = io.csv.reader
+    monkeypatch.setattr(io.csv, "reader", counting)
+    return made
+
+
+def test_a_valid_file_is_read_once(tmp_path, csv_readers):
+    parse_trajectory(write(tmp_path / "t.csv", 'timestamp,lat,lon\n"0\n",47.0,-122.0\n'
+                                               "# note\n1,47.0,-122.0\n"))
+    assert len(csv_readers) == 1
+    parse_road_network(write(tmp_path / "n.csv", NET_CSV))
+    assert len(csv_readers) == 2
+
+
+@pytest.mark.parametrize("text, reads", [
+    ("timestamp,lat,lon\n0,47.0,-122.0\n1,91.0,-122.0\n", 2),   # names a row
+    ("timestamp,lat,lon\n1,47.0,-122.0\n0,47.0,-122.0\n", 2),   # names two rows
+    ("timestamp,lat,lon\n0,47.0,-122.0\n1,47.0\n", 2),          # short row
+    ("time,lat,lon\n0,47.0,-122.0\n", 1),                       # no row named
+    ("timestamp,lat,lon\n", 1),
+])
+def test_rows_are_located_by_a_second_read_on_error_only(tmp_path, csv_readers, text, reads):
+    with pytest.raises(ParseError):
+        parse_trajectory(write(tmp_path / "t.csv", text))
+    assert len(csv_readers) == reads
