@@ -5,15 +5,16 @@ perpendicular distance (meters) and heading error (degrees), onto a 0-100
 likelihood scale. It can be overridden from a YAML config file.
 
 A RuleBase is compiled when it is built: the output grid and each rule's
-consequent sampled on it, and its antecedents (one flat membership vector,
-an index tuple per rule, and each input's flat intervals, where every label
-is exactly 0 or 1) are computed once. evaluate_rows, the one evaluator,
-takes rows as tuples in the rule base's input order; a row inside flat
-intervals gets its rule strengths with no label call, and a row whose
-strengths are all saturated gets its output from a table. Inference only
-clips, takes the pointwise max and computes the centroid. evaluate takes
-one row as a mapping from input name to value. Changing a rule base's
-rules or labels after construction is not supported.
+consequent sampled on it, its antecedents (one flat membership vector, an
+index tuple per rule, and each input's flat intervals, where every label is
+exactly 0 or 1) and a table of the crisp output of every combination of
+flat intervals are computed once. evaluate_rows, the one evaluator, takes
+rows as tuples in the rule base's input order; a row inside flat intervals
+gets its output from the table with no label call, and only the other rows
+go through the array pass, which clips, takes the pointwise max and
+computes the centroid. evaluate takes one row as a mapping from input name
+to value. Changing a rule base's rules or labels after construction is not
+supported.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import chain, product
 from operator import itemgetter
 
 import numpy as np
@@ -131,6 +133,8 @@ class FuzzyVariable:
     labels: dict[str, MembershipFunction]
 
     def __post_init__(self):
+        if not self.labels:
+            raise ValueError(f"variable {self.name!r} has no labels")
         lo, hi = self.universe
         if not lo < hi:
             raise ValueError("universe min must be below max")
@@ -170,13 +174,12 @@ class RuleBase:
         sampled = {label: mf(self._grid) for label, mf in self.output.labels.items()}
         self._consequents = np.array([sampled[rule.consequent] for rule in self.rules]
                                      ).reshape(len(self.rules), DEFUZZ_SAMPLES)
-        self._weights = tuple(rule.weight for rule in self.rules)
-        # crisp output per saturated strength tuple (see evaluate_rows)
-        self._saturated: dict[tuple[float, ...], float] = {}
         self._compile_antecedents()
-        # strength tuple per membership vector of a row whose every input
-        # lies inside a flat interval (see evaluate_rows)
-        self._flat_keys: dict[tuple[float, ...], tuple[float, ...]] = {}
+        # crisp output per membership vector of a row whose every input lies
+        # inside a flat interval (see evaluate_rows)
+        flat = [tuple(chain.from_iterable(values for _, _, values in cell))
+                for cell in product(*(flat for *_, flat in self._columns))]
+        self._flat_outputs = dict(zip(flat, _outputs(self, flat)))
 
     def _compile_antecedents(self):
         """Flatten the labels the rules use into one membership vector.
@@ -249,37 +252,24 @@ def evaluate(rules: RuleBase, crisp_inputs: Mapping[str, float]) -> float:
 
 
 def evaluate_rows(rules: RuleBase, rows: Iterable[Sequence[float]]) -> list[float]:
-    """Crisp outputs for many input rows, a chunk of rows per array pass.
+    """Crisp outputs for many input rows.
 
     Rows are read once, in order, so an iterator of rows is never held
-    whole. A row holds one crisp value per input, in `rules.input_names` order.
-    Its rule strengths come from the compiled antecedents: each value is
-    clamped to its universe, and one that lies strictly inside a flat
-    interval takes that interval's memberships with no label call. Each
-    strength is the min over its rule's memberships times its weight.
+    whole. A row holds one crisp value per input, in `rules.input_names`
+    order. Its membership vector comes from the compiled antecedents: each
+    value is clamped to its universe, and one that lies strictly inside a
+    flat interval takes that interval's memberships with no label call.
 
-    Each pass clips every consequent at every row's firing strength in one
-    (rows x rules x DEFUZZ_SAMPLES) np.minimum and aggregates by the max over
-    rules from an initial 0, so a rule of strength <= 0 does not fire. The
-    output is the aggregate's centroid on the output grid, or the universe
-    midpoint when its mass is 0. It is the same in any pass: max is exact in
-    any order, and numpy sums each row of a C-ordered array as it sums a 1-D
-    array. A pass holds at most BATCH_CELLS (row, rule) pairs, so memory
-    stays bounded for any number of rows.
-
-    An output is thus a pure function of its row's strengths, whatever
-    batch, position or pass the row is in, so the rule base keeps the
-    outputs of saturated rows, whose every strength is 0 or its rule's
-    weight, and only other rows go through the array pass. There are at
-    most 2 ** rules saturated tuples and in practice a few: one per region
-    of the inputs where every label is exactly 0 or 1.
+    A row's output is a pure function of its membership vector (see
+    _outputs), so a vector in the rule base's table of flat rows, built
+    with the rule base, takes its output from there: every row whose inputs
+    all lie in flat intervals does. The other rows go through the array
+    pass together. The rule base is only read.
     """
-    columns, terms, weights = rules._columns, rules._terms, rules._weights
-    flat_keys = rules._flat_keys
-    keys = []
+    columns, table = rules._columns, rules._flat_outputs
+    out, misses, vectors = [], [], []
     for row in rows:
         memberships = ()
-        varies = False
         for x, (lo, hi, labels, flat) in zip(row, columns, strict=True):
             for p, q, values in flat:
                 if p < x < q:
@@ -288,32 +278,48 @@ def evaluate_rows(rules: RuleBase, rows: Iterable[Sequence[float]]) -> list[floa
             else:
                 x = min(hi, max(lo, x))
                 memberships += tuple([label(x) for label in labels])
-                varies = True
-        key = None if varies else flat_keys.get(memberships)
-        if key is None:
-            key = tuple([min(get(memberships)) * w for get, w in terms])
-            if not varies:
-                flat_keys[memberships] = key
-        keys.append(key)
-    table = rules._saturated
-    out = [table.get(key) for key in keys]
-    misses = [i for i, value in enumerate(out) if value is None]
+        value = table.get(memberships)
+        if value is None:
+            misses.append(len(out))
+            vectors.append(memberships)
+        out.append(value)
+    for i, value in zip(misses, _outputs(rules, vectors)):
+        out[i] = value
+    return out
+
+
+def _outputs(rules: RuleBase, vectors: list[tuple[float, ...]]) -> list[float]:
+    """The crisp output of each membership vector, a chunk per array pass.
+
+    A rule's strength is the min over its antecedent's memberships times its
+    weight. Each pass clips every consequent at every row's firing strength
+    in one (rows x rules x DEFUZZ_SAMPLES) np.minimum and aggregates by the
+    max over rules from an initial 0, so a rule of strength <= 0 does not
+    fire. The output is the aggregate's centroid on the output grid, or the
+    universe midpoint when its mass is 0. It is the same in any pass: max
+    is exact in any order, and numpy sums each row of a C-ordered array as
+    it sums a 1-D array. A pass holds at most BATCH_CELLS (row, rule) pairs,
+    so memory stays bounded for any number of rows.
+    """
+    terms = rules._terms
     n_rules = len(terms)
     chunk = max(1, BATCH_CELLS // max(1, n_rules))
     lo, hi = rules.output.universe
-    for first in range(0, len(misses), chunk):
-        part = misses[first:first + chunk]
-        strengths = np.array([keys[i] for i in part]).reshape(len(part), n_rules, 1)
+    out = []
+    for first in range(0, len(vectors), chunk):
+        part = vectors[first:first + chunk]
+        # not reshape(-1, ...): with no rules the array is empty and -1 has
+        # no size to infer
+        strengths = np.array([[min(get(m)) * w for get, w in terms] for m in part]
+                             ).reshape(len(part), n_rules, 1)
         clipped = np.minimum(rules._consequents, strengths)
         # ufunc reduce, not np.max/np.sum: their argument handling costs a
         # one-row call (evaluate) about a fifth of its time
         agg = np.maximum.reduce(clipped, axis=1, initial=0.0)
         masses = np.add.reduce(agg, axis=1).tolist()
         moments = np.add.reduce(rules._grid * agg, axis=1).tolist()
-        for i, mass, moment in zip(part, masses, moments):
-            out[i] = (lo + hi) / 2.0 if mass <= 0.0 else moment / mass
-            if all(s == 0.0 or s == w for s, w in zip(keys[i], weights)):
-                table[keys[i]] = out[i]
+        out += [(lo + hi) / 2.0 if mass <= 0.0 else moment / mass
+                for mass, moment in zip(masses, moments)]
     return out
 
 
@@ -381,10 +387,9 @@ def _variable_from_config(name: str, node, where: str) -> FuzzyVariable:
     universe = _numbers(_field(node, "universe", list, where), f"{where}.universe")
     _known(node, ("universe", "labels"), where)
     try:
-        lo, hi = universe
-        return FuzzyVariable(name, (lo, hi), labels)
+        return FuzzyVariable(name, universe, labels)
     except ValueError as exc:
-        raise ValueError(f"{where}.universe: {exc}") from None
+        raise ValueError(f"{where}.{'universe' if labels else 'labels'}: {exc}") from None
 
 
 def rule_base_from_config(node: Mapping) -> RuleBase:

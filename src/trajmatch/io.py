@@ -23,7 +23,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import compress, islice
+from itertools import chain, compress
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -287,14 +287,6 @@ def _check_number_text(name: str, text: str):
         raise ParseError(f"{name} {text!r} has a non-ASCII character or '_'")
 
 
-def _first_not_plain(column: list[str]) -> int:
-    """The index of the first field of column that _not_plain, or
-    len(column); judged on the joined column when none is."""
-    if not _not_plain("".join(column)):
-        return len(column)
-    return next(i for i, text in enumerate(column) if _not_plain(text))
-
-
 def _check_trajectory_record(ts: str, lat: str, lon: str):
     """Raise ValueError at the first fault of one record, in this order:
     timestamp, lat, lon, each by _check_number_text and then by conversion,
@@ -307,50 +299,49 @@ def _check_trajectory_record(ts: str, lat: str, lon: str):
     check_coordinate(la, float(lon))
 
 
-def _leading_floats(column, n, parse=None) -> list[float]:
-    """float() of column[:n], stopping before the first value float cannot
-    read; from there on, parse of each value (if given), stopping before the
-    first value it rejects."""
-    out = []
+def _trajectory_columns(ts, lats, lons):
+    """The float64 columns t, lat, lon of a trajectory's fields, or None
+    when some record fails _check_trajectory_record. Each check runs on
+    whole columns: the plain-text rule on the joined fields, float() over
+    each column (a timestamp column that float rejects is read again with
+    _parse_timestamp), then finiteness and the coordinate ranges."""
+    if _not_plain("".join(chain(ts, lats, lons))):
+        return None
     try:
-        out.extend(map(float, islice(column, n)))
+        lat, lon = np.array(list(map(float, lats))), np.array(list(map(float, lons)))
+        try:
+            t = np.array(list(map(float, ts)))
+        except ValueError:
+            t = np.array(list(map(_parse_timestamp, ts)))
     except ValueError:
-        if parse is not None:
-            try:
-                for text in islice(column, len(out), n):
-                    out.append(parse(text))
-            except ValueError:
-                pass
-    return out
+        return None
+    if not np.all(np.isfinite(t) & (-90.0 <= lat) & (lat <= 90.0)
+                  & (-180.0 <= lon) & (lon <= 180.0)):
+        return None
+    return t, lat, lon
 
 
 def parse_trajectory(path, traj_id: str | None = None) -> Trajectory:
     """ParseError names the first row that does not parse; only then is the
     time order checked.
 
-    Each column is converted whole, and the first bad record is the lowest
-    index any column check fails at; _check_trajectory_record then names
-    what is wrong with it.
+    The columns are converted and checked whole; only when that finds a
+    fault are the records walked in order, and _check_trajectory_record
+    names the first bad one.
     """
     (ts, lats, lons), short = _read_columns(path, ("timestamp", "lat", "lon"))
-    n = min(map(_first_not_plain, (ts, lats, lons)))
-    t = _leading_floats(ts, n, _parse_timestamp)
-    lat = _leading_floats(lats, len(t))
-    lon = _leading_floats(lons, len(lat))
-    n = len(lon)
-    t, lat, lon = np.array(t[:n]), np.array(lat[:n]), np.array(lon)
-    bad = np.flatnonzero(~(np.isfinite(t) & (-90.0 <= lat) & (lat <= 90.0)
-                           & (-180.0 <= lon) & (lon <= 180.0)))
-    n = int(bad[0]) if bad.size else n
-    if n < len(ts):
-        try:
-            _check_trajectory_record(ts[n], lats[n], lons[n])
-        except ValueError as exc:
-            raise _row_error(path, n, exc) from None
+    columns = _trajectory_columns(ts, lats, lons)
+    if columns is None:
+        for n, record in enumerate(zip(ts, lats, lons)):
+            try:
+                _check_trajectory_record(*record)
+            except ValueError as exc:
+                raise _row_error(path, n, exc) from None
     if short:
         raise _row_error(path, len(ts), short)
     if not ts:
         raise ParseError(f"{path}: no data rows")
+    t, lat, lon = columns
     down = np.flatnonzero(np.diff(t) < 0)
     if down.size:
         k = int(down[0])

@@ -298,6 +298,15 @@ def test_config_rule_base_extra_input(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_config_rule_base_without_rules_scores_every_link_50(tmp_path):
+    doc = dict(DEFAULT_CONFIG, rules=[])
+    assert _match_with_config(tmp_path, yaml.safe_dump({"rule_base": doc})) == 0
+    lines = (tmp_path / "out" / "matched.csv").read_text().splitlines()
+    likelihood = lines[0].split(",").index("likelihood")
+    assert len(lines) == 402
+    assert {line.split(",")[likelihood] for line in lines[1:]} == {"50.0"}
+
+
 def test_config_he_before_pd_matches_like_pd_first(tmp_path, monkeypatch):
     # Compiled rows follow the rule base's own input order, so a config that
     # lists he first scores (he, pd) rows and matches exactly as pd-first.

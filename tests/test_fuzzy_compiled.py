@@ -8,10 +8,13 @@ coarse lattice that the crisp inputs also hit exactly, shoulders (a == b,
 c == d), weights below 1 and one-input rules, and compare every output with
 `oracles.numpy_mamdani` bit for bit. They also check that a row's output
 does not depend on the batch it is in, its position there or where the
-array passes split the batch.
+array passes split the batch, and that the table of flat rows built with
+the rule base holds the oracle's output for every combination of flat
+intervals.
 """
 
 import math
+from itertools import chain, product
 from unittest import mock
 
 from hypothesis import given, settings
@@ -82,7 +85,7 @@ def test_generated_rule_bases_equal_numpy_oracle(config, values):
     want = [numpy_mamdani(config, row) for row in rows]
     # compiled rows are tuples in the rule base's own input order
     assert evaluate_rows(rb, [tuple(row[n] for n in rb.input_names) for row in rows]) == want
-    assert [evaluate(rb, row) for row in rows] == want  # now partly from the table
+    assert [evaluate(rb, row) for row in rows] == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -100,6 +103,23 @@ def test_row_output_independent_of_batch_position_and_passes(config, values, cel
         assert evaluate_rows(rb, [rows[i] for i in order]) == [alone[i] for i in order]
         assert evaluate_rows(rule_base_from_config(config),
                              [rows[i] for i in order]) == [alone[i] for i in order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=configs())
+def test_flat_table_holds_oracle_output_of_each_cell(config):
+    rb = rule_base_from_config(config)
+    flats = [flat for *_, flat in rb._columns]
+    # one entry per combination of each input's distinct flat memberships
+    assert len(rb._flat_outputs) == math.prod(len({v for *_, v in flat}) for flat in flats)
+    for cell in product(*flats):
+        # a point strictly inside every interval; lattice cuts lie in [0, 100]
+        row = {name: (max(p, -1e3) + min(q, 1e3)) / 2
+               for name, (p, q, _) in zip(rb.input_names, cell)}
+        key = tuple(chain.from_iterable(values for *_, values in cell))
+        assert rb._flat_outputs[key] == numpy_mamdani(config, row)
+    with mock.patch.object(fuzzy, "BATCH_CELLS", 1):
+        assert rule_base_from_config(config)._flat_outputs == rb._flat_outputs
 
 
 @settings(max_examples=500, deadline=None)

@@ -3,9 +3,10 @@
 `evaluate`, `evaluate_rows` and `MembershipFunction.scalar` must equal the
 oracles in tests/oracles.py bit for bit, so these tests compare with ==,
 whether a row's output comes from the array pass or from the rule base's
-table of saturated rows.
+table of flat rows.
 """
 
+import pickle
 import random
 
 import pytest
@@ -139,54 +140,62 @@ def test_evaluate_batch_spans_chunks():
     assert evaluate_batch(default_rule_base(), []) == []
 
 
-# Rows whose every rule strength is 0 or its rule's weight (saturated), and
-# rows that are not, on both rule bases.
-SATURATED_ROWS = [{"pd": 0.0, "he": 0.0}, {"pd": 100.0, "he": 180.0},
-                  {"pd": -5.0, "he": 250.0}, {"pd": 120.0, "he": -3.0}]
+# Rows the flat tables of both rule bases serve: each input lies strictly
+# inside a flat interval, or clamps onto the mixed base's pd shoulder at 0,
+# where every label is exactly 0 or 1. Then rows that are not flat; the last
+# lies on breakpoints where the default base's labels are exactly 0 or 1.
+FLAT_ROWS = [{"pd": 5.0, "he": 5.0}, {"pd": 100.0, "he": 170.0},
+             {"pd": -5.0, "he": 250.0}, {"pd": 120.0, "he": -3.0}]
 PARTIAL_ROWS = [{"pd": 20.0, "he": 0.0}, {"pd": 0.0, "he": 37.5},
-                {"pd": 33.3, "he": 44.4}, {"pd": 50.0, "he": 40.0}]
-
-
-def _saturated(key, rb):
-    return all(s == 0.0 or s == rule.weight for s, rule in zip(key, rb.rules))
+                {"pd": 33.3, "he": 44.4}, {"pd": 50.0, "he": 40.0},
+                {"pd": 10.0, "he": 60.0}]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_saturated_table_hits_and_misses_in_one_batch(name, monkeypatch):
+def test_flat_table_and_array_pass_in_one_batch(name, monkeypatch):
     rb = rule_base_from_config(CONFIGS[name])
-    want = {i: numpy_mamdani(CONFIGS[name], row)
-            for i, row in enumerate(SATURATED_ROWS + PARTIAL_ROWS)}
-    assert evaluate_batch(rb, SATURATED_ROWS) == [want[i] for i in range(4)]
-    table = dict(rb._saturated)
-    assert 0 < len(table) <= len(SATURATED_ROWS) and all(_saturated(k, rb) for k in table)
-    # the partial rows miss and stay out of the table
-    rows = [r for pair in zip(PARTIAL_ROWS, SATURATED_ROWS) for r in pair]
-    order = [i for pair in zip(range(4, 8), range(4)) for i in pair]
-    assert evaluate_batch(rb, rows) == [want[i] for i in order]
-    assert rb._saturated == table
-    # a batch of hits only does no array work
+    before = pickle.dumps(rb)
+    flat = [numpy_mamdani(CONFIGS[name], row) for row in FLAT_ROWS]
+    partial = [numpy_mamdani(CONFIGS[name], row) for row in PARTIAL_ROWS]
+    assert evaluate_batch(rb, FLAT_ROWS) == flat
+    rows = [r for pair in zip(PARTIAL_ROWS, FLAT_ROWS * 2) for r in pair]
+    assert evaluate_batch(rb, rows) == [v for pair in zip(partial, flat * 2) for v in pair]
+    # evaluate_rows only reads the rule base
+    assert pickle.dumps(rb) == before
+    # a batch of flat rows only does no array work
     monkeypatch.setattr(fuzzy, "np", None)
-    assert evaluate_batch(rb, SATURATED_ROWS[::-1]) == [want[i] for i in range(3, -1, -1)]
+    assert evaluate_batch(rb, FLAT_ROWS[::-1]) == flat[::-1]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_saturated_table_same_before_and_after_fill(name):
+def test_outputs_same_one_by_one_and_batched(name):
     rng = random.Random(24)
     rows = [{"pd": rng.choice([-1.0, 0.0, 5.0, 45.0, 100.0, 150.0, rng.uniform(0, 100)]),
              "he": rng.choice([-1.0, 0.0, 5.0, 95.0, 180.0, 200.0, rng.uniform(0, 180)])}
             for _ in range(200)]
     want = [numpy_mamdani(CONFIGS[name], row) for row in rows]
     rb = rule_base_from_config(CONFIGS[name])
+    table = dict(rb._flat_outputs)
     assert [evaluate(rb, row) for row in rows] == want
-    assert rb._saturated
     assert evaluate_batch(rb, rows) == want
     assert [evaluate(rb, row) for row in rows] == want
+    assert rb._flat_outputs == table
 
 
-def test_saturated_table_stays_small():
+def test_default_flat_table_has_four_entries():
+    # pd and he each have two flat intervals: below and above both ramps
     rb = default_rule_base()
+    assert len(rb._flat_outputs) == 4
+    before = pickle.dumps(rb)
     rng = random.Random(25)
-    rows = [{"pd": rng.uniform(-20, 150), "he": rng.uniform(-20, 200)} for _ in range(10_000)]
-    evaluate_batch(rb, rows)
-    assert 0 < len(rb._saturated) <= 16
-    assert all(_saturated(key, rb) for key in rb._saturated)
+    evaluate_batch(rb, [{"pd": rng.uniform(-20, 150), "he": rng.uniform(-20, 200)}
+                        for _ in range(10_000)])
+    assert pickle.dumps(rb) == before
+
+
+def test_rule_base_without_rules_scores_the_midpoint():
+    config = dict(MIXED_CONFIG, rules=[])
+    rows = [{"pd": pd, "he": he} for pd in (-5.0, 0.0, 20.0, 50.0, 95.0)
+            for he in (0.0, 45.0, 200.0)]
+    assert evaluate_batch(rule_base_from_config(config), rows) == [50.0] * len(rows)
+    assert {numpy_mamdani(config, row) for row in rows} == {50.0}

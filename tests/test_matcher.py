@@ -354,6 +354,12 @@ def test_load_matcher_config_rule_base(tmp_path):
     ("weight: 0.5", "weigth: 0.5", "rules[1].weigth: unknown key"),
     ("shape: z,", "shape: z, param: 1,", "inputs.pd.labels.short.param: unknown key"),
     ("  rules:\n", "  rule:\n", "rule_base: rule: unknown key"),
+    ("labels:\n        short: {shape: z, params: [10.0, 40.0]}\n"
+     "        long: {shape: s, params: [10.0, 40.0]}\n", "labels: {}\n",
+     "inputs.pd.labels: variable 'pd' has no labels"),
+    ("labels:\n      low: {shape: triangular, params: [0.0, 0.0, 60.0]}\n"
+     "      high: {shape: triangular, params: [40.0, 100.0, 100.0]}\n", "labels: {}\n",
+     "output.labels: variable 'likelihood' has no labels"),
 ])
 def test_load_matcher_config_names_bad_key(tmp_path, old, new, named):
     assert old in RULE_BASE_YAML
