@@ -3,7 +3,7 @@
 from .geo import (
     GeoPoint,
     PlanarPoint,
-    Polyline,
+    Polylines,
     Projection,
     bearing,
     haversine_distance,
@@ -12,7 +12,6 @@ from .geo import (
 )
 from .io import (
     GroundTruthRoute,
-    RoadEdge,
     RoadNetwork,
     Trajectory,
     TrajectoryRecord,

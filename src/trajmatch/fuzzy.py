@@ -187,11 +187,12 @@ class RuleBase:
         Per input, in `input_names` order: its universe, the `scalar` of each
         used label and its flat intervals, the open intervals between label
         parameters where every used label is exactly 0.0 or 1.0, with those
-        values. An interval that holds an end of the universe is extended to
-        infinity on that side, since a value beyond it clamps into the
-        interval. Per rule: an itemgetter of its antecedent's vector indices
-        (the one index twice for a one-input rule, so it always returns a
-        tuple) and its weight.
+        values. An interval that holds an end of the universe, or ends on it
+        where every used label's `scalar` equals the interval's values, is
+        extended to infinity on that side, since a value at or beyond that
+        end clamps to it and takes those values. Per rule: an itemgetter of
+        its antecedent's vector indices (the one index twice for a one-input
+        rule, so it always returns a tuple) and its weight.
         """
         self.input_names = tuple(self.inputs)
         used = {term for rule in self.rules for term in rule.antecedent}
@@ -205,10 +206,12 @@ class RuleBase:
             lo, hi = var.universe
             cuts = sorted({x for mf in mfs for x in mf.params})
             flat = []
+            at_lo, at_hi = (tuple(mf.scalar(end) for mf in mfs) for end in (lo, hi))
             for p, q in zip([-math.inf, *cuts], [*cuts, math.inf]):
                 values = tuple(_flat_value(mf, p, q) for mf in mfs)
                 if p < hi and q > lo and None not in values:
-                    flat.append((-math.inf if p < lo else p, math.inf if q > hi else q, values))
+                    flat.append((-math.inf if p <= lo and at_lo == values else p,
+                                 math.inf if q >= hi and at_hi == values else q, values))
             self._columns.append((lo, hi, tuple(mf.scalar for mf in mfs), tuple(flat)))
         self._terms = []
         for rule in self.rules:

@@ -1,6 +1,7 @@
-"""Planar geometry primitives, local projection, polylines held as columns
-of floats, and a k-d tree index over points sampled along each segment,
-built in time linear in edge length.
+"""Planar geometry primitives, local projection, a batch of polylines held
+as one set of flat vertex columns with per-chain offsets, and a k-d tree
+index over points sampled along each segment, built in time linear in edge
+length.
 
 All planar math happens in a local equirectangular frame (meters east/north
 of a declared origin). The study areas this targets span well under a degree,
@@ -10,9 +11,9 @@ where the planar error is negligible.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -69,62 +70,54 @@ class InvalidPolylineError(ValueError):
         self.index = index
 
 
-class Polyline:
-    """An ordered planar vertex chain with no repeated consecutive vertices,
-    held as tuples of floats: the vertex coordinates `xs` and `ys`, the
-    arc length `cumlen` up to each vertex and the compass `bearings` of each
-    segment. The constructor checks nothing; `polylines` builds checked
-    ones."""
+class Polylines:
+    """A batch of ordered planar vertex chains with no repeated consecutive
+    vertices, held as flat tuples: the vertex coordinates `x` and `y`, the
+    arc length `cumlen` up to each vertex along its chain (0 at each chain's
+    first vertex), the compass `bearings` of each segment, and `start`, one
+    offset per chain and the total. Chain i holds vertices start[i] to
+    start[i + 1] - 1 and segments start[i] - i to start[i + 1] - i - 2.
+    The constructor checks nothing; `polylines` builds checked batches."""
 
-    __slots__ = ("xs", "ys", "cumlen", "bearings")
+    __slots__ = ("x", "y", "cumlen", "bearings", "start")
 
-    def __init__(self, xs, ys, cumlen, bearings):
-        self.xs, self.ys, self.cumlen, self.bearings = xs, ys, cumlen, bearings
-
-    @property
-    def length(self) -> float:
-        return self.cumlen[-1]
-
-    def __len__(self):
-        return len(self.xs)
+    def __init__(self, x, y, cumlen, bearings, start):
+        self.x, self.y, self.cumlen, self.bearings, self.start = x, y, cumlen, bearings, start
 
 
-def polylines(x, y, sizes) -> list[Polyline]:
-    """Polylines over flat vertex columns, the i-th over the next sizes[i]
+def polylines(x, y, sizes) -> Polylines:
+    """The batch over flat vertex columns, chain i over the next sizes[i]
     vertices. Every check runs once over the arrays, and the first chain that
     is no polyline raises InvalidPolylineError.
 
     Segment lengths and bearings are computed with `math` on Python floats,
     so they equal math.hypot and bearing() of each segment bit for bit (numpy's
-    hypot and arctan2 differ from them in the last bit on some inputs).
+    hypot and arctan2 differ from them in the last bit on some inputs), and
+    each chain's arc lengths are summed from 0 on their own.
     """
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     sizes = np.asarray(sizes, dtype=np.intp)
+    ends = np.cumsum(sizes)
     # vertex j starts a segment unless it ends its chain
-    starts = np.ones(len(x), dtype=bool)
-    starts[np.cumsum(sizes)[sizes > 0] - 1] = False
-    j = np.flatnonzero(starts)
+    opens = np.ones(len(x), dtype=bool)
+    opens[ends[sizes > 0] - 1] = False
+    j = np.flatnonzero(opens)
     dx, dy = x[j + 1] - x[j], y[j + 1] - y[j]
     short = np.flatnonzero(sizes < 2)[:1]
-    repeated = np.repeat(np.arange(len(sizes)), np.maximum(sizes - 1, 0))[(dx == 0) & (dy == 0)]
+    # a segment whose squared length underflows to 0 has no direction to
+    # project onto, like a repeated vertex
+    repeated = np.repeat(np.arange(len(sizes)), np.maximum(sizes - 1, 0))[dx * dx + dy * dy == 0]
     if short.size or repeated.size:
         i = min(short.tolist() + repeated[:1].tolist())
         raise InvalidPolylineError(i, "polyline needs at least 2 vertices" if sizes[i] < 2
                                    else "consecutive duplicate vertex in polyline")
     dx, dy = dx.tolist(), dy.tolist()
     seglen = list(map(math.hypot, dx, dy))
-    bearings = tuple(math.degrees(a) % 360.0 for a in map(math.atan2, dx, dy))
-    xs, ys = tuple(x.tolist()), tuple(y.tolist())
-    out = []
-    v = s = 0
-    for size in sizes.tolist():
-        out.append(Polyline(
-            xs[v:v + size], ys[v:v + size],
-            tuple(accumulate(seglen[s:s + size - 1], initial=0.0)),
-            bearings[s:s + size - 1]))
-        v += size
-        s += size - 1
-    return out
+    start = (0, *ends.tolist())
+    cumlen = chain.from_iterable(accumulate(seglen[a - i:b - i - 1], initial=0.0)
+                                 for i, (a, b) in enumerate(zip(start, start[1:])))
+    return Polylines(tuple(x.tolist()), tuple(y.tolist()), tuple(cumlen),
+                     tuple(math.degrees(a) % 360.0 for a in map(math.atan2, dx, dy)), start)
 
 
 class Projection:
@@ -180,25 +173,28 @@ def heading_error(h1: float, h2: float) -> float:
     return min(d, 360.0 - d)
 
 
-def project_onto_polyline(p: PlanarPoint, pl: Polyline) -> tuple[float, PlanarPoint, int, float]:
-    """Closest point of a polyline: (distance, foot, segment_index, arc_offset).
+def project_onto_polyline(p: PlanarPoint, lines: Polylines,
+                          i: int) -> tuple[float, PlanarPoint, int, float]:
+    """Closest point of chain i of lines: (distance, foot, segment_index,
+    arc_offset), the segment counted within the chain.
 
     Ties between segments go to the lower segment index.
     """
-    px, py = p.x, p.y
-    xs, ys, cum = pl.xs, pl.ys, pl.cumlen
+    px, py = p
+    xs, ys, cum, start = lines.x, lines.y, lines.cumlen, lines.start
+    first = start[i]
     best = None
-    for i in range(len(xs) - 1):
-        ax, ay = xs[i], ys[i]
-        dx, dy = xs[i + 1] - ax, ys[i + 1] - ay
+    for j in range(first, start[i + 1] - 1):
+        ax, ay = xs[j], ys[j]
+        dx, dy = xs[j + 1] - ax, ys[j + 1] - ay
         t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
         t = min(1.0, max(0.0, t))
         fx, fy = ax + t * dx, ay + t * dy
         d = math.hypot(px - fx, py - fy)
         if best is None or d < best[0] - 1e-12:
-            best = (d, fx, fy, i, cum[i] + t * (cum[i + 1] - cum[i]))
-    d, fx, fy, i, arc_offset = best
-    return d, PlanarPoint(fx, fy), i, arc_offset
+            best = (d, fx, fy, j, cum[j] + t * (cum[j + 1] - cum[j]))
+    d, fx, fy, j, arc_offset = best
+    return d, PlanarPoint(fx, fy), j - first, arc_offset
 
 
 class SpatialIndex:
@@ -230,17 +226,14 @@ class SpatialIndex:
         return self._owners_within(p, self._tree.query((p.x, p.y))[0])
 
 
-def index_build(edges: list[tuple[object, Polyline]]) -> SpatialIndex:
-    """The index over (item, polyline) pairs. Segment i of a polyline gets
-    n = ceil((cumlen[i + 1] - cumlen[i]) / SAMPLE_SPACING) samples
-    a + (b - a) * k / n for k < n, and each polyline its last vertex."""
-    lines = list(map(itemgetter(1), edges))
-    sizes = np.fromiter(map(len, map(attrgetter("xs"), lines)), dtype=np.intp, count=len(lines))
-    x, y, cum = (np.fromiter(chain.from_iterable(map(attrgetter(col), lines)),
-                             dtype=np.float64, count=int(sizes.sum()))
-                 for col in ("xs", "ys", "cumlen"))
-    last = np.cumsum(sizes) - 1
-    # samples per vertex: its segment's n, or 1 for a polyline's last vertex
+def index_build(lines: Polylines, owners: Sequence) -> SpatialIndex:
+    """The index over a batch of polylines, chain i owned by owners[i].
+    Segment j gets n = ceil((cumlen[j + 1] - cumlen[j]) / SAMPLE_SPACING)
+    samples a + (b - a) * k / n for k < n, and each chain its last vertex."""
+    x, y, cum = (np.array(col, dtype=np.float64) for col in (lines.x, lines.y, lines.cumlen))
+    start = np.array(lines.start, dtype=np.intp)
+    last = start[1:] - 1
+    # samples per vertex: its segment's n, or 1 for a chain's last vertex
     per = np.ones(len(x), dtype=np.intp)
     dx, dy = np.zeros(len(x)), np.zeros(len(x))
     seg = np.ones(len(x), dtype=bool)
@@ -253,5 +246,5 @@ def index_build(edges: list[tuple[object, Polyline]]) -> SpatialIndex:
     n = per[src]
     samples = np.column_stack((x[src] + dx[src] * k / n, y[src] + dy[src] * k / n))
     samples[np.cumsum(per)[last] - 1] = np.column_stack((x[last], y[last]))
-    owners = np.repeat(np.arange(len(lines)), sizes)[src]
-    return SpatialIndex(samples, [edges[i][0] for i in owners.tolist()])
+    chains = np.repeat(np.arange(len(last)), np.diff(start))[src]
+    return SpatialIndex(samples, [owners[i] for i in chains.tolist()])

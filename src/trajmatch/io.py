@@ -25,14 +25,13 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain, compress
 from operator import itemgetter
-from typing import NamedTuple
 
 import numpy as np
 
 from .geo import (
     GeoPoint,
     InvalidPolylineError,
-    Polyline,
+    Polylines,
     Projection,
     SpatialIndex,
     check_coordinate,
@@ -98,38 +97,34 @@ class Trajectory:
         return tuple(self)
 
 
-class RoadEdge(NamedTuple):
-    edge_id: str
-    node_from: str
-    node_to: str
-    lon: tuple[float, ...]  # WKT vertex order
-    lat: tuple[float, ...]
-    geometry: Polyline  # projected, in the network's planar frame
-
-    @property
-    def length(self) -> float:
-        return self.geometry.length
-
-
 class RoadNetwork:
-    """Edge map + node adjacency + spatial index, in one planar frame.
+    """A road network as columns in one planar frame, edge i at position i
+    of each: `ids`, `node_from` and `node_to`, and the vertices start[i] to
+    start[i + 1] - 1 (start = geometry.start) of the flat `lon` and `lat`
+    tuples (degrees, WKT order) and of `geometry`, their projection as
+    Polylines. `edges` maps each id to its position, `adjacency` each node
+    to the ids of its edges, and `index` finds the edges near a point.
 
     Edges and adjacency are fixed once built: `neighbours` keeps what it
     derives from them for the network's life.
     """
 
-    def __init__(self, edges: list[RoadEdge], projection: Projection):
+    def __init__(self, ids, node_from, node_to, lon, lat, geometry: Polylines,
+                 projection: Projection):
         self.projection = projection
-        self.edges: dict[str, RoadEdge] = {}
+        self.edges: dict[str, int] = {}
         adjacency = defaultdict(set)
-        for e in edges:
-            if e.edge_id in self.edges:
-                raise ParseError(f"duplicate edge_id {e.edge_id!r}")
-            self.edges[e.edge_id] = e
-            adjacency[e.node_from].add(e.edge_id)
-            adjacency[e.node_to].add(e.edge_id)
+        for i, (edge_id, a, b) in enumerate(zip(ids, node_from, node_to)):
+            if edge_id in self.edges:
+                raise ParseError(f"duplicate edge_id {edge_id!r}")
+            self.edges[edge_id] = i
+            adjacency[a].add(edge_id)
+            adjacency[b].add(edge_id)
         self.adjacency: dict[str, set[str]] = dict(adjacency)
-        self.index: SpatialIndex = index_build([(e.edge_id, e.geometry) for e in edges])
+        self.ids, self.node_from, self.node_to = tuple(ids), tuple(node_from), tuple(node_to)
+        self.lon, self.lat = tuple(lon), tuple(lat)
+        self.geometry = geometry
+        self.index: SpatialIndex = index_build(geometry, self.ids)
         self._neighbours: dict[tuple[str, str], tuple[str, ...]] = {}
 
     def neighbours(self, node: str, edge_id: str) -> tuple[str, ...]:
@@ -435,11 +430,14 @@ def parse_road_network(path) -> RoadNetwork:
 def write_road_network(network: RoadNetwork, path):
     """Write a network in the format parse_road_network reads, edges sorted
     by id."""
+    start, lon, lat = network.geometry.start, network.lon, network.lat
+
+    def wkt(i):
+        vertices = zip(lon[start[i]:start[i + 1]], lat[start[i]:start[i + 1]])
+        return "LINESTRING (" + ", ".join(f"{x!r} {y!r}" for x, y in vertices) + ")"
     write_csv(path, ["edge_id", "node_from", "node_to", "wkt"],
-              ([e.edge_id, e.node_from, e.node_to,
-                "LINESTRING (" + ", ".join(f"{lon!r} {lat!r}"
-                                           for lon, lat in zip(e.lon, e.lat)) + ")"]
-               for e in sorted(network.edges.values(), key=lambda e: e.edge_id)))
+              ([edge_id, network.node_from[i], network.node_to[i], wkt(i)]
+               for edge_id, i in sorted(network.edges.items())))
 
 
 def build_network(edges: list[tuple[str, str, str, list[GeoPoint]]]) -> RoadNetwork:
@@ -467,17 +465,10 @@ def _assemble(ids, nodes_from, nodes_to, lon, lat, sizes) -> RoadNetwork:
         raise ParseError("network has no geometry")
     proj = Projection(GeoPoint(sum(lat) / len(lat), sum(lon) / len(lon)))
     try:
-        lines = polylines(*proj.project_lonlat(np.array(lon), np.array(lat)), sizes)
+        geometry = polylines(*proj.project_lonlat(np.array(lon), np.array(lat)), sizes)
     except InvalidPolylineError as exc:
         raise ParseError(f"edge {ids[exc.index]!r}: {exc}") from None
-    lon, lat = tuple(lon), tuple(lat)
-    edges = []
-    v = 0
-    for edge_id, node_from, node_to, size, pl in zip(ids, nodes_from, nodes_to, sizes, lines):
-        edges.append(RoadEdge(edge_id, node_from, node_to,
-                              lon[v:v + size], lat[v:v + size], pl))
-        v += size
-    return RoadNetwork(edges, proj)
+    return RoadNetwork(ids, nodes_from, nodes_to, lon, lat, geometry, proj)
 
 
 def parse_ground_truth(path, network: RoadNetwork) -> GroundTruthRoute:

@@ -175,14 +175,15 @@ def _measure(network: RoadNetwork, edge_id: str, p: PlanarPoint,
     and evaluated both ways (no one-way information in the network format);
     an absent vehicle heading is treated as perfectly aligned.
     """
-    pl = network.edges[edge_id].geometry
-    pd, foot, seg_idx, arc_offset = project_onto_polyline(p, pl)
+    i = network.edges[edge_id]
+    lines = network.geometry
+    pd, foot, seg_idx, arc_offset = project_onto_polyline(p, lines, i)
     if vehicle_heading is None:
         he = 0.0
     else:
         # geo.heading_error against the bearing and its reverse, inlined
         # with the same arithmetic
-        link_bearing = pl.bearings[seg_idx]
+        link_bearing = lines.bearings[lines.start[i] - i + seg_idx]
         h = vehicle_heading % 360.0
         d = abs(h - link_bearing % 360.0)
         r = abs(h - (link_bearing + 180.0) % 360.0 % 360.0)
@@ -243,15 +244,17 @@ def smp_step(network: RoadNetwork, state: MatchState, p: PlanarPoint,
     batch and picks the best. Three consecutive junction decisions that are
     not confident (see _confident) reset the state to uninitialized.
     """
-    edge = network.edges[state.edge_id]
+    i = network.edges[state.edge_id]
     here = _measure(network, state.edge_id, p, heading)
-    length = edge.geometry.length
+    lines = network.geometry
+    length = lines.cumlen[lines.start[i + 1] - 1]
     if (here.arc_offset > cfg.junction_radius and length - here.arc_offset > cfg.junction_radius
             and here.pd <= cfg.pd_escape):
         state.consecutive_low_confidence = 0
         return state, here, PHASE_ALONG
 
-    nearer = edge.node_from if here.arc_offset <= length - here.arc_offset else edge.node_to
+    nearer = (network.node_from if here.arc_offset <= length - here.arc_offset
+              else network.node_to)[i]
     measured = [here] + [_measure(network, e, p, heading)
                          for e in network.neighbours(nearer, state.edge_id)]
     likelihoods = _likelihoods(measured, rules)

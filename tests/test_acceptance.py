@@ -157,8 +157,8 @@ def test_criterion_6_geometry_property_suite():
         if (ax, ay) == (bx, by):
             bx += 1.0
         px, py = rng.uniform(-60, 60), rng.uniform(-60, 60)
-        (segment,) = polylines([ax, bx], [ay, by], [2])
-        d, _, _, _ = project_onto_polyline(PlanarPoint(px, py), segment)
+        segment = polylines([ax, bx], [ay, by], [2])
+        d, _, _, _ = project_onto_polyline(PlanarPoint(px, py), segment, 0)
         ref = sampled_segment_distance(px, py, ax, ay, bx, by)
         assert d <= ref + 1e-6
     # heading error symmetry and wraparound
@@ -182,12 +182,14 @@ def test_criterion_6_geometry_property_suite():
             x2 += 1.0
         xs += [x, x2]
         ys += [y, y2]
-    edges = [(f"e{i}", pl) for i, pl in enumerate(polylines(xs, ys, [2] * 300))]
-    idx = index_build(edges)
+    lines = polylines(xs, ys, [2] * 300)
+    ids = [f"e{i}" for i in range(300)]
+    idx = index_build(lines, ids)
     for _ in range(1000):
         p = PlanarPoint(rng.uniform(-50, 2050), rng.uniform(-50, 2050))
         radius = rng.uniform(1, 250)
-        truth = {eid for eid, pl in edges if project_onto_polyline(p, pl)[0] <= radius}
+        truth = {eid for i, eid in enumerate(ids)
+                 if project_onto_polyline(p, lines, i)[0] <= radius}
         assert truth <= idx.query(p, radius)
     check(6, True, "4 x 1000 random geometry property cases")
 

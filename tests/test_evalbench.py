@@ -75,7 +75,7 @@ def test_scenario_trajectory_near_truth_path():
     scn = generate_scenario(9, jitter_sigma_m=1.5)
     for rec in scn.trajectory:
         p = scn.network.projection.project(rec.position)
-        dmin = min(project_onto_polyline(p, scn.network.edges[eid].geometry)[0]
+        dmin = min(project_onto_polyline(p, scn.network.geometry, scn.network.edges[eid])[0]
                    for eid in scn.truth.edge_ids)
         assert dmin < 15.0  # well inside jitter bounds
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from trajmatch import matcher
 from trajmatch.fuzzy import default_rule_base
 from trajmatch.geo import GeoPoint, PlanarPoint, Projection, polylines
-from trajmatch.io import RoadEdge, RoadNetwork
+from trajmatch.io import RoadNetwork
 from oracles import widening_fallback
 
 RULES = default_rule_base()
@@ -50,9 +50,9 @@ def network(edges):
     lines = polylines([float(x) for _, pts in edges for x, _ in pts],
                       [float(y) for _, pts in edges for _, y in pts],
                       [len(pts) for _, pts in edges])
-    built = [RoadEdge(eid, f"{eid}.a", f"{eid}.b", (), (), pl)
-             for (eid, _), pl in zip(edges, lines)]
-    return RoadNetwork(built, Projection(GeoPoint(0.0, 0.0)))
+    ids = [eid for eid, _ in edges]
+    return RoadNetwork(ids, [f"{eid}.a" for eid in ids], [f"{eid}.b" for eid in ids],
+                       (), (), lines, Projection(GeoPoint(0.0, 0.0)))
 
 
 def scored_ids(monkeypatch, edges, px, py):

@@ -182,6 +182,27 @@ def test_outputs_same_one_by_one_and_batched(name):
     assert rb._flat_outputs == table
 
 
+def test_universe_ends_on_breakpoints_take_no_label_call(monkeypatch):
+    # The mixed base's pd universe starts on short's shoulder: at 0 the
+    # labels give (1, 0, 0), as on (0, 10). Its he universe ends on large's
+    # top: at 180 they give (0, 1), as on (90, 180). Values at or beyond
+    # those ends are served flat.
+    calls = []
+    scalar = MembershipFunction.scalar
+
+    def counting(mf, x):
+        calls.append((mf, x))
+        return scalar(mf, x)
+
+    monkeypatch.setattr(MembershipFunction, "scalar", counting)
+    rb = rule_base_from_config(MIXED_CONFIG)
+    rows = [{"pd": pd, "he": he} for pd in (-5.0, 0.0) for he in (180.0, 250.0)]
+    calls.clear()
+    got = evaluate_batch(rb, rows)
+    assert calls == []
+    assert got == [numpy_mamdani(MIXED_CONFIG, row) for row in rows]
+
+
 def test_default_flat_table_has_four_entries():
     # pd and he each have two flat intervals: below and above both ramps
     rb = default_rule_base()

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trajmatch.geo import (
     GeoPoint,
@@ -17,13 +18,21 @@ from trajmatch.geo import (
     polylines,
     project_onto_polyline,
 )
+from trajmatch.io import RoadNetwork
+from trajmatch.matcher import _measure
 from oracles import law_of_cosines_distance, sampled_segment_distance
 
 
+def batch(chains):
+    """The `polylines` batch of one chain through each list of points."""
+    return polylines([x for points in chains for x, _ in points],
+                     [y for points in chains for _, y in points],
+                     [len(points) for points in chains])
+
+
 def polyline(points):
-    """The polyline through points, checked by `polylines`."""
-    (pl,) = polylines([x for x, _ in points], [y for _, y in points], [len(points)])
-    return pl
+    """The batch of one chain through points, checked by `polylines`."""
+    return batch([points])
 
 
 def test_geopoint_range_validation():
@@ -126,16 +135,16 @@ def test_segment_rejects_zero_length():
 
 def test_point_segment_distance_examples():
     s = polyline([PlanarPoint(0, 0), PlanarPoint(2, 0)])
-    d, foot, seg, off = project_onto_polyline(PlanarPoint(1, 0), s)
+    d, foot, seg, off = project_onto_polyline(PlanarPoint(1, 0), s, 0)
     assert d == 0.0 and foot == PlanarPoint(1, 0) and seg == 0
 
-    d, foot, _, off = project_onto_polyline(PlanarPoint(1, 1), s)
+    d, foot, _, off = project_onto_polyline(PlanarPoint(1, 1), s, 0)
     assert d == pytest.approx(1.0)
     assert foot == PlanarPoint(1, 0)
     assert off == pytest.approx(1.0)
 
     # beyond the end: the foot clamps to the last vertex
-    d, foot, _, off = project_onto_polyline(PlanarPoint(5, 1), s)
+    d, foot, _, off = project_onto_polyline(PlanarPoint(5, 1), s, 0)
     assert d == pytest.approx(math.sqrt(10))
     assert foot == PlanarPoint(2, 0)
     assert off == 2.0
@@ -148,7 +157,7 @@ def test_point_segment_distance_vs_sampling():
         if (ax, ay) == (bx, by):
             continue
         px, py = rng.uniform(-60, 60), rng.uniform(-60, 60)
-        d, _, _, _ = project_onto_polyline(PlanarPoint(px, py), polyline([(ax, ay), (bx, by)]))
+        d, _, _, _ = project_onto_polyline(PlanarPoint(px, py), polyline([(ax, ay), (bx, by)]), 0)
         ref = sampled_segment_distance(px, py, ax, ay, bx, by)
         # sampling overestimates by at most the sample spacing
         assert d <= ref + 1e-9
@@ -160,6 +169,9 @@ def test_polyline_validation():
         polyline([PlanarPoint(0, 0)])
     with pytest.raises(InvalidPolylineError, match="consecutive duplicate vertex"):
         polyline([PlanarPoint(0, 0), PlanarPoint(1, 0), PlanarPoint(1, 0)])
+    # vertices 1e-170 apart: the squared length a projection divides by is 0
+    with pytest.raises(InvalidPolylineError, match="consecutive duplicate vertex"):
+        polyline([PlanarPoint(0, 0), PlanarPoint(0, 1e-170)])
     # the error names the first bad chain of a batch
     with pytest.raises(InvalidPolylineError) as err:
         polylines([0, 1, 5, 0, 0], [0, 0, 5, 0, 0], [2, 1, 2])
@@ -168,13 +180,13 @@ def test_polyline_validation():
 
 def test_project_onto_polyline_vertex():
     pl = polyline([PlanarPoint(0, 0), PlanarPoint(2, 0), PlanarPoint(2, 2)])
-    d, foot, seg, off = project_onto_polyline(PlanarPoint(2, 0), pl)
+    d, foot, seg, off = project_onto_polyline(PlanarPoint(2, 0), pl, 0)
     assert d == 0.0 and foot == PlanarPoint(2, 0) and off == pytest.approx(2.0)
 
 
 def test_project_onto_polyline_tiebreak():
     pl = polyline([PlanarPoint(0, 0), PlanarPoint(2, 0), PlanarPoint(2, 2)])
-    d, foot, seg, off = project_onto_polyline(PlanarPoint(1, 1), pl)
+    d, foot, seg, off = project_onto_polyline(PlanarPoint(1, 1), pl, 0)
     assert d == pytest.approx(1.0)
     assert seg == 0  # tie with segment 1 broken toward lower index
     assert foot == PlanarPoint(1, 0)
@@ -194,8 +206,8 @@ def test_project_onto_polyline_vs_bruteforce():
             continue
         pl = polyline(dedup)
         p = PlanarPoint(rng.uniform(-120, 120), rng.uniform(-120, 120))
-        d, _, _, _ = project_onto_polyline(p, pl)
-        segments = list(zip(pl.xs, pl.ys, pl.xs[1:], pl.ys[1:]))
+        d, _, _, _ = project_onto_polyline(p, pl, 0)
+        segments = list(zip(pl.x, pl.y, pl.x[1:], pl.y[1:]))
         brute = min(sampled_segment_distance(p.x, p.y, *s) for s in segments)
         # sampling overestimates by at most half the longest sample spacing
         assert d <= brute + 1e-9
@@ -216,36 +228,37 @@ def _random_polyline(rng, span=1000.0):
             dedup.append(p)
     if len(dedup) < 2:
         dedup.append(PlanarPoint(dedup[-1].x + 1.0, dedup[-1].y))
-    return polyline(dedup)
+    return dedup
 
 
 def test_index_single_edge():
     pl = polyline([PlanarPoint(10, 10), PlanarPoint(20, 10)])
-    idx = index_build([("e1", pl)])
+    idx = index_build(pl, ["e1"])
     assert idx.query(PlanarPoint(15, 12), 5.0) == {"e1"}
 
 
 def test_index_edge_spanning_cells():
     pl = polyline([PlanarPoint(5, 5), PlanarPoint(250, 5)])
-    idx = index_build([("e1", pl)])
+    idx = index_build(pl, ["e1"])
     for x in (10, 150, 240):
         assert "e1" in idx.query(PlanarPoint(x, 5), 1.0)
 
 
 def test_index_empty():
-    idx = index_build([])
+    idx = index_build(batch([]), [])
     assert idx.query(PlanarPoint(0, 0), 10.0) == set()
 
 
 def test_index_superset_property():
     rng = random.Random(6)
-    edges = [(f"e{i}", _random_polyline(rng)) for i in range(500)]
-    idx = index_build(edges)
+    lines = batch([_random_polyline(rng) for _ in range(500)])
+    ids = [f"e{i}" for i in range(500)]
+    idx = index_build(lines, ids)
     for _ in range(1000):
         p = PlanarPoint(rng.uniform(-100, 1100), rng.uniform(-100, 1100))
         radius = rng.uniform(1.0, 200.0)
-        truth = {eid for eid, pl in edges
-                 if project_onto_polyline(p, pl)[0] <= radius}
+        truth = {eid for i, eid in enumerate(ids)
+                 if project_onto_polyline(p, lines, i)[0] <= radius}
         assert truth <= idx.query(p, radius)
 
 
@@ -256,41 +269,85 @@ def test_index_superset_on_one_degree_diagonal(bends):
     proj = Projection(GeoPoint(0.5, 0.5))
     pl = polyline([proj.project(GeoPoint(k / (bends + 1), k / (bends + 1) + 0.01 * (k % 2)))
                    for k in range(bends + 2)])
-    idx = index_build([("long", pl)])
+    idx = index_build(pl, ["long"])
     rng = random.Random(bends)
     for _ in range(500):
-        seg = rng.randrange(len(pl) - 1)
-        u = PlanarPoint(pl.xs[seg], pl.ys[seg])
-        v = PlanarPoint(pl.xs[seg + 1], pl.ys[seg + 1])
+        seg = rng.randrange(len(pl.x) - 1)
+        u = PlanarPoint(pl.x[seg], pl.y[seg])
+        v = PlanarPoint(pl.x[seg + 1], pl.y[seg + 1])
         t, off = rng.random(), rng.choice([0.0, rng.uniform(-300.0, 300.0)])
         norm = math.hypot(v.x - u.x, v.y - u.y)
         p = PlanarPoint(u.x + t * (v.x - u.x) - off * (v.y - u.y) / norm,
                         u.y + t * (v.y - u.y) + off * (v.x - u.x) / norm)
-        radius = project_onto_polyline(p, pl)[0] + rng.uniform(1e-9, 5.0)
+        radius = project_onto_polyline(p, pl, 0)[0] + rng.uniform(1e-9, 5.0)
         assert idx.query(p, radius) == {"long"}
         assert idx.nearest(p) == {"long"}
 
 
 def test_index_nearest_holds_every_nearest_edge():
     rng = random.Random(7)
-    edges = [(f"e{i}", _random_polyline(rng)) for i in range(200)]
+    chains = [_random_polyline(rng) for _ in range(200)]
     # shared endpoints give exact ties
-    edges += [("t1", polyline([PlanarPoint(500, 500), PlanarPoint(600, 500)])),
-              ("t2", polyline([PlanarPoint(500, 500), PlanarPoint(500, 600)]))]
-    idx = index_build(edges)
+    chains += [[PlanarPoint(500, 500), PlanarPoint(600, 500)],
+               [PlanarPoint(500, 500), PlanarPoint(500, 600)]]
+    ids = [f"e{i}" for i in range(200)] + ["t1", "t2"]
+    lines = batch(chains)
+    idx = index_build(lines, ids)
     points = [PlanarPoint(500, 500), PlanarPoint(-3000, -3000)]
     points += [PlanarPoint(rng.uniform(-5000, 6000), rng.uniform(-5000, 6000))
                for _ in range(300)]
     for p in points:
-        dist = {eid: project_onto_polyline(p, pl)[0] for eid, pl in edges}
+        dist = {eid: project_onto_polyline(p, lines, i)[0] for i, eid in enumerate(ids)}
         nearest = min(dist.values())
         assert {eid for eid, d in dist.items() if d == nearest} <= idx.nearest(p)
-    assert index_build([]).nearest(PlanarPoint(0, 0)) == set()
+    assert index_build(batch([]), []).nearest(PlanarPoint(0, 0)) == set()
 
 
 def test_index_sample_at_last_vertex_is_that_vertex():
     # a segment's first sample is a + 0.0, which turns -0.0 into 0.0; a
     # polyline's last vertex is taken as it is
     pl = polyline([PlanarPoint(-0.0, 250.0), PlanarPoint(-0.0, -0.0)])
-    last = index_build([("e1", pl)])._tree.data[-1]
+    last = index_build(pl, ["e1"])._tree.data[-1]
     assert [math.copysign(1.0, v) for v in last] == [-1.0, -1.0]
+
+
+COORD = st.one_of(st.floats(-1000, 1000), st.integers(-3, 3).map(float))
+
+
+@st.composite
+def vertex_chains(draw):
+    """2-6 points with no consecutive repeat."""
+    points = [(draw(COORD), draw(COORD))]
+    for _ in range(draw(st.integers(1, 5))):
+        x, y = draw(COORD), draw(COORD)
+        x0, y0 = points[-1]
+        if (x - x0) * (x - x0) + (y - y0) * (y - y0) == 0:  # polylines rejects it
+            x = x0 + 1.0
+        points.append((x, y))
+    return points
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=100, deadline=None)
+@given(batched=st.lists(vertex_chains(), min_size=1, max_size=6),
+       p=st.tuples(COORD, COORD), heading=st.floats(0, 360, exclude_max=True))
+def test_batch_chain_equals_the_chain_alone(batched, p, heading):
+    lines = batch(batched)
+    ids = [f"e{i}" for i in range(len(batched))]
+    net = RoadNetwork(ids, ids, ids, (), (), lines, Projection(GeoPoint(0.0, 0.0)))
+    p = PlanarPoint(*p)
+    for i, points in enumerate(batched):
+        alone = polyline(points)
+        a, b = lines.start[i], lines.start[i + 1]
+        assert hexes(lines.cumlen[a:b]) == hexes(alone.cumlen)
+        assert hexes(lines.bearings[a - i:b - i - 1]) == hexes(alone.bearings)
+        d, foot, seg, arc = project_onto_polyline(p, lines, i)
+        d0, foot0, seg0, arc0 = project_onto_polyline(p, alone, 0)
+        assert hexes([d, *foot, arc]) == hexes([d0, *foot0, arc0]) and seg == seg0
+        # the link bearing is taken on the chosen segment of chain i
+        link = bearing(PlanarPoint(*points[seg]), PlanarPoint(*points[seg + 1]))
+        want = min(heading_error(heading, link), heading_error(heading, (link + 180.0) % 360.0))
+        assert _measure(net, ids[i], p, heading).he.hex() == want.hex()

@@ -187,26 +187,38 @@ def test_build_network_vertices_equal_after_projection():
         build_network(edges)
 
 
+def test_parse_network_segment_too_short_to_project(tmp_path):
+    # 1e-200 degrees apart project about 1e-195 m apart, a length whose
+    # square underflows to 0, so projecting a point onto it would divide by 0
+    p = write(tmp_path / "n.csv", 'edge_id,node_from,node_to,wkt\n'
+                                  'e1,n1,n2,"LINESTRING (0 0, 1e-200 0)"\n')
+    with pytest.raises(ParseError, match="edge 'e1': consecutive duplicate vertex"):
+        parse_road_network(p)
+
+
 def test_network_edge_length_consistency(tmp_path):
     net = parse_road_network(write(tmp_path / "n.csv", NET_CSV))
-    for e in net.edges.values():
+    lines = net.geometry
+    for i in net.edges.values():
         total = 0.0
-        xs, ys = e.geometry.xs, e.geometry.ys
+        a, b = lines.start[i], lines.start[i + 1]
+        xs, ys = lines.x[a:b], lines.y[a:b]
         for k in range(len(xs) - 1):
             total += math.hypot(xs[k + 1] - xs[k], ys[k + 1] - ys[k])
-        assert e.length == pytest.approx(total, abs=1e-6)
-        assert e.length > 0
+        length = lines.cumlen[b - 1]
+        assert length == pytest.approx(total, abs=1e-6)
+        assert length > 0
 
 
 def test_network_adjacency_symmetry(tmp_path):
     net = parse_road_network(write(tmp_path / "n.csv", NET_CSV))
     for node, ids in net.adjacency.items():
         for eid in ids:
-            e = net.edges[eid]
-            assert node in (e.node_from, e.node_to)
-    for e in net.edges.values():
-        assert e.edge_id in net.adjacency[e.node_from]
-        assert e.edge_id in net.adjacency[e.node_to]
+            i = net.edges[eid]
+            assert node in (net.node_from[i], net.node_to[i])
+    for eid, i in net.edges.items():
+        assert eid in net.adjacency[net.node_from[i]]
+        assert eid in net.adjacency[net.node_to[i]]
 
 
 def test_parse_ground_truth(tmp_path):
@@ -337,8 +349,8 @@ def test_parse_network_strict_wkt(tmp_path, capsys, wkt, message):
 def test_parse_network_wkt_case_and_whitespace(tmp_path, wkt):
     net = parse_road_network(write(tmp_path / "n.csv",
                                    f'edge_id,node_from,node_to,wkt\ne1,n1,n2,"{wkt}"\n'))
-    e1 = net.edges["e1"]
-    assert (e1.lon, e1.lat) == ((-122.0, -122.0), (47.0, 47.001))
+    assert net.edges == {"e1": 0}
+    assert (net.lon, net.lat) == ((-122.0, -122.0), (47.0, 47.001))
 
 
 def test_parse_network_first_bad_row_wins(tmp_path):

@@ -90,8 +90,8 @@ def test_candidate_links_vs_linear_scan():
         p = PlanarPoint(rng.uniform(-100, 2100), rng.uniform(-100, 2100))
         radius = rng.uniform(10, 300)
         got = set(candidate_ids(net, p, radius))
-        want = {eid for eid, e in net.edges.items()
-                if project_onto_polyline(p, e.geometry)[0] <= radius}
+        want = {eid for eid, i in net.edges.items()
+                if project_onto_polyline(p, net.geometry, i)[0] <= radius}
         assert got == want
 
 
@@ -236,11 +236,11 @@ def test_match_snapped_on_edge():
     traj = traj_from_planar(net, pts)
     result = match_trajectory(net, traj, RULES, CFG)
     for m in result.matched:
-        pl = net.edges[m.edge_id].geometry
+        i, lines = net.edges[m.edge_id], net.geometry
         snapped = net.projection.project(GeoPoint(m.snapped_lat, m.snapped_lon))
-        d, _, _, _ = project_onto_polyline(snapped, pl)
+        d, _, _, _ = project_onto_polyline(snapped, lines, i)
         assert d < 1e-6
-        assert 0.0 <= m.position_on_edge <= pl.length + 1e-9
+        assert 0.0 <= m.position_on_edge <= lines.cumlen[lines.start[i + 1] - 1] + 1e-9
         assert 0.0 <= m.likelihood <= 100.0
 
 
@@ -252,7 +252,7 @@ def test_match_edge_sequence_connectivity():
     result = match_trajectory(net, traj, RULES, CFG)
     for a, b in zip(result.edge_sequence, result.edge_sequence[1:]):
         ea, eb = net.edges[a], net.edges[b]
-        assert {ea.node_from, ea.node_to} & {eb.node_from, eb.node_to}
+        assert {net.node_from[ea], net.node_to[ea]} & {net.node_from[eb], net.node_to[eb]}
 
 
 def test_match_reset_and_reinit_flagged():
@@ -397,12 +397,11 @@ def test_load_matcher_config_accepts_range_ends(tmp_path):
 
 def test_junction_step_projects_each_edge_once(monkeypatch):
     net = t_junction_net()
-    edge_of = {id(e.geometry): eid for eid, e in net.edges.items()}
     calls = []
 
-    def counting(p, pl):
-        calls.append(edge_of[id(pl)])
-        return project_onto_polyline(p, pl)
+    def counting(p, lines, i):
+        calls.append(net.ids[i])
+        return project_onto_polyline(p, lines, i)
 
     monkeypatch.setattr(matcher, "project_onto_polyline", counting)
     state = MatchState(edge_id="north", last_heading=0.0)
@@ -491,9 +490,9 @@ def test_far_point_projects_only_nearby_links(monkeypatch):
     net = grid_net(n=7, step=500.0)
     calls = []
 
-    def counting(p, pl):
-        calls.append(pl)
-        return project_onto_polyline(p, pl)
+    def counting(p, lines, i):
+        calls.append(i)
+        return project_onto_polyline(p, lines, i)
 
     monkeypatch.setattr(matcher, "project_onto_polyline", counting)
     p = net.projection.project(g(1250, 3000 + 7000))
@@ -509,12 +508,11 @@ def test_far_point_projects_only_nearby_links(monkeypatch):
 ])
 def test_initial_selection_projects_each_edge_once(monkeypatch, x, y, among):
     net = t_junction_net()
-    edge_of = {id(e.geometry): eid for eid, e in net.edges.items()}
     calls = []
 
-    def counting(p, pl):
-        calls.append(edge_of[id(pl)])
-        return project_onto_polyline(p, pl)
+    def counting(p, lines, i):
+        calls.append(net.ids[i])
+        return project_onto_polyline(p, lines, i)
 
     monkeypatch.setattr(matcher, "project_onto_polyline", counting)
     cand = imp(net, net.projection.project(g(x, y)), 90.0, RULES, CFG)

@@ -6,14 +6,21 @@ every projected vertex, arc length and segment bearing, the spatial index's
 samples and owners, and `project_onto_polyline` on each edge.
 """
 
+import csv
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from trajmatch.geo import SAMPLE_SPACING, GeoPoint, PlanarPoint, project_onto_polyline
-from trajmatch.io import ParseError, build_network, parse_road_network, write_csv
+from trajmatch.io import (
+    ParseError,
+    build_network,
+    parse_road_network,
+    write_csv,
+    write_road_network,
+)
 from oracles import network_geometry, polyline_projection
 
 
@@ -77,13 +84,15 @@ def test_network_matches_per_vertex_reference(edges, points):
     for net in load_both(edges):
         origin = net.projection.origin
         assert hexes([origin.lat, origin.lon]) == hexes([lat0, lon0])
+        geometry = net.geometry
         for i, (xs, ys, cumlen, bearings) in enumerate(lines):
-            pl = net.edges[f"e{i}"].geometry
-            assert hexes(pl.xs) == hexes(xs) and hexes(pl.ys) == hexes(ys)
-            assert hexes(pl.cumlen) == hexes(cumlen)
-            assert hexes(pl.bearings) == hexes(bearings)
+            assert net.edges[f"e{i}"] == i
+            a, b = geometry.start[i], geometry.start[i + 1]
+            assert hexes(geometry.x[a:b]) == hexes(xs) and hexes(geometry.y[a:b]) == hexes(ys)
+            assert hexes(geometry.cumlen[a:b]) == hexes(cumlen)
+            assert hexes(geometry.bearings[a - i:b - i - 1]) == hexes(bearings)
             for px, py in points + [(xs[0], ys[0]), (xs[-1] + 0.5, ys[-1])]:
-                d, foot, seg, arc = project_onto_polyline(PlanarPoint(px, py), pl)
+                d, foot, seg, arc = project_onto_polyline(PlanarPoint(px, py), geometry, i)
                 rd, rfx, rfy, rseg, rarc = polyline_projection(px, py, xs, ys, cumlen)
                 assert hexes([d, foot.x, foot.y, arc]) == hexes([rd, rfx, rfy, rarc])
                 assert seg == rseg
@@ -91,3 +100,44 @@ def test_network_matches_per_vertex_reference(edges, points):
         assert hexes(data[:, 0]) == hexes(x for x, _ in samples)
         assert hexes(data[:, 1]) == hexes(y for _, y in samples)
         assert net.index._owners == [f"e{pos}" for pos in owners]
+
+
+def vertices(net, column, edge_id):
+    """The slice of a network's flat lon or lat column that holds an edge."""
+    i = net.edges[edge_id]
+    return hexes(column[net.geometry.start[i]:net.geometry.start[i + 1]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(edges=networks(), order=st.permutations(range(5)))
+def test_written_network_reads_back_column_for_column(edges, order):
+    ids = [f"e{k}" for k in order if k < len(edges)]  # out of sorted order
+    rows = [(edge_id, f"a{k}", f"b{k}", list(map(GeoPoint, lats, lons)))
+            for k, (edge_id, (lons, lats)) in enumerate(zip(ids, edges))]
+    try:
+        built = build_network(rows)
+    except ParseError:
+        assume(False)  # a vertex repeated after projection
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "network.csv"
+        write_road_network(built, path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            written = [row[0] for row in csv.reader(fh)][1:]
+        parsed = parse_road_network(path)
+    assert written == sorted(ids)
+    for edge_id, i in built.edges.items():
+        j = parsed.edges[edge_id]
+        assert (parsed.node_from[j], parsed.node_to[j]) == (built.node_from[i], built.node_to[i])
+        assert vertices(parsed, parsed.lon, edge_id) == vertices(built, built.lon, edge_id)
+        assert vertices(parsed, parsed.lat, edge_id) == vertices(built, built.lat, edge_id)
+    # The origin is summed in file order, so the geometry is compared with
+    # the network built from the edges in the order they were written.
+    again = build_network(sorted(rows))
+    assert (parsed.ids, parsed.node_from, parsed.node_to) == \
+        (again.ids, again.node_from, again.node_to)
+    assert hexes(parsed.lon) == hexes(again.lon) and hexes(parsed.lat) == hexes(again.lat)
+    origin, origin_again = parsed.projection.origin, again.projection.origin
+    assert hexes([origin.lat, origin.lon]) == hexes([origin_again.lat, origin_again.lon])
+    for column in ("x", "y", "cumlen", "bearings"):
+        assert hexes(getattr(parsed.geometry, column)) == hexes(getattr(again.geometry, column))
+    assert parsed.geometry.start == again.geometry.start
