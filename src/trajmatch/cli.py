@@ -14,8 +14,8 @@ from pathlib import Path
 from . import evalbench, staypoint
 from .fuzzy import default_rule_base
 from .geo import InvalidCoordinateError, check_coordinate
-from .io import ParseError, parse_ground_truth, parse_road_network, parse_trajectory, \
-    read_ids, write_trajectory
+from .io import ParseError, parse_edge_ids, parse_ground_truth, parse_road_network, \
+    parse_trajectory, write_trajectory
 from .matcher import MatcherConfig, MatchResult, TooFewPointsError, load_matcher_config, \
     match_trajectory, write_edge_sequence, write_match_result
 from .staypoint import DbscanParams, DEGREE_EUCLIDEAN
@@ -100,8 +100,8 @@ def cmd_match(args) -> int:
 def cmd_eval(args) -> int:
     network = parse_road_network(args.network)
     truth = parse_ground_truth(args.truth, network)
-    seq = [edge_id for _, edge_id in read_ids(args.edges)]
-    result = MatchResult(matched=[], edge_sequence=seq, total_points=0)
+    result = MatchResult(matched=[], edge_sequence=parse_edge_ids(args.edges, network),
+                         total_points=0)
     correct = evalbench.correct_link_count(result, truth)
     print(f"correct_links={correct}")
     print(f"total_truth_links={len(truth)}")

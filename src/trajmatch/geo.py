@@ -77,12 +77,40 @@ class Polylines:
     first vertex), the compass `bearings` of each segment, and `start`, one
     offset per chain and the total. Chain i holds vertices start[i] to
     start[i + 1] - 1 and segments start[i] - i to start[i + 1] - i - 2.
-    The constructor checks nothing; `polylines` builds checked batches."""
+    The constructor checks nothing; `polylines` builds checked batches.
 
-    __slots__ = ("x", "y", "cumlen", "bearings", "start")
+    `segments[i]` holds chain i's segments, one tuple each of the constants
+    that projecting onto it and comparing a heading with it read: (ax, ay,
+    dx, dy, dx * dx + dy * dy, cumlen at a, cumlen at b, bearing % 360.0,
+    (bearing + 180.0) % 360.0 % 360.0) for the segment from a to b. It is
+    built from the columns on its first read, so building a batch does not
+    pay for it, and kept for the batch's life.
+    """
+
+    __slots__ = ("x", "y", "cumlen", "bearings", "start", "segments")
 
     def __init__(self, x, y, cumlen, bearings, start):
         self.x, self.y, self.cumlen, self.bearings, self.start = x, y, cumlen, bearings, start
+
+    def __getattr__(self, name):
+        # called only when a slot is unset: `segments` before its first read
+        if name != "segments":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        start = self.start
+        x, y, cum = (np.array(col, dtype=np.float64) for col in (self.x, self.y, self.cumlen))
+        # vertex j starts a segment unless it ends its chain; numpy's
+        # elementwise - * + round as Python's do
+        opens = np.ones(len(x), dtype=bool)
+        opens[np.array(start[1:], dtype=np.intp) - 1] = False
+        j = np.flatnonzero(opens)
+        dx, dy = x[j + 1] - x[j], y[j + 1] - y[j]
+        flat = list(zip(x[j].tolist(), y[j].tolist(), dx.tolist(), dy.tolist(),
+                        (dx * dx + dy * dy).tolist(), cum[j].tolist(), cum[j + 1].tolist(),
+                        [b % 360.0 for b in self.bearings],
+                        [(b + 180.0) % 360.0 % 360.0 for b in self.bearings]))
+        self.segments = tuple(tuple(flat[a - i:b - i - 1])
+                              for i, (a, b) in enumerate(zip(start, start[1:])))
+        return self.segments
 
 
 def polylines(x, y, sizes) -> Polylines:
@@ -181,20 +209,16 @@ def project_onto_polyline(p: PlanarPoint, lines: Polylines,
     Ties between segments go to the lower segment index.
     """
     px, py = p
-    xs, ys, cum, start = lines.x, lines.y, lines.cumlen, lines.start
-    first = start[i]
     best = None
-    for j in range(first, start[i + 1] - 1):
-        ax, ay = xs[j], ys[j]
-        dx, dy = xs[j + 1] - ax, ys[j + 1] - ay
-        t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
-        t = min(1.0, max(0.0, t))
+    for j, (ax, ay, dx, dy, dd, cum_a, cum_b, _, _) in enumerate(lines.segments[i]):
+        t = ((px - ax) * dx + (py - ay) * dy) / dd
+        t = (t if t < 1.0 else 1.0) if t > 0.0 else 0.0  # min(1.0, max(0.0, t))
         fx, fy = ax + t * dx, ay + t * dy
         d = math.hypot(px - fx, py - fy)
         if best is None or d < best[0] - 1e-12:
-            best = (d, fx, fy, j, cum[j] + t * (cum[j + 1] - cum[j]))
+            best = (d, fx, fy, j, cum_a + t * (cum_b - cum_a))
     d, fx, fy, j, arc_offset = best
-    return d, PlanarPoint(fx, fy), j - first, arc_offset
+    return d, PlanarPoint(fx, fy), j, arc_offset
 
 
 class SpatialIndex:

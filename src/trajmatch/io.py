@@ -471,12 +471,19 @@ def _assemble(ids, nodes_from, nodes_to, lon, lat, sizes) -> RoadNetwork:
     return RoadNetwork(ids, nodes_from, nodes_to, lon, lat, geometry, proj)
 
 
-def parse_ground_truth(path, network: RoadNetwork) -> GroundTruthRoute:
+def parse_edge_ids(path, network: RoadNetwork) -> list[str]:
+    """The edge ids listed in path, one per line (see read_ids); an id that
+    is not in network raises ParseError naming its line."""
     ids = []
     for lineno, token in read_ids(path):
         if token not in network.edges:
             raise ParseError(f"{path}: line {lineno}: unknown edge id {token!r}")
         ids.append(token)
+    return ids
+
+
+def parse_ground_truth(path, network: RoadNetwork) -> GroundTruthRoute:
+    ids = parse_edge_ids(path, network)
     if not ids:
         raise ParseError(f"{path}: empty ground-truth route")
     return GroundTruthRoute(tuple(ids))

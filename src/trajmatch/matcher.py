@@ -10,9 +10,12 @@ the pass, inside the timed match.
 
 Per point the pass builds little: points, candidates and matches are
 NamedTuples, smp_step updates the MatchState in place, a junction step
-builds a scored candidate only for the edge it keeps and reads the other
-edges at its node from RoadNetwork.neighbours (computed once per network),
-and the snapped positions come from one array unprojection after the pass.
+picks its best candidate in one loop and builds a scored candidate only
+for the edge it keeps, reading the other edges at its node from
+RoadNetwork.neighbours (computed once per network), and the snapped
+positions come from one array unprojection after the pass. Each link
+measurement reads its segment's constants from Polylines.segments, built
+once per network.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 import yaml
 
 from .fuzzy import RuleBase, default_rule_base, evaluate_rows, rule_base_from_config
-from .geo import PlanarPoint, bearing, project_onto_polyline
+from .geo import PlanarPoint, project_onto_polyline
 from .io import ParseError, RoadNetwork, Trajectory, read_utf8, write_csv, write_lines
 
 PHASE_IMP = "IMP"
@@ -181,13 +184,18 @@ def _measure(network: RoadNetwork, edge_id: str, p: PlanarPoint,
     if vehicle_heading is None:
         he = 0.0
     else:
-        # geo.heading_error against the bearing and its reverse, inlined
-        # with the same arithmetic
-        link_bearing = lines.bearings[lines.start[i] - i + seg_idx]
+        # geo.heading_error against the segment's bearing and its reverse,
+        # inlined on the residues the segment keeps: each conditional picks
+        # what min() would, min(min(d, 360 - d), min(r, 360 - r))
+        seg = lines.segments[i][seg_idx]
         h = vehicle_heading % 360.0
-        d = abs(h - link_bearing % 360.0)
-        r = abs(h - (link_bearing + 180.0) % 360.0 % 360.0)
-        he = min(min(d, 360.0 - d), min(r, 360.0 - r))
+        d = abs(h - seg[7])
+        if 360.0 - d < d:
+            d = 360.0 - d
+        r = abs(h - seg[8])
+        if 360.0 - r < r:
+            r = 360.0 - r
+        he = r if r < d else d
     return LinkCandidate(edge_id, pd, he, None, foot, arc_offset)
 
 
@@ -212,9 +220,16 @@ def _row_getter(input_names: tuple[str, ...]):
 
 def _best_index(candidates: list[LinkCandidate], likelihoods: list[float]) -> int:
     """The index of the candidate of highest likelihood, ties to the smaller
-    pd, then the smaller edge id."""
-    return min(range(len(candidates)),
-               key=lambda i: (-likelihoods[i], candidates[i].pd, candidates[i].edge_id))
+    pd, then the smaller edge id: the first minimum of the key (-likelihood,
+    pd, edge_id), found in one pass with no key built."""
+    k, top = 0, likelihoods[0]
+    for j in range(1, len(candidates)):
+        likelihood = likelihoods[j]
+        if likelihood > top or likelihood == top and (
+                candidates[j].pd < candidates[k].pd or candidates[j].pd == candidates[k].pd
+                and candidates[j].edge_id < candidates[k].edge_id):
+            k, top = j, likelihood
+    return k
 
 
 def _confident(pd: float, likelihood: float, cfg: MatcherConfig) -> bool:
@@ -258,8 +273,9 @@ def smp_step(network: RoadNetwork, state: MatchState, p: PlanarPoint,
     measured = [here] + [_measure(network, e, p, heading)
                          for e in network.neighbours(nearer, state.edge_id)]
     likelihoods = _likelihoods(measured, rules)
-    i = _best_index(measured, likelihoods)
-    best = measured[i]._replace(likelihood=likelihoods[i])  # the one candidate built scored
+    k = _best_index(measured, likelihoods)
+    c = measured[k]  # the one candidate built scored
+    best = LinkCandidate(c.edge_id, c.pd, c.he, likelihoods[k], c.foot, c.arc_offset)
     if _confident(best.pd, best.likelihood, cfg):
         state.edge_id = best.edge_id
         state.consecutive_low_confidence = 0
@@ -322,7 +338,9 @@ def match_trajectory(network: RoadNetwork, traj: Trajectory, rules: RuleBase,
         if prev is not None:
             dx, dy = p.x - prev.x, p.y - prev.y
             if (dx * dx + dy * dy) ** 0.5 >= cfg.min_heading_separation:
-                state.last_heading = bearing(prev, p)
+                # geo.bearing(prev, p), inlined with the same arithmetic: the
+                # fixes are apart, as min_heading_separation > 0
+                state.last_heading = math.degrees(math.atan2(dx, dy)) % 360.0
         prev = p
         heading = state.last_heading
 

@@ -468,3 +468,114 @@ def polyline_projection(px, py, xs, ys, cumlen):
         if best is None or d < best[0] - 1e-12:
             best = (d, fx, fy, i, cumlen[i] + t * (cumlen[i + 1] - cumlen[i]))
     return best
+
+
+def reference_match(edges, points, config, thresholds):
+    """The fuzzy map matcher, one point and one link at a time, with no
+    batching, caching or spatial index.
+
+    edges: [(edge_id, node_from, node_to, lons, lats)] in network order;
+    points: [(lat, lon)] in trace order; config: a rule base in the layout
+    `fuzzy.rule_base_from_config` reads; thresholds: an object with the
+    matcher's threshold attributes (candidate_radius, junction_radius,
+    pd_escape, l_min, reinit_after, min_heading_separation).
+
+    Geometry comes from network_geometry, links are measured with
+    polyline_projection and scored with numpy_mamdani. The rules:
+    - heading: the bearing from point k-1 to point k when the two are at
+      least min_heading_separation apart, else the last heading (none at
+      first, which counts as aligned with every link);
+    - a link's he is the smaller heading error against the bearing of the
+      segment holding its foot, taken either way along the segment;
+    - a point is confident on a link within candidate_radius that scores
+      at least l_min;
+    - with no current link (IMP): the candidates are the links within the
+      first of candidate_radius * 2**k, k < 8, that holds a link, else the
+      links at the nearest distance; the best is kept, and becomes the
+      current link when confident;
+    - on a link: a foot more than junction_radius from both ends at a
+      distance of at most pd_escape stays on it (SMP_ALONG) and clears the
+      miss count. Otherwise (SMP_JUNCTION) the link and the other links at
+      its nearer end (the start on a tie) are scored, and the best becomes
+      the current link when confident; else the miss count grows, and at
+      reinit_after misses the point drops the link and clears the count
+      (reinitialized);
+    - the best candidate has the highest likelihood, then the smaller
+      distance, then the smaller edge id.
+    Returns per point (edge_id, phase, confident, reinitialized, likelihood,
+    arc_offset).
+    """
+    (lat0, lon0), lines, _, _ = network_geometry(
+        [(lons, lats) for _, _, _, lons, lats in edges], spacing=1e9)
+    m_per_deg = 6_371_000.0 * math.pi / 180.0
+    coslat = math.cos(math.radians(lat0))
+    ids = [e[0] for e in edges]
+    at_node = {}
+    for pos, (_, a, b, _, _) in enumerate(edges):
+        at_node.setdefault(a, set()).add(pos)
+        at_node.setdefault(b, set()).add(pos)
+
+    def heading_error(h, b):
+        d = abs(h % 360.0 - b % 360.0)
+        return min(d, 360.0 - d)
+
+    def measure(pos, px, py, heading):
+        xs, ys, cumlen, bearings = lines[pos]
+        d, _, _, seg, arc = polyline_projection(px, py, xs, ys, cumlen)
+        b = bearings[seg]
+        he = 0.0 if heading is None else min(heading_error(heading, b),
+                                             heading_error(heading, (b + 180.0) % 360.0))
+        return d, he, pos, arc
+
+    def scored(measured):
+        """(key, pos, arc): the best candidate has the least key."""
+        d, he, pos, arc = measured
+        return (-numpy_mamdani(config, {"pd": d, "he": he}), d, ids[pos]), pos, arc
+
+    def confident(c):
+        (neg_likelihood, d, _), _, _ = c
+        return d <= thresholds.candidate_radius and -neg_likelihood >= thresholds.l_min
+
+    out = []
+    current, misses, heading, prev = None, 0, None, None
+    for lat, lon in points:
+        px, py = (lon - lon0) * coslat * m_per_deg, (lat - lat0) * m_per_deg
+        if prev is not None and math.hypot(px - prev[0], py - prev[1]) \
+                >= thresholds.min_heading_separation:
+            heading = math.degrees(math.atan2(px - prev[0], py - prev[1])) % 360.0
+        prev = px, py
+        reinitialized = False
+        if current is None:
+            phase = "IMP"
+            every = [measure(pos, px, py, heading) for pos in range(len(edges))]
+            nearest = min(m[0] for m in every)
+            for k in range(8):
+                radius = thresholds.candidate_radius * 2.0 ** k
+                if nearest <= radius:
+                    break
+            else:
+                radius = nearest
+            best = min(scored(m) for m in every if m[0] <= radius)
+            if confident(best):
+                current = best[1]
+        else:
+            here = measure(current, px, py, heading)
+            arc, length = here[3], lines[current][2][-1]
+            if (arc > thresholds.junction_radius and length - arc > thresholds.junction_radius
+                    and here[0] <= thresholds.pd_escape):
+                phase, best, misses = "SMP_ALONG", scored(here), 0
+            else:
+                phase = "SMP_JUNCTION"
+                _, a, b, _, _ = edges[current]
+                node = a if arc <= length - arc else b
+                best = min(map(scored, [here] + [measure(pos, px, py, heading)
+                                                 for pos in at_node[node] - {current}]))
+                if confident(best):
+                    current, misses = best[1], 0
+                else:
+                    misses += 1
+                    if misses >= thresholds.reinit_after:
+                        current, misses, reinitialized = None, 0, True
+        (neg_likelihood, _, edge_id), _, arc = best
+        out.append((edge_id, phase, confident(best), reinitialized, -neg_likelihood, arc))
+    return out

@@ -157,6 +157,17 @@ def test_eval_command(capsys, tmp_path):
     assert "total_truth_links=12" in out
 
 
+def test_eval_rejects_unknown_edge_id(capsys, tmp_path):
+    # an id the network lacks used to count as a plain miss: correct_links=0, exit 0
+    edges = tmp_path / "seq.txt"
+    edges.write_text("h0_0\n\n# a comment\nnot_an_edge\n")
+    assert run(["eval", "--network", str(MINI / "network.csv"),
+                "--edges", str(edges), "--truth", str(MINI / "truth.txt")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {edges}: line 4: unknown edge id 'not_an_edge'\n"
+    assert captured.out == ""
+
+
 def test_pipeline_fixture(tmp_path, capsys):
     assert run(["pipeline", "--network", str(MINI / "network.csv"),
                 "--traj", str(MINI / "trajectory.csv"),

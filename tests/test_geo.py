@@ -9,6 +9,7 @@ from trajmatch.geo import (
     InvalidCoordinateError,
     InvalidPolylineError,
     PlanarPoint,
+    Polylines,
     Projection,
     UndefinedBearingError,
     bearing,
@@ -351,3 +352,55 @@ def test_batch_chain_equals_the_chain_alone(batched, p, heading):
         link = bearing(PlanarPoint(*points[seg]), PlanarPoint(*points[seg + 1]))
         want = min(heading_error(heading, link), heading_error(heading, (link + 180.0) % 360.0))
         assert _measure(net, ids[i], p, heading).he.hex() == want.hex()
+
+
+@st.composite
+def northward_chains(draw):
+    """Chains with a segment from x = 0 a hair west of due north, whose
+    bearing, degrees(atan2(-tiny, dy)) % 360.0, rounds to 360.0."""
+    y = draw(COORD)
+    points = [(draw(COORD), y), (0.0, y + 1.0),
+              (-draw(st.sampled_from([1e-300, 1e-20, 1e-14, 1e-9])),
+               y + 1.0 + draw(st.floats(1.0, 1000.0)))]
+    return points[draw(st.integers(0, 1)):]
+
+
+@settings(max_examples=100, deadline=None)
+@given(batched=st.lists(st.one_of(vertex_chains(), northward_chains()), min_size=1, max_size=6),
+       p=st.tuples(COORD, COORD), heading=st.floats(0, 360, exclude_max=True))
+def test_segment_constants_equal_the_columns(batched, p, heading):
+    lines = batch(batched)
+    ids = [f"e{i}" for i in range(len(batched))]
+    net = RoadNetwork(ids, ids, ids, (), (), lines, Projection(GeoPoint(0.0, 0.0)))
+    p = PlanarPoint(*p)
+    x, y, cum = lines.x, lines.y, lines.cumlen
+    for i in range(len(batched)):
+        want = []
+        for j in range(lines.start[i], lines.start[i + 1] - 1):
+            dx, dy = x[j + 1] - x[j], y[j + 1] - y[j]
+            b = lines.bearings[j - i]
+            want.append(hexes([x[j], y[j], dx, dy, dx * dx + dy * dy, cum[j], cum[j + 1],
+                               b % 360.0, (b + 180.0) % 360.0 % 360.0]))
+        assert [hexes(s) for s in lines.segments[i]] == want
+        # he against both directions of the segment holding the foot
+        seg = project_onto_polyline(p, lines, i)[2]
+        b = lines.bearings[lines.start[i] - i + seg]
+        he = min(heading_error(heading, b), heading_error(heading, (b + 180.0) % 360.0))
+        assert _measure(net, ids[i], p, heading).he.hex() == he.hex()
+
+
+def test_segment_constants_of_a_bearing_that_rounds_to_360():
+    lines = polyline([(0.0, 0.0), (-1e-14, 500.0)])
+    assert lines.bearings == (360.0,)
+    assert lines.segments[0][0][7:] == (0.0, 180.0)
+    assert math.copysign(1.0, lines.segments[0][0][7]) == 1.0
+
+
+def test_segment_constants_are_built_on_first_read():
+    lines = polyline([(0.0, 0.0), (3.0, 4.0), (3.0, 10.0)])
+    with pytest.raises(AttributeError):  # the unset slot, read past __getattr__
+        Polylines.segments.__get__(lines)
+    assert lines.segments is lines.segments
+    assert len(lines.segments) == 1 and len(lines.segments[0]) == 2
+    with pytest.raises(AttributeError, match="no attribute 'other'"):
+        lines.other
