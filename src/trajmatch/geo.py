@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +22,9 @@ from scipy.spatial import cKDTree
 EARTH_RADIUS_M = 6_371_000.0
 METERS_PER_DEGREE = EARTH_RADIUS_M * math.pi / 180.0
 SAMPLE_SPACING = 100.0  # meters between the spatial index's samples along a segment
+# the fewest chains polylines sums one segment position of in one array pass:
+# about where such a pass costs as much per chain as a Python addition
+ARC_CHAINS = 128
 
 
 class InvalidCoordinateError(ValueError):
@@ -121,7 +124,7 @@ def polylines(x, y, sizes) -> Polylines:
     Segment lengths and bearings are computed with `math` on Python floats,
     so they equal math.hypot and bearing() of each segment bit for bit (numpy's
     hypot and arctan2 differ from them in the last bit on some inputs), and
-    each chain's arc lengths are summed from 0 on their own.
+    each chain's arc lengths are summed from 0 in order (see _arc_lengths).
     """
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     sizes = np.asarray(sizes, dtype=np.intp)
@@ -141,11 +144,41 @@ def polylines(x, y, sizes) -> Polylines:
                                    else "consecutive duplicate vertex in polyline")
     dx, dy = dx.tolist(), dy.tolist()
     seglen = list(map(math.hypot, dx, dy))
-    start = (0, *ends.tolist())
-    cumlen = chain.from_iterable(accumulate(seglen[a - i:b - i - 1], initial=0.0)
-                                 for i, (a, b) in enumerate(zip(start, start[1:])))
-    return Polylines(tuple(x.tolist()), tuple(y.tolist()), tuple(cumlen),
-                     tuple(math.degrees(a) % 360.0 for a in map(math.atan2, dx, dy)), start)
+    return Polylines(tuple(x.tolist()), tuple(y.tolist()), _arc_lengths(seglen, sizes, ends),
+                     tuple(math.degrees(a) % 360.0 for a in map(math.atan2, dx, dy)),
+                     (0, *ends.tolist()))
+
+
+def _arc_lengths(seglen: list[float], sizes: np.ndarray, ends: np.ndarray) -> tuple:
+    """Every chain's arc lengths, flat by vertex: chain i's are
+    accumulate(its seglen, initial=0.0).
+
+    Segment position k is summed across every chain that reaches it at once,
+    one elementwise add (numpy's float64 + rounds as Python's), while at
+    least ARC_CHAINS chains do; the chains still going then finish with
+    accumulate. So an array pass always serves enough chains to cost no
+    more than their Python additions, and a few long chains cost no extra
+    passes.
+    The additions and their order are the same as per chain, so every sum is
+    bit-identical.
+    """
+    order = np.argsort(-sizes, kind="stable")  # longest first: chains still going are a prefix
+    n = sizes[order]
+    first = (ends - sizes)[order]  # each chain's first vertex
+    seg = first - order  # and its first segment
+    lengths = np.array(seglen, dtype=np.float64)
+    cum = np.zeros(len(seglen) + len(sizes), dtype=np.float64)
+    k, m = 1, len(n)  # every chain has a vertex 1
+    while m >= ARC_CHAINS:
+        rows = first[:m] + k
+        cum[rows] = cum[rows - 1] + lengths[seg[:m] + k - 1]
+        k += 1
+        m = int(np.count_nonzero(n[:m] > k))
+    cum = cum.tolist()
+    for a, s, size in zip(first[:m].tolist(), seg[:m].tolist(), n[:m].tolist()):
+        cum[a + k - 1:a + size] = accumulate(seglen[s + k - 1:s + size - 1],
+                                             initial=cum[a + k - 1])
+    return tuple(cum)
 
 
 class Projection:

@@ -10,7 +10,9 @@ lines ignored):
                coordinate, each of the three fields is ASCII without `_`.
   network:     CSV, header `edge_id,node_from,node_to,wkt`; geometry is a WKT
                LINESTRING with lon-lat vertex order, read strictly (see
-               _parse_wkt_linestring) into flat vertex columns.
+               _parse_wkt_linestring) into flat vertex columns; ids are
+               stripped, and an edge id must read back whole from a
+               one-id-per-line file (see _id_fault).
   truth route: one edge id per line.
 An input that is not valid UTF-8 or not valid CSV raises ParseError.
 """
@@ -102,9 +104,15 @@ class RoadNetwork:
     of each: `ids`, `node_from` and `node_to`, and the vertices start[i] to
     start[i + 1] - 1 (start = geometry.start) of the flat `lon` and `lat`
     tuples (degrees, WKT order) and of `geometry`, their projection as
-    Polylines. `edges` maps each id to its position, `adjacency` each node
-    to the ids of its edges, and `index` finds the edges near a point.
+    Polylines. `edges` maps each id to its position.
 
+    `adjacency`, each node to the ids of its edges, and `index`, which finds
+    the edges near a point, are built from the columns on their first read
+    and kept for the network's life, so reading a network does not pay for
+    them. Each is a property over an attribute that __init__ sets to None:
+    the matcher reads the other attributes per candidate, and on Python 3.11
+    they read about 3 times slower once an attribute is added after
+    __init__ (functools.cached_property) or the class defines __getattr__.
     Edges and adjacency are fixed once built: `neighbours` keeps what it
     derives from them for the network's life.
     """
@@ -112,20 +120,35 @@ class RoadNetwork:
     def __init__(self, ids, node_from, node_to, lon, lat, geometry: Polylines,
                  projection: Projection):
         self.projection = projection
-        self.edges: dict[str, int] = {}
-        adjacency = defaultdict(set)
-        for i, (edge_id, a, b) in enumerate(zip(ids, node_from, node_to)):
-            if edge_id in self.edges:
-                raise ParseError(f"duplicate edge_id {edge_id!r}")
-            self.edges[edge_id] = i
-            adjacency[a].add(edge_id)
-            adjacency[b].add(edge_id)
-        self.adjacency: dict[str, set[str]] = dict(adjacency)
         self.ids, self.node_from, self.node_to = tuple(ids), tuple(node_from), tuple(node_to)
+        self.edges: dict[str, int] = dict(zip(self.ids, range(len(self.ids))))
+        if len(self.edges) < len(self.ids):
+            seen = set()
+            for edge_id in self.ids:
+                if edge_id in seen:
+                    raise ParseError(f"duplicate edge_id {edge_id!r}")
+                seen.add(edge_id)
         self.lon, self.lat = tuple(lon), tuple(lat)
         self.geometry = geometry
-        self.index: SpatialIndex = index_build(geometry, self.ids)
+        self._adjacency: dict[str, set[str]] | None = None
+        self._index: SpatialIndex | None = None
         self._neighbours: dict[tuple[str, str], tuple[str, ...]] = {}
+
+    @property
+    def adjacency(self) -> dict[str, set[str]]:
+        if self._adjacency is None:
+            adjacency = defaultdict(set)
+            for edge_id, a, b in zip(self.ids, self.node_from, self.node_to):
+                adjacency[a].add(edge_id)
+                adjacency[b].add(edge_id)
+            self._adjacency = dict(adjacency)
+        return self._adjacency
+
+    @property
+    def index(self) -> SpatialIndex:
+        if self._index is None:
+            self._index = index_build(self.geometry, self.ids)
+        return self._index
 
     def neighbours(self, node: str, edge_id: str) -> tuple[str, ...]:
         """The ids of the edges at node other than edge_id, sorted; each
@@ -400,13 +423,42 @@ def _parse_wkt_linestring(text: str, lon: list[float], lat: list[float]) -> int:
     return len(pairs)
 
 
+def _id_fault(edge_id: str, node_from: str, node_to: str) -> str | None:
+    """What keeps a row's stripped ids from naming an edge and its nodes, or
+    None. An edge id must come back whole from a one-id-per-line file (see
+    read_ids), so it is not blank, does not start with `#` and holds no line
+    break; a node id is not blank."""
+    if not edge_id:
+        return "blank edge_id"
+    if edge_id.startswith("#"):
+        return f"edge_id {edge_id!r} starts with '#'"
+    if "\n" in edge_id or "\r" in edge_id:
+        return f"edge_id {edge_id!r} holds a line break"
+    if not node_from:
+        return f"edge {edge_id!r} has a blank node_from"
+    if not node_to:
+        return f"edge {edge_id!r} has a blank node_to"
+    return None
+
+
 def parse_road_network(path) -> RoadNetwork:
+    """ParseError names the first row that does not parse.
+
+    The id columns are screened whole; only when the screen finds a blank
+    id, a `#` or a line break are the rows walked to find the first with an
+    id fault, and the rows before it are read as usual.
+    """
     (ids, nodes_from, nodes_to, wkts), short = _read_columns(
         path, ("edge_id", "node_from", "node_to", "wkt"))
+    ids, nodes_from, nodes_to = ([v.strip() for v in col] for col in (ids, nodes_from, nodes_to))
+    fault = None
+    joined = "".join(ids)
+    if not (all(ids) and all(nodes_from) and all(nodes_to)) or any(c in joined for c in "#\n\r"):
+        fault = next(((k, message) for k, message in
+                      enumerate(map(_id_fault, ids, nodes_from, nodes_to)) if message), None)
     lon, lat, sizes = [], [], []
     first_record: dict[str, int] = {}  # edge ids in file order
-    for k, (edge_id, wkt) in enumerate(zip(ids, wkts)):
-        edge_id = edge_id.strip()
+    for k, (edge_id, wkt) in enumerate(zip(ids[:fault[0]] if fault else ids, wkts)):
         try:
             size = _parse_wkt_linestring(wkt, lon, lat)
         except ValueError as exc:
@@ -419,12 +471,13 @@ def parse_road_network(path) -> RoadNetwork:
                              f"(first at row {first})")
         first_record[edge_id] = k
         sizes.append(size)
+    if fault:
+        raise _row_error(path, *fault)
     if short:
         raise _row_error(path, len(ids), short)
     if not first_record:
         raise ParseError(f"{path}: no edges")
-    return _assemble(list(first_record), [v.strip() for v in nodes_from],
-                     [v.strip() for v in nodes_to], lon, lat, sizes)
+    return _assemble(list(first_record), nodes_from, nodes_to, lon, lat, sizes)
 
 
 def write_road_network(network: RoadNetwork, path):

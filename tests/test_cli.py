@@ -1,11 +1,13 @@
 import copy
+import csv
 from pathlib import Path
 
 import pytest
 import yaml
 
-from trajmatch import matcher
+from trajmatch import cli, evalbench, matcher
 from trajmatch.cli import main
+from trajmatch.io import write_csv
 from conftest import FIXTURES
 from test_fuzzy_oracle import DEFAULT_CONFIG
 
@@ -408,3 +410,59 @@ def test_short_row_exits_2(tmp_path, capsys, name, text, argv):
     bad.write_text(text, encoding="utf-8")
     assert run([a.format(bad=bad, out=tmp_path / "out") for a in argv]) == 2
     assert f"{name}: row 3: no field for " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edge_id, node_to, id_column, message", [
+    ("", "n9", 0, "blank edge_id"),
+    ("#a", "n9", 1, "edge_id '#a' starts with '#'"),
+    ("a\nb", "n9", 0, r"edge_id 'a\nb' holds a line break"),
+    ("a", "", 0, "edge 'a' has a blank node_to"),
+])
+def test_match_and_eval_reject_ids_that_do_not_read_back(tmp_path, capsys, edge_id, node_to,
+                                                         id_column, message):
+    # at the parent, match wrote these ids to edge_sequence.txt and exited 0:
+    # eval then skipped the blank and '#' lines, or split 'a\nb' in two
+    with open(NETWORK, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows.append([edge_id, "n0_0", node_to, "LINESTRING (-122.3 47.6, -122.3 47.5999)"])
+    order = [1, 0, 2, 3] if id_column else [0, 1, 2, 3]  # edge_id in that column
+    net = tmp_path / "net.csv"
+    write_csv(net, [rows[0][i] for i in order], ([row[i] for i in order] for row in rows[1:]))
+    for argv in (["match", "--traj", TRAJ, "--out-dir", str(tmp_path / "out")],
+                 ["eval", "--edges", TRUTH, "--truth", TRUTH]):
+        assert run(argv + ["--network", str(net)]) == 2
+        assert capsys.readouterr().err == f"error: {net}: row {len(rows)}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture
+def networks_read(monkeypatch):
+    """Every network the command line parsed since the fixture began."""
+    nets = []
+    parse = cli.parse_road_network
+
+    def recording(path):
+        nets.append(parse(path))
+        return nets[-1]
+
+    monkeypatch.setattr(cli, "parse_road_network", recording)
+    return nets
+
+
+def test_eval_builds_no_index_or_adjacency(capsys, index_builds, networks_read):
+    assert run(["eval", "--network", NETWORK, "--edges", TRUTH, "--truth", TRUTH]) == 0
+    assert "correct_links=12" in capsys.readouterr().out
+    assert index_builds == []
+    assert [(net._index, net._adjacency) for net in networks_read] == [(None, None)]
+
+
+def test_pipeline_builds_the_index_once_for_its_matches(tmp_path, monkeypatch, index_builds,
+                                                         networks_read):
+    matches = []
+    match = evalbench.match_trajectory
+    monkeypatch.setattr(evalbench, "match_trajectory",
+                        lambda net, *args: matches.append(net) or match(net, *args))
+    assert run(["pipeline", "--network", NETWORK, "--traj", TRAJ, "--truth", TRUTH,
+                "--eps", "0.00004", "--min-pts", "3", "--out-dir", str(tmp_path)]) == 0
+    assert len(matches) == 10 and all(net is networks_read[0] for net in matches)
+    assert [owners for _, owners in index_builds] == [networks_read[0].ids]

@@ -1,10 +1,12 @@
 import math
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trajmatch.geo import (
+    ARC_CHAINS,
     GeoPoint,
     InvalidCoordinateError,
     InvalidPolylineError,
@@ -330,6 +332,22 @@ def vertex_chains(draw):
 
 def hexes(values):
     return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("sizes", [
+    [2] * ARC_CHAINS,  # one array pass
+    [2] * (ARC_CHAINS - 1),  # none
+    [40] * ARC_CHAINS + [41, 500, 3],  # passes up to vertex 39, then two chains go on
+    [2 + (7 * i) % 60 for i in range(3 * ARC_CHAINS)],
+])
+def test_arc_lengths_equal_each_chain_summed_alone(sizes):
+    rng = random.Random(len(sizes))
+    chains = [[(rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4)) for _ in range(n)]
+              for n in sizes]
+    expected = [total for points in chains for total in accumulate(
+        (math.hypot(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(points, points[1:])),
+        initial=0.0)]
+    assert hexes(batch(chains).cumlen) == hexes(expected)
 
 
 @settings(max_examples=100, deadline=None)

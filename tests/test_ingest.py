@@ -12,6 +12,7 @@ from trajmatch.io import (
     parse_road_network,
     parse_trajectory,
     read_ids,
+    write_csv,
     write_trajectory,
 )
 
@@ -363,6 +364,65 @@ def test_parse_network_first_bad_row_wins(tmp_path):
     with pytest.raises(ParseError) as err:
         parse_road_network(p)
     assert str(err.value) == f"{p}: row 3: latitude 91.0 out of [-90, 90]"
+
+
+@pytest.mark.parametrize("edge_id, node_from, node_to, id_column, message", [
+    # a blank id was written as an empty line of edge_sequence.txt, which
+    # read_ids skips
+    (" ", "n3", "n4", 0, "blank edge_id"),
+    # the comment rule drops a record whose first field starts with '#', but
+    # not one whose id sits in another column; read_ids skipped it
+    ("#a", "n3", "n4", 1, "edge_id '#a' starts with '#'"),
+    (" #a", "n3", "n4", 1, "edge_id '#a' starts with '#'"),
+    # written over two lines, the id read back as 'a' and 'b'
+    ("a\nb", "n3", "n4", 0, r"edge_id 'a\nb' holds a line break"),
+    ("a\r\nb", "n3", "n4", 1, r"edge_id 'a\r\nb' holds a line break"),
+    ("a\rb", "n3", "n4", 0, r"edge_id 'a\rb' holds a line break"),
+    # edges 75 km apart were neighbours at node ""
+    ("e3", "n3", "", 0, "edge 'e3' has a blank node_to"),
+    ("e3", " ", "n4", 1, "edge 'e3' has a blank node_from"),
+])
+def test_parse_network_rejects_ids_that_do_not_read_back(tmp_path, edge_id, node_from, node_to,
+                                                         id_column, message):
+    rows = [("e1", "n1", "n2", "LINESTRING (-122.0 47.0, -122.0 47.001)"),
+            ("e2", "n2", "n3", "LINESTRING (-122.0 47.001, -121.999 47.001)"),
+            (edge_id, node_from, node_to, "LINESTRING (-121.999 47.001, -121.998 47.001)")]
+    order = [1, 0, 2, 3] if id_column else [0, 1, 2, 3]  # edge_id in that column
+    p = tmp_path / "n.csv"
+    write_csv(p, [("edge_id", "node_from", "node_to", "wkt")[i] for i in order],
+              ([row[i] for i in order] for row in rows))
+    with pytest.raises(ParseError) as err:
+        parse_road_network(p)
+    assert str(err.value) == f"{p}: row 4: {message}"
+
+
+def test_parse_network_id_fault_and_geometry_fault_first_row_wins(tmp_path):
+    bad_wkt = NET_CSV.replace("-121.999 47.001)", "-121.999 91.0)")
+    blank_id = ',n3,n4,"LINESTRING (-121.999 47.001, -121.998 47.001)"\n'
+    with pytest.raises(ParseError, match="row 3: latitude 91.0"):
+        parse_road_network(write(tmp_path / "a.csv", bad_wkt + blank_id))
+    blank_node = NET_CSV.replace("e2,n2,n3", "e2,n2,")
+    with pytest.raises(ParseError, match="row 3: edge 'e2' has a blank node_to"):
+        parse_road_network(write(tmp_path / "b.csv", blank_node
+                                 + 'e1,n3,n4,"LINESTRING (-121.999 47.001, -121.998 91.0)"\n'))
+
+
+def test_parse_network_ids_may_hold_inner_hashes_and_spaces(tmp_path):
+    net = parse_road_network(write(tmp_path / "n.csv", NET_CSV.replace("e2,n2,n3", "a#2 b,n 2,n3")
+                                   .replace("e1,n1,n2", "e1,n1,n 2")))
+    assert net.ids == ("e1", "a#2 b")
+    assert net.neighbours("n 2", "e1") == ("a#2 b",)
+
+
+def test_parse_and_build_network_build_no_index_or_adjacency(tmp_path, index_builds):
+    nets = [parse_road_network(write(tmp_path / "n.csv", NET_CSV)),
+            build_network([("e1", "a", "b", [GeoPoint(47.0, -122.0), GeoPoint(47.001, -122.0)])])]
+    for net in nets:
+        assert net._index is None and net._adjacency is None
+    assert index_builds == []
+    for net in nets:
+        assert net.index is net.index and net.adjacency is net.adjacency
+    assert [owners for _, owners in index_builds] == [net.ids for net in nets]
 
 
 BOM = "\ufeff"

@@ -1,5 +1,6 @@
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -210,6 +211,20 @@ def test_match_straight_road():
     assert result.edge_sequence == ["e1"]
     assert result.total_points == len(traj)
     assert all(m.confident for m in result.matched)
+
+
+def test_match_time_excludes_building_the_index_and_adjacency(monkeypatch, index_builds):
+    # a clock that reads the number of index builds so far: a build inside
+    # the timed span would add 1 to wall_time_s
+    monkeypatch.setattr(matcher, "time",
+                        SimpleNamespace(perf_counter=lambda: float(len(index_builds))))
+    net = straight_net()
+    assert net._index is None and net._adjacency is None
+    result = match_trajectory(net, traj_from_planar(net, [(1, 10), (1, 30)]), RULES, CFG)
+    assert len(index_builds) == 1 and result.wall_time_s == 0.0
+    assert net._adjacency is not None
+    match_trajectory(net, traj_from_planar(net, [(1, 10), (1, 30)]), RULES, CFG)
+    assert len(index_builds) == 1
 
 
 def l_net():

@@ -1,19 +1,20 @@
 """The columnar network assembly against a per-vertex reference.
 
-Multi-vertex networks, read from a CSV file and built in memory, must
-reproduce `oracles.network_geometry` bit for bit: the projection origin,
+Multi-vertex networks, read from a CSV file and built in memory, with short
+and long edges together, must reproduce `oracles.network_geometry` bit for bit: the projection origin,
 every projected vertex, arc length and segment bearing, the spatial index's
 samples and owners, and `project_onto_polyline` on each edge.
 """
 
 import csv
+import random
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from trajmatch.geo import SAMPLE_SPACING, GeoPoint, PlanarPoint, project_onto_polyline
+from trajmatch.geo import ARC_CHAINS, SAMPLE_SPACING, GeoPoint, PlanarPoint, project_onto_polyline
 from trajmatch.io import (
     ParseError,
     build_network,
@@ -36,20 +37,46 @@ STEP = st.one_of(uniform(-0.03, 0.03), uniform(-0.0015, 0.0015),
                  st.sampled_from([0.0, 1e-12, -1e-9, 0.0009, -0.0009, 0.0018]))
 
 
+def walk(rng, lon, lat, steps, scale):
+    """A vertex chain from (lon, lat) of the given number of random steps of
+    up to scale degrees, as (lons, lats)."""
+    lons, lats = [lon], [lat]
+    for _ in range(steps):
+        lons.append(lons[-1] + rng.uniform(-scale, scale))
+        lats.append(lats[-1] + rng.uniform(-scale, scale))
+    return lons, lats
+
+
 @st.composite
 def networks(draw):
-    """1-5 edges of 2-6 vertices; an edge may start where the previous ends."""
+    """1-5 edges of 2-6 vertices, or of 100-140 for about one edge in four;
+    an edge may start where the previous ends. About one network in four
+    also gets ARC_CHAINS to ARC_CHAINS + 30 more edges of 2-6 vertices, so
+    that `polylines` sums the first positions of every chain in array passes
+    and the rest with accumulate. Long edges and those bundles take their
+    steps from a seeded generator, so that drawing them costs Hypothesis a
+    few values."""
     edges = []
     for _ in range(draw(st.integers(1, 5))):
         if edges and draw(st.booleans()):
             lon, lat = edges[-1][0][-1], edges[-1][1][-1]
         else:
             lon, lat = draw(uniform(-122.5, -122.0)), draw(uniform(47.4, 47.8))
-        lons, lats = [lon], [lat]
-        for _ in range(draw(st.integers(1, 5))):
-            lons.append(lons[-1] + draw(STEP))
-            lats.append(lats[-1] + draw(STEP))
-        edges.append((lons, lats))
+        if draw(st.integers(0, 3)):
+            lons, lats = [lon], [lat]
+            for _ in range(draw(st.integers(1, 5))):
+                lons.append(lons[-1] + draw(STEP))
+                lats.append(lats[-1] + draw(STEP))
+            edges.append((lons, lats))
+        else:
+            rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+            edges.append(walk(rng, lon, lat, rng.randint(99, 139),
+                              draw(st.sampled_from([0.0015, 0.03]))))
+    if not draw(st.integers(0, 3)):
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        edges += [walk(rng, rng.uniform(-122.5, -122.0), rng.uniform(47.4, 47.8),
+                       rng.randint(1, 5), 0.0015)
+                  for _ in range(rng.randint(ARC_CHAINS, ARC_CHAINS + 30))]
     return edges
 
 
