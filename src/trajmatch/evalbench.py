@@ -217,7 +217,7 @@ def generate_scenario(seed: int, grid_size: int = 6, edge_len_m: float = 200.0,
     pending = list(dwell_spec)
     while t_route <= travel_time + 1e-9:
         x, y = _route_position(waypoints, speed_mps, t_route)
-        if pending and t_route >= pending[0][0]:
+        while pending and t_route >= pending[0][0]:
             _, duration, sigma = pending.pop(0)
             dwell_centers.append(proj.unproject(PlanarPoint(x, y)))
             for _ in range(int(duration)):

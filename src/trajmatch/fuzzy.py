@@ -61,21 +61,21 @@ class MembershipFunction:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if self.shape in ("triangular", "trapezoidal"):
-            a, b, c, d = self._corners
-            # a ramp narrower than the distance to x overflows to +-inf,
-            # which the clip takes to 0 or 1; a zero-width ramp is 1
-            with np.errstate(over="ignore"):
+        # a ramp narrower than the distance to x overflows to +-inf, which the
+        # clip or the np.where branch x does not take discards
+        with np.errstate(over="ignore"):
+            if self.shape in ("triangular", "trapezoidal"):
+                a, b, c, d = self._corners  # a zero-width ramp is 1
                 left = np.ones_like(x) if a == b else (x - a) / max(b - a, 1e-300)
                 right = np.ones_like(x) if c == d else (d - x) / max(d - c, 1e-300)
-            return np.clip(np.minimum(np.minimum(left, 1.0), right), 0.0, 1.0)
-        a, b = self.params
-        mid = (a + b) / 2.0
-        # standard quadratic spline s-function
-        s = np.where(
-            x <= a, 0.0,
-            np.where(x <= mid, 2 * ((x - a) / (b - a)) ** 2,
-                     np.where(x <= b, 1 - 2 * ((b - x) / (b - a)) ** 2, 1.0)))
+                return np.clip(np.minimum(np.minimum(left, 1.0), right), 0.0, 1.0)
+            a, b = self.params
+            mid = (a + b) / 2.0
+            # standard quadratic spline s-function
+            s = np.where(
+                x <= a, 0.0,
+                np.where(x <= mid, 2 * ((x - a) / (b - a)) ** 2,
+                         np.where(x <= b, 1 - 2 * ((b - x) / (b - a)) ** 2, 1.0)))
         return 1.0 - s if self.shape == "z" else s
 
     def scalar(self, x: float) -> float:
@@ -370,9 +370,17 @@ def _known(node: Mapping, keys: tuple[str, ...], where: str):
             raise ValueError(f"{where}.{key}: unknown key" if where else f"{key}: unknown key")
 
 
+def is_finite_number(value) -> bool:
+    """Whether value is an int or float, not a bool, that converts to a finite float."""
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _numbers(values: list, path: str) -> tuple[float, ...]:
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-               for v in values):
+    if not all(map(is_finite_number, values)):
         raise ValueError(f"{path}: expected finite numbers, got {values!r}")
     return tuple(values)
 

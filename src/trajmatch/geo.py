@@ -75,45 +75,50 @@ class InvalidPolylineError(ValueError):
 
 class Polylines:
     """A batch of ordered planar vertex chains with no repeated consecutive
-    vertices, held as flat tuples: the vertex coordinates `x` and `y`, the
-    arc length `cumlen` up to each vertex along its chain (0 at each chain's
-    first vertex), the compass `bearings` of each segment, and `start`, one
-    offset per chain and the total. Chain i holds vertices start[i] to
-    start[i + 1] - 1 and segments start[i] - i to start[i + 1] - i - 2.
-    The constructor checks nothing; `polylines` builds checked batches.
+    vertices: flat float64 arrays of the vertex coordinates `x` and `y` and
+    of the arc length `cumlen` up to each vertex along its chain (0 at each
+    chain's first vertex), and `start`, a tuple of one offset per chain and
+    the total. Chain i holds vertices start[i] to start[i + 1] - 1 and
+    segments start[i] - i to start[i + 1] - i - 2. The constructor checks
+    nothing; `polylines` builds checked batches.
 
     `segments[i]` holds chain i's segments, one tuple each of the constants
     that projecting onto it and comparing a heading with it read: (ax, ay,
     dx, dy, dx * dx + dy * dy, cumlen at a, cumlen at b, bearing % 360.0,
-    (bearing + 180.0) % 360.0 % 360.0) for the segment from a to b. It is
-    built from the columns on its first read, so building a batch does not
-    pay for it, and kept for the batch's life.
+    (bearing + 180.0) % 360.0 % 360.0) for the segment from a to b, bearing
+    as bearing(a, b) computes it. It is built from the columns on its first
+    read, so building a batch does not pay for it, and kept for its life.
     """
 
-    __slots__ = ("x", "y", "cumlen", "bearings", "start", "segments")
+    __slots__ = ("x", "y", "cumlen", "start", "segments")
 
-    def __init__(self, x, y, cumlen, bearings, start):
-        self.x, self.y, self.cumlen, self.bearings, self.start = x, y, cumlen, bearings, start
+    def __init__(self, x, y, cumlen, start):
+        self.x, self.y, self.cumlen, self.start = x, y, cumlen, start
 
     def __getattr__(self, name):
         # called only when a slot is unset: `segments` before its first read
         if name != "segments":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        start = self.start
-        x, y, cum = (np.array(col, dtype=np.float64) for col in (self.x, self.y, self.cumlen))
-        # vertex j starts a segment unless it ends its chain; numpy's
-        # elementwise - * + round as Python's do
-        opens = np.ones(len(x), dtype=bool)
-        opens[np.array(start[1:], dtype=np.intp) - 1] = False
-        j = np.flatnonzero(opens)
-        dx, dy = x[j + 1] - x[j], y[j + 1] - y[j]
-        flat = list(zip(x[j].tolist(), y[j].tolist(), dx.tolist(), dy.tolist(),
-                        (dx * dx + dy * dy).tolist(), cum[j].tolist(), cum[j + 1].tolist(),
-                        [b % 360.0 for b in self.bearings],
-                        [(b + 180.0) % 360.0 % 360.0 for b in self.bearings]))
+        start, cum = self.start, self.cumlen
+        j, dx, dy = _segments(self.x, self.y, start[1:])
+        dd, dx, dy = (dx * dx + dy * dy).tolist(), dx.tolist(), dy.tolist()
+        bearings = [math.degrees(a) % 360.0 for a in map(math.atan2, dx, dy)]
+        flat = list(zip(self.x[j].tolist(), self.y[j].tolist(), dx, dy, dd,
+                        cum[j].tolist(), cum[j + 1].tolist(), [b % 360.0 for b in bearings],
+                        [(b + 180.0) % 360.0 % 360.0 for b in bearings]))
         self.segments = tuple(tuple(flat[a - i:b - i - 1])
                               for i, (a, b) in enumerate(zip(start, start[1:])))
         return self.segments
+
+
+def _segments(x: np.ndarray, y: np.ndarray, ends) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each segment's first vertex j, x[j + 1] - x[j] and y[j + 1] - y[j], as
+    arrays, for chains ending before `ends` (numpy's - rounds as Python's)."""
+    ends = np.asarray(ends, dtype=np.intp)
+    opens = np.ones(len(x), dtype=bool)
+    opens[ends[ends > 0] - 1] = False  # an empty chain ends no vertex
+    j = np.flatnonzero(opens)
+    return j, x[j + 1] - x[j], y[j + 1] - y[j]
 
 
 def polylines(x, y, sizes) -> Polylines:
@@ -121,19 +126,14 @@ def polylines(x, y, sizes) -> Polylines:
     vertices. Every check runs once over the arrays, and the first chain that
     is no polyline raises InvalidPolylineError.
 
-    Segment lengths and bearings are computed with `math` on Python floats,
-    so they equal math.hypot and bearing() of each segment bit for bit (numpy's
-    hypot and arctan2 differ from them in the last bit on some inputs), and
-    each chain's arc lengths are summed from 0 in order (see _arc_lengths).
+    Segment lengths are computed with math.hypot on Python floats (numpy's
+    hypot differs from it in the last bit on some inputs), and each chain's
+    arc lengths are summed from 0 in order (see _arc_lengths).
     """
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     sizes = np.asarray(sizes, dtype=np.intp)
     ends = np.cumsum(sizes)
-    # vertex j starts a segment unless it ends its chain
-    opens = np.ones(len(x), dtype=bool)
-    opens[ends[sizes > 0] - 1] = False
-    j = np.flatnonzero(opens)
-    dx, dy = x[j + 1] - x[j], y[j + 1] - y[j]
+    _, dx, dy = _segments(x, y, ends)
     short = np.flatnonzero(sizes < 2)[:1]
     # a segment whose squared length underflows to 0 has no direction to
     # project onto, like a repeated vertex
@@ -142,14 +142,11 @@ def polylines(x, y, sizes) -> Polylines:
         i = min(short.tolist() + repeated[:1].tolist())
         raise InvalidPolylineError(i, "polyline needs at least 2 vertices" if sizes[i] < 2
                                    else "consecutive duplicate vertex in polyline")
-    dx, dy = dx.tolist(), dy.tolist()
-    seglen = list(map(math.hypot, dx, dy))
-    return Polylines(tuple(x.tolist()), tuple(y.tolist()), _arc_lengths(seglen, sizes, ends),
-                     tuple(math.degrees(a) % 360.0 for a in map(math.atan2, dx, dy)),
-                     (0, *ends.tolist()))
+    seglen = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())), dtype=np.float64)
+    return Polylines(x, y, _arc_lengths(seglen, sizes, ends), (0, *ends.tolist()))
 
 
-def _arc_lengths(seglen: list[float], sizes: np.ndarray, ends: np.ndarray) -> tuple:
+def _arc_lengths(seglen: np.ndarray, sizes: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Every chain's arc lengths, flat by vertex: chain i's are
     accumulate(its seglen, initial=0.0).
 
@@ -166,19 +163,17 @@ def _arc_lengths(seglen: list[float], sizes: np.ndarray, ends: np.ndarray) -> tu
     n = sizes[order]
     first = (ends - sizes)[order]  # each chain's first vertex
     seg = first - order  # and its first segment
-    lengths = np.array(seglen, dtype=np.float64)
     cum = np.zeros(len(seglen) + len(sizes), dtype=np.float64)
     k, m = 1, len(n)  # every chain has a vertex 1
     while m >= ARC_CHAINS:
         rows = first[:m] + k
-        cum[rows] = cum[rows - 1] + lengths[seg[:m] + k - 1]
+        cum[rows] = cum[rows - 1] + seglen[seg[:m] + k - 1]
         k += 1
         m = int(np.count_nonzero(n[:m] > k))
-    cum = cum.tolist()
     for a, s, size in zip(first[:m].tolist(), seg[:m].tolist(), n[:m].tolist()):
-        cum[a + k - 1:a + size] = accumulate(seglen[s + k - 1:s + size - 1],
-                                             initial=cum[a + k - 1])
-    return tuple(cum)
+        cum[a + k - 1:a + size] = list(accumulate(seglen[s + k - 1:s + size - 1].tolist(),
+                                                  initial=cum[a + k - 1].item()))
+    return cum
 
 
 class Projection:
@@ -287,17 +282,14 @@ def index_build(lines: Polylines, owners: Sequence) -> SpatialIndex:
     """The index over a batch of polylines, chain i owned by owners[i].
     Segment j gets n = ceil((cumlen[j + 1] - cumlen[j]) / SAMPLE_SPACING)
     samples a + (b - a) * k / n for k < n, and each chain its last vertex."""
-    x, y, cum = (np.array(col, dtype=np.float64) for col in (lines.x, lines.y, lines.cumlen))
-    start = np.array(lines.start, dtype=np.intp)
+    x, y, cum, start = lines.x, lines.y, lines.cumlen, np.array(lines.start, dtype=np.intp)
     last = start[1:] - 1
+    j, seg_dx, seg_dy = _segments(x, y, start[1:])
     # samples per vertex: its segment's n, or 1 for a chain's last vertex
     per = np.ones(len(x), dtype=np.intp)
-    dx, dy = np.zeros(len(x)), np.zeros(len(x))
-    seg = np.ones(len(x), dtype=bool)
-    seg[last] = False
-    j = np.flatnonzero(seg)
     per[j] = np.ceil((cum[j + 1] - cum[j]) / SAMPLE_SPACING)
-    dx[j], dy[j] = x[j + 1] - x[j], y[j + 1] - y[j]
+    dx, dy = np.zeros(len(x)), np.zeros(len(x))
+    dx[j], dy[j] = seg_dx, seg_dy
     src = np.repeat(np.arange(len(x)), per)
     k = np.arange(len(src)) - np.repeat(np.cumsum(per) - per, per)
     n = per[src]

@@ -102,8 +102,8 @@ class Trajectory:
 class RoadNetwork:
     """A road network as columns in one planar frame, edge i at position i
     of each: `ids`, `node_from` and `node_to`, and the vertices start[i] to
-    start[i + 1] - 1 (start = geometry.start) of the flat `lon` and `lat`
-    tuples (degrees, WKT order) and of `geometry`, their projection as
+    start[i + 1] - 1 (start = geometry.start) of the flat float64 `lon` and
+    `lat` (degrees, WKT order) and of `geometry`, their projection as
     Polylines. `edges` maps each id to its position.
 
     `adjacency`, each node to the ids of its edges, and `index`, which finds
@@ -128,7 +128,7 @@ class RoadNetwork:
                 if edge_id in seen:
                     raise ParseError(f"duplicate edge_id {edge_id!r}")
                 seen.add(edge_id)
-        self.lon, self.lat = tuple(lon), tuple(lat)
+        self.lon, self.lat = (np.asarray(c, dtype=np.float64) for c in (lon, lat))
         self.geometry = geometry
         self._adjacency: dict[str, set[str]] | None = None
         self._index: SpatialIndex | None = None
@@ -483,7 +483,7 @@ def parse_road_network(path) -> RoadNetwork:
 def write_road_network(network: RoadNetwork, path):
     """Write a network in the format parse_road_network reads, edges sorted
     by id."""
-    start, lon, lat = network.geometry.start, network.lon, network.lat
+    start, lon, lat = network.geometry.start, network.lon.tolist(), network.lat.tolist()
 
     def wkt(i):
         vertices = zip(lon[start[i]:start[i + 1]], lat[start[i]:start[i + 1]])
@@ -517,8 +517,9 @@ def _assemble(ids, nodes_from, nodes_to, lon, lat, sizes) -> RoadNetwork:
     if not lon:
         raise ParseError("network has no geometry")
     proj = Projection(GeoPoint(sum(lat) / len(lat), sum(lon) / len(lon)))
+    lon, lat = np.array(lon, dtype=np.float64), np.array(lat, dtype=np.float64)
     try:
-        geometry = polylines(*proj.project_lonlat(np.array(lon), np.array(lat)), sizes)
+        geometry = polylines(*proj.project_lonlat(lon, lat), sizes)
     except InvalidPolylineError as exc:
         raise ParseError(f"edge {ids[exc.index]!r}: {exc}") from None
     return RoadNetwork(ids, nodes_from, nodes_to, lon, lat, geometry, proj)

@@ -31,7 +31,8 @@ from typing import NamedTuple
 import numpy as np
 import yaml
 
-from .fuzzy import RuleBase, default_rule_base, evaluate_rows, rule_base_from_config
+from .fuzzy import RuleBase, default_rule_base, evaluate_rows, is_finite_number, \
+    rule_base_from_config
 from .geo import PlanarPoint, project_onto_polyline
 from .io import ParseError, RoadNetwork, Trajectory, read_utf8, write_csv, write_lines
 
@@ -134,10 +135,8 @@ def load_matcher_config(path) -> tuple[MatcherConfig, RuleBase]:
         if key not in known:
             raise ParseError(f"{path}: thresholds.{key}: unknown key "
                              f"(known: {', '.join(sorted(known))})")
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not math.isfinite(value):
-            raise ParseError(f"{path}: thresholds.{key}: expected a finite number, "
-                             f"got {value!r}")
+        if not is_finite_number(value):
+            raise ParseError(f"{path}: thresholds.{key}: expected a finite number, got {value!r}")
     try:
         cfg = MatcherConfig(**thresholds)
     except ValueError as exc:
@@ -261,8 +260,7 @@ def smp_step(network: RoadNetwork, state: MatchState, p: PlanarPoint,
     """
     i = network.edges[state.edge_id]
     here = _measure(network, state.edge_id, p, heading)
-    lines = network.geometry
-    length = lines.cumlen[lines.start[i + 1] - 1]
+    length = network.geometry.segments[i][-1][6]  # the last segment's cumlen at b
     if (here.arc_offset > cfg.junction_radius and length - here.arc_offset > cfg.junction_radius
             and here.pd <= cfg.pd_escape):
         state.consecutive_low_confidence = 0
@@ -327,7 +325,7 @@ def match_trajectory(network: RoadNetwork, traj: Trajectory, rules: RuleBase,
         raise TooFewPointsError("trajectory must have at least 2 points")
     proj = network.projection
     xs, ys = proj.project_lonlat(traj.lon, traj.lat)
-    network.index, network.adjacency  # built on their first read: not matching time
+    network.index, network.adjacency, network.geometry.segments  # built on first read, untimed
 
     t0 = time.perf_counter()
     state = MatchState()

@@ -344,6 +344,26 @@ def test_config_he_before_pd_matches_like_pd_first(tmp_path, monkeypatch):
     assert scored["he", "pd"] == [(he, pd) for pd, he in scored["pd", "he"]]
 
 
+HUGE = "1" + "0" * 400  # an integer beyond the float range
+
+
+def test_config_threshold_beyond_float_range(tmp_path, capsys):
+    # This ended in an OverflowError traceback from math.isfinite (exit 1).
+    assert _match_with_config(tmp_path, f"thresholds: {{candidate_radius: {HUGE}}}\n") == 2
+    assert (f"thresholds.candidate_radius: expected a finite number, got {HUGE}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_rule_base_universe_beyond_float_range(tmp_path, capsys):
+    doc = copy.deepcopy(DEFAULT_CONFIG)
+    doc["inputs"]["pd"]["universe"] = [0, int(HUGE)]
+    assert _match_with_config(tmp_path, yaml.safe_dump({"rule_base": doc})) == 2
+    assert (f"rule_base: inputs.pd.universe: expected finite numbers, got [0, {HUGE}]"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_broken_yaml(tmp_path, capsys):
     assert _match_with_config(tmp_path, "thresholds: [candidate_radius: 80\n") == 2
     err = capsys.readouterr().err

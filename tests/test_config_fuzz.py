@@ -15,10 +15,13 @@ from test_fuzzy_oracle import MIXED_CONFIG
 VALID = {"thresholds": {"candidate_radius": 80.0, "reinit_after": 3},
          "rule_base": MIXED_CONFIG}
 
+# integers too large for a float: math.isfinite raises OverflowError on them
+HUGE = st.one_of(st.integers(min_value=2**1024), st.integers(max_value=-2**1024))
 JUNK = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 200), st.text(max_size=4),
+    st.none(), st.booleans(), st.integers(-3, 200), st.text(max_size=4), HUGE,
     st.floats(allow_nan=True, allow_infinity=True),
-    st.lists(st.one_of(st.integers(-3, 200), st.floats(), st.text(max_size=2)), max_size=4),
+    st.lists(st.one_of(st.integers(-3, 200), st.floats(), st.text(max_size=2), HUGE),
+             max_size=4),
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
 
 

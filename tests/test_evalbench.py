@@ -57,6 +57,21 @@ def test_scenario_deterministic():
     assert a.truth.edge_ids == b.truth.edge_ids
 
 
+def test_dwells_starting_in_one_step_begin_at_one_sample():
+    # The second of two dwells that start between the same two samples began
+    # a sample late, and in the route's last step raised ValueError although
+    # it starts before the last sample (26 s here).
+    one = generate_scenario(0, grid_size=4, route_edges=2, jitter_sigma_m=0.0,
+                            dwell_spec=[(25.5, 3.0, 0.2)])
+    two = generate_scenario(0, grid_size=4, route_edges=2, jitter_sigma_m=0.0,
+                            dwell_spec=[(25.5, 3.0, 0.2), (25.5, 4.0, 0.2)])
+    assert len(two.trajectory) == len(one.trajectory) + 4
+    assert two.dwell_centers == [one.dwell_centers[0]] * 2
+    mid = generate_scenario(0, grid_size=4, route_edges=2,
+                            dwell_spec=[(10.7, 3.0, 0.2), (10.2, 3.0, 0.2)])
+    assert mid.dwell_centers[0] == mid.dwell_centers[1]
+
+
 def test_scenario_dwell_density():
     scn = generate_scenario(42, dwell_spec=[(50, 60, 3.0)])
     center = scn.dwell_centers[0]

@@ -73,6 +73,17 @@ def test_narrow_ramps_do_not_warn(params, x, want):
             assert mf(np.array([x, 0.5])).tolist() == [want, mf.scalar(0.5)]
 
 
+@pytest.mark.parametrize("shape", ["z", "s"])
+@pytest.mark.parametrize("x", [-5.688451144865506e155, -1e300, 1e300])
+def test_far_values_of_z_and_s_do_not_warn(shape, x):
+    # np.where computes every branch, and the squared ramp of a value this
+    # far out overflowed: a rule-base universe from -5.7e155 warned
+    mf = MembershipFunction(shape, (10.0, 70.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mf(np.array([x, 40.0])).tolist() == [mf.scalar(x), mf.scalar(40.0)]
+
+
 def test_memberships_bounded_random():
     rng = random.Random(20)
     shapes = []

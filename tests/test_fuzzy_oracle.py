@@ -6,6 +6,7 @@ whether a row's output comes from the array pass or from the rule base's
 table of flat rows.
 """
 
+import copy
 import pickle
 import random
 
@@ -220,3 +221,43 @@ def test_rule_base_without_rules_scores_the_midpoint():
             for he in (0.0, 45.0, 200.0)]
     assert evaluate_batch(rule_base_from_config(config), rows) == [50.0] * len(rows)
     assert {numpy_mamdani(config, row) for row in rows} == {50.0}
+
+
+def _edge_case(config, negative, nowhere):
+    """config with every other rule's weight negated (such a rule never
+    fires), and/or an output label that is 0 on the whole output grid, the
+    consequent of a copy of every other rule (such a rule fires and clips
+    nothing)."""
+    config = copy.deepcopy(config)
+    rules = config["rules"]
+    if negative:
+        for rule in rules[::2]:
+            rule["weight"] = -rule.get("weight", 1.0)
+    if nowhere:
+        hi = config["output"]["universe"][1]
+        config["output"]["labels"]["nowhere"] = {"shape": "triangular",
+                                                 "params": [hi, hi + 1, hi + 2]}
+        rules += [dict(rule, then="nowhere") for rule in rules[1::2]]
+    return config
+
+
+EDGE_CASES = {(name, case): _edge_case(CONFIGS[name], case != "zero label", case != "negative")
+              for name in CONFIGS for case in ("negative", "zero label", "both")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.sampled_from(sorted(EDGE_CASES)), pairs=st.lists(st.tuples(PD, HE), max_size=8))
+def test_negative_weights_and_zero_label_equal_numpy_oracle(key, pairs):
+    config = EDGE_CASES[key]
+    rows = [{"pd": pd, "he": he} for pd, he in pairs] + FLAT_ROWS + PARTIAL_ROWS
+    assert evaluate_batch(rule_base_from_config(config), rows) == \
+        [numpy_mamdani(config, row) for row in rows]
+
+
+@pytest.mark.parametrize("key", sorted(EDGE_CASES), ids=" ".join)
+def test_negative_weights_and_zero_label_sweep(key):
+    config = EDGE_CASES[key]
+    rng = random.Random(26)
+    rows = [{"pd": rng.uniform(-20, 150), "he": rng.uniform(-20, 200)} for _ in range(500)]
+    assert evaluate_batch(rule_base_from_config(config), rows) == \
+        [numpy_mamdani(config, row) for row in rows]

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from trajmatch.geo import GeoPoint
+from trajmatch.geo import GeoPoint, Polylines
 from trajmatch.io import (
     ParseError,
     Trajectory,
@@ -351,7 +352,7 @@ def test_parse_network_wkt_case_and_whitespace(tmp_path, wkt):
     net = parse_road_network(write(tmp_path / "n.csv",
                                    f'edge_id,node_from,node_to,wkt\ne1,n1,n2,"{wkt}"\n'))
     assert net.edges == {"e1": 0}
-    assert (net.lon, net.lat) == ((-122.0, -122.0), (47.0, 47.001))
+    assert (net.lon.tolist(), net.lat.tolist()) == ([-122.0, -122.0], [47.0, 47.001])
 
 
 def test_parse_network_first_bad_row_wins(tmp_path):
@@ -419,10 +420,21 @@ def test_parse_and_build_network_build_no_index_or_adjacency(tmp_path, index_bui
             build_network([("e1", "a", "b", [GeoPoint(47.0, -122.0), GeoPoint(47.001, -122.0)])])]
     for net in nets:
         assert net._index is None and net._adjacency is None
+        with pytest.raises(AttributeError):  # the segment table's slot is still unset
+            Polylines.segments.__get__(net.geometry)
     assert index_builds == []
     for net in nets:
         assert net.index is net.index and net.adjacency is net.adjacency
     assert [owners for _, owners in index_builds] == [net.ids for net in nets]
+
+
+def test_network_columns_are_float64_arrays(tmp_path):
+    for net in (parse_road_network(write(tmp_path / "n.csv", NET_CSV)),
+                build_network([("e1", "a", "b", [GeoPoint(47, -122), GeoPoint(47.001, -122)])])):
+        lines = net.geometry
+        for column in (net.lon, net.lat, lines.x, lines.y, lines.cumlen):
+            assert type(column) is np.ndarray and column.dtype == np.float64
+        assert type(lines.start) is tuple and all(type(v) is int for v in lines.start)
 
 
 BOM = "\ufeff"

@@ -6,7 +6,7 @@ import pytest
 
 from trajmatch import matcher
 from trajmatch.fuzzy import default_rule_base
-from trajmatch.geo import GeoPoint, PlanarPoint, Projection, project_onto_polyline
+from trajmatch.geo import GeoPoint, PlanarPoint, Polylines, Projection, project_onto_polyline
 from trajmatch.io import ParseError, Trajectory, TrajectoryRecord, build_network
 from trajmatch.matcher import (
     MatcherConfig,
@@ -225,6 +225,24 @@ def test_match_time_excludes_building_the_index_and_adjacency(monkeypatch, index
     assert net._adjacency is not None
     match_trajectory(net, traj_from_planar(net, [(1, 10), (1, 30)]), RULES, CFG)
     assert len(index_builds) == 1
+
+
+def test_match_time_excludes_building_the_segment_constants(monkeypatch):
+    # a clock that reads whether the segment constants are built: a build
+    # inside the timed span would add 1 to wall_time_s
+    net = straight_net()
+
+    def built():
+        try:
+            Polylines.segments.__get__(net.geometry)  # the slot, past __getattr__
+        except AttributeError:
+            return 0.0
+        return 1.0
+
+    monkeypatch.setattr(matcher, "time", SimpleNamespace(perf_counter=built))
+    assert built() == 0.0
+    result = match_trajectory(net, traj_from_planar(net, [(1, 10), (1, 30)]), RULES, CFG)
+    assert built() == 1.0 and result.wall_time_s == 0.0
 
 
 def l_net():

@@ -23,6 +23,7 @@ from trajmatch.io import (
     write_road_network,
 )
 from oracles import network_geometry, polyline_projection
+from test_geo import chain_bearings
 
 
 def uniform(lo, hi):
@@ -117,7 +118,8 @@ def test_network_matches_per_vertex_reference(edges, points):
             a, b = geometry.start[i], geometry.start[i + 1]
             assert hexes(geometry.x[a:b]) == hexes(xs) and hexes(geometry.y[a:b]) == hexes(ys)
             assert hexes(geometry.cumlen[a:b]) == hexes(cumlen)
-            assert hexes(geometry.bearings[a - i:b - i - 1]) == hexes(bearings)
+            assert hexes(chain_bearings(geometry, i)) == hexes(bearings)
+            assert hexes(s[7] for s in geometry.segments[i]) == hexes(b % 360.0 for b in bearings)
             for px, py in points + [(xs[0], ys[0]), (xs[-1] + 0.5, ys[-1])]:
                 d, foot, seg, arc = project_onto_polyline(PlanarPoint(px, py), geometry, i)
                 rd, rfx, rfy, rseg, rarc = polyline_projection(px, py, xs, ys, cumlen)
@@ -165,6 +167,8 @@ def test_written_network_reads_back_column_for_column(edges, order):
     assert hexes(parsed.lon) == hexes(again.lon) and hexes(parsed.lat) == hexes(again.lat)
     origin, origin_again = parsed.projection.origin, again.projection.origin
     assert hexes([origin.lat, origin.lon]) == hexes([origin_again.lat, origin_again.lon])
-    for column in ("x", "y", "cumlen", "bearings"):
+    for column in ("x", "y", "cumlen"):
         assert hexes(getattr(parsed.geometry, column)) == hexes(getattr(again.geometry, column))
+    for i in range(len(parsed.ids)):
+        assert hexes(chain_bearings(parsed.geometry, i)) == hexes(chain_bearings(again.geometry, i))
     assert parsed.geometry.start == again.geometry.start
