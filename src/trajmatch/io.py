@@ -1,10 +1,14 @@
 """Parsing and serialization of trajectories, road networks, and truth routes.
 
 Every file the package reads or writes goes through this module: inputs
-through `read_utf8`, outputs through `write_csv` and `write_lines`.
+through `read_utf8`, outputs through `write_csv` and `write_lines`. A plain
+numeric trajectory file is read whole by numpy's C text reader instead (see
+_plain_trajectory_columns), with the same columns and messages.
 
-Native formats (UTF-8, one leading byte-order mark dropped, `#` comment
-lines ignored):
+Native formats (UTF-8, one leading byte-order mark dropped; a blank CSV
+record, or one whose first field starts with `#` after any whitespace, is
+skipped, and so is a blank id-list line or one starting with `#` after any
+whitespace):
   trajectory:  CSV, header `timestamp,lat,lon`; timestamps are ISO-8601 UTC
                or finite epoch seconds, auto-detected per value; like a WKT
                coordinate, each of the three fields is ASCII without `_`.
@@ -19,13 +23,15 @@ An input that is not valid UTF-8 or not valid CSV raises ParseError.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
+import os
 import re
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from operator import itemgetter
 
 import numpy as np
@@ -322,7 +328,7 @@ def _trajectory_columns(ts, lats, lons):
     when some record fails _check_trajectory_record. Each check runs on
     whole columns: the plain-text rule on the joined fields, float() over
     each column (a timestamp column that float rejects is read again with
-    _parse_timestamp), then finiteness and the coordinate ranges."""
+    _parse_timestamp), then _in_range."""
     if _not_plain("".join(chain(ts, lats, lons))):
         return None
     try:
@@ -333,21 +339,77 @@ def _trajectory_columns(ts, lats, lons):
             t = np.array(list(map(_parse_timestamp, ts)))
     except ValueError:
         return None
-    if not np.all(np.isfinite(t) & (-90.0 <= lat) & (lat <= 90.0)
-                  & (-180.0 <= lon) & (lon <= 180.0)):
+    return (t, lat, lon) if _in_range(t, lat, lon) else None
+
+
+def _in_range(t, lat, lon) -> bool:
+    """Whether every time is finite and every coordinate in range."""
+    return bool(np.all(np.isfinite(t) & (-90.0 <= lat) & (lat <= 90.0)
+                       & (-180.0 <= lon) & (lon <= 180.0)))
+
+
+_TRAJECTORY_COLUMNS = ("timestamp", "lat", "lon")
+# Bytes that keep a trajectory file off numpy's reader: a quote or `#`
+# changes the CSV records, `_` and NUL are not number text, and numpy strips
+# \x1c-\x1f around a number where float() refuses it.
+_NOT_PLAIN_BYTES = b'"#_\0\x1c\x1d\x1e\x1f'
+
+
+def _plain_trajectory_columns(path):
+    """The float64 columns t, lat, lon of a plain numeric trajectory file,
+    each a contiguous array, read in one np.loadtxt call; or None when the
+    file is not plain, the reader refuses it or a value fails _in_range.
+
+    Plain is: after one leading byte-order mark, ASCII without the
+    _NOT_PLAIN_BYTES; every CR part of a CRLF; a first line of exactly the
+    three _TRAJECTORY_COLUMNS names in any order (stripped, any case); at
+    least one line after it that is not empty once its CR is dropped (the
+    reader only warns when it finds no data); and no line longer than the
+    csv module's field limit. In such a file each non-empty line is one CSV
+    record and none is a comment, and float() and numpy's reader (through
+    the same correctly rounded string-to-double) read each field alike or
+    both refuse it, so an accepted file gives the record reader's columns.
+
+    Only a regular file is read: a pipe could not be read again by the
+    record reader.
+    """
+    if not os.path.isfile(path):
         return None
-    return t, lat, lon
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    if not data.isascii() or any(b in data for b in _NOT_PLAIN_BYTES):
+        return None
+    text = data.decode("ascii")
+    if "\r" in text and text.count("\r") != text.count("\r\n"):
+        return None
+    lines = text.split("\n")
+    names = [c.strip().lower() for c in lines[0].split(",")]
+    if (sorted(names) != sorted(_TRAJECTORY_COLUMNS)
+            or not any(line.rstrip("\r") for line in islice(lines, 1, None))
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    try:
+        # a row whose field count differs from the first data row's raises
+        rows = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
+                          dtype=np.float64, skiprows=1, ndmin=2)
+    except ValueError:
+        return None
+    if rows.shape[1] != len(_TRAJECTORY_COLUMNS):
+        return None
+    t, lat, lon = (rows[:, names.index(k)].copy() for k in _TRAJECTORY_COLUMNS)
+    return (t, lat, lon) if _in_range(t, lat, lon) else None
 
 
-def parse_trajectory(path, traj_id: str | None = None) -> Trajectory:
-    """ParseError names the first row that does not parse; only then is the
-    time order checked.
+def _record_trajectory_columns(path):
+    """The float64 columns t, lat, lon of any trajectory file, read by
+    _read_columns; ParseError names the first record that does not parse
+    or, when all do, the first too short for every column.
 
     The columns are converted and checked whole; only when that finds a
     fault are the records walked in order, and _check_trajectory_record
     names the first bad one.
     """
-    (ts, lats, lons), short = _read_columns(path, ("timestamp", "lat", "lon"))
+    (ts, lats, lons), short = _read_columns(path, _TRAJECTORY_COLUMNS)
     columns = _trajectory_columns(ts, lats, lons)
     if columns is None:
         for n, record in enumerate(zip(ts, lats, lons)):
@@ -359,6 +421,23 @@ def parse_trajectory(path, traj_id: str | None = None) -> Trajectory:
         raise _row_error(path, len(ts), short)
     if not ts:
         raise ParseError(f"{path}: no data rows")
+    return columns
+
+
+def parse_trajectory(path, traj_id: str | None = None) -> Trajectory:
+    """ParseError names the first row that does not parse; only then is the
+    time order checked.
+
+    A plain numeric file is read by numpy's C text reader
+    (_plain_trajectory_columns); any other file, and a plain one that
+    reader refuses or whose values fail a check, by the record reader
+    (_record_trajectory_columns), which also names the bad row. On a file
+    the C reader accepts, the record reader gives the same columns bit for
+    bit.
+    """
+    columns = _plain_trajectory_columns(path)
+    if columns is None:
+        columns = _record_trajectory_columns(path)
     t, lat, lon = columns
     down = np.flatnonzero(np.diff(t) < 0)
     if down.size:

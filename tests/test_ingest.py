@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -515,9 +516,36 @@ def test_a_valid_file_is_read_once(tmp_path, csv_readers):
     assert len(csv_readers) == 2
 
 
+def test_a_valid_plain_file_makes_no_csv_reader(tmp_path, csv_readers):
+    traj = parse_trajectory(write(tmp_path / "t.csv", "timestamp,lat,lon\n0,47.0,-122.0\n"
+                                                      "1,47.5,-122.5\n"))
+    assert traj.lat.tolist() == [47.0, 47.5]
+    assert len(csv_readers) == 0
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("text", [
+    "timestamp,lat,lon\n0,47.0,-122.0\n1,47.5,-122.5\n",
+    "timestamp,lat,lon\n1970-01-01T00:00:00Z,47.0,-122.0\n1,47.5,-122.5\n",
+])
+def test_parse_trajectory_reads_a_pipe(text):
+    read, write_end = os.pipe()
+    os.write(write_end, text.encode())
+    os.close(write_end)
+    try:
+        traj = parse_trajectory(f"/dev/fd/{read}")
+    finally:
+        os.close(read)
+    assert traj.t.tolist() == [0.0, 1.0] and traj.lon.tolist() == [-122.0, -122.5]
+
+
+# A plain numeric file is first read by numpy, a faulty one then by the
+# record reader, and a second csv.reader locates the rows to name. A file
+# whose only fault is its time order is read by numpy alone, so the one
+# csv.reader is the one that locates the rows.
 @pytest.mark.parametrize("text, reads", [
     ("timestamp,lat,lon\n0,47.0,-122.0\n1,91.0,-122.0\n", 2),   # names a row
-    ("timestamp,lat,lon\n1,47.0,-122.0\n0,47.0,-122.0\n", 2),   # names two rows
+    ("timestamp,lat,lon\n1,47.0,-122.0\n0,47.0,-122.0\n", 1),   # names two rows
     ("timestamp,lat,lon\n0,47.0,-122.0\n1,47.0\n", 2),          # short row
     ("time,lat,lon\n0,47.0,-122.0\n", 1),                       # no row named
     ("timestamp,lat,lon\n", 1),

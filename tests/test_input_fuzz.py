@@ -9,13 +9,16 @@ csv module's field limit of 131,072 characters.
 
 `parse_trajectory` is also held to `oracles.per_record_trajectory`, a
 reader that parses and checks one record at a time: the same columns bit
-for bit, or the same error message.
+for bit, or the same error message. That holds for the mutated files and
+for generated plain numeric files, which numpy's text reader reads unless
+a check sends them to the record reader.
 """
 
 import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from trajmatch.cli import main
@@ -124,6 +127,12 @@ def _edit(lines, edits):
 @settings(max_examples=100, deadline=None)
 @given(data=mutated(TRAJ_LINES))
 def test_mutated_trajectory_matches_per_record_oracle(data):
+    _assert_matches_oracle(data)
+
+
+def _assert_matches_oracle(data):
+    """parse_trajectory on data gives the oracle's columns bit for bit, or
+    raises its message."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trajectory.csv"
         path.write_bytes(data)
@@ -142,6 +151,111 @@ def test_mutated_trajectory_matches_per_record_oracle(data):
             assert [list(map(float.hex, c)) for c in columns] == \
                 [list(map(float.hex, c.tolist())) for c in (traj.t, traj.lat, traj.lon)]
             assert traj.source_index.tolist() == list(range(len(traj)))
+
+
+# A number literal with an optional sign, up to 32 mantissa digits and an
+# optional exponent, small or near the ends of the double range (subnormal
+# and overflowing values too).
+LITERAL = st.builds(
+    lambda sign, whole, frac, exp: sign + whole + frac + exp,
+    st.sampled_from(["", "-", "+"]),
+    st.from_regex(r"[0-9]{1,2}", fullmatch=True),
+    st.one_of(st.just(""), st.just("."), st.from_regex(r"\.[0-9]{1,30}", fullmatch=True)),
+    st.one_of(st.just(""), st.builds("{}{}{}".format, st.sampled_from("eE"),
+                                     st.sampled_from(["", "+", "-"]),
+                                     st.one_of(st.integers(0, 3), st.integers(290, 330)))))
+# what float() and numpy's reader both strip around a number
+SPACE = st.sampled_from(["", "", "", " ", "  ", "\t", "\x0b", "\x0c"])
+
+
+def field_text(low, high):
+    """A field that mostly holds a number in [low, high]: its repr or an
+    exponent form to 0-20 digits, a short literal, or any LITERAL; with
+    SPACE around it."""
+    number = st.one_of(
+        st.floats(low, high).map(repr),
+        st.builds(lambda x, digits: f"{x:.{digits}e}", st.floats(low, high), st.integers(0, 20)),
+        st.sampled_from(["-0", "+0", "0.", ".5", "-.5e1", "1E1", "-0e0"]),
+        LITERAL)
+    return st.builds(lambda a, x, b: a + x + b, SPACE, number, SPACE)
+
+
+@st.composite
+def plain_files(draw):
+    """A plain numeric trajectory file: its three header names in any order
+    and case, LF or CRLF line endings, blank lines, and rows in time order
+    unless two are swapped."""
+    names = draw(st.permutations(["timestamp", "lat", "lon"]))
+    header = ",".join(draw(SPACE) + "".join(c.upper() if draw(st.booleans()) else c
+                                            for c in name) + draw(SPACE)
+                      for name in names)
+    rows = draw(st.lists(st.fixed_dictionaries(
+        {"timestamp": field_text(-1e10, 1e10), "lat": field_text(-90.0, 90.0),
+         "lon": field_text(-180.0, 180.0)}), min_size=1, max_size=8))
+    rows.sort(key=lambda row: float(row["timestamp"]))
+    if len(rows) > 1 and draw(st.booleans()):
+        k = draw(st.integers(0, len(rows) - 2))
+        rows[k], rows[k + 1] = rows[k + 1], rows[k]
+    lines = [header] + [",".join(row[name] for name in names) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    end = newline if draw(st.booleans()) else ""
+    return (newline.join(lines) + end).encode("ascii")
+
+
+TRAP_FIELD = "0." + "0" * 131_072 + "1"
+
+
+# a finite field longer than the csv module's field limit
+@example(data=f"timestamp,lat,lon\n0,{TRAP_FIELD},-122.0\n".encode())
+@example(data=f"timestamp,lat,lon\n{TRAP_FIELD},47.0,-122.0\n".encode())
+# a lone CR, which csv reads as a line break: between records, in a field
+@example(data=b"timestamp,lat,lon\n0,47.0,-122.0\r1,47.0,-122.0\n")
+@example(data=b"timestamp,lat,lon\n0,47.0,-122.0\n1,4\r7.0,-122.0\n")
+@example(data=b"timestamp,lat,lon\r\n0,47.0,-122.0\r")
+@example(data=b"timestamp\r,lat,lon\n0,47.0,-122.0\n")
+# an empty data section, which numpy's reader only warns about
+@example(data=b"timestamp,lat,lon\n\n\n")
+@example(data=b"timestamp,lat,lon\r\n\r\n")
+# a header-only file
+@example(data=b"timestamp,lat,lon\n")
+# a fourth field in one row, and in every row
+@example(data=b"timestamp,lat,lon\n0,47.0,-122.0\n1,47.0,-122.0,\n")
+@example(data=b"timestamp,lat,lon\n0,47.0,-122.0,5\n1,47.0,-122.0,6\n")
+# a comment record, and a quoted field
+@example(data=b"timestamp,lat,lon\n0,47.0,-122.0\n# note\n1,47.0,-122.0\n")
+@example(data=b'timestamp,lat,lon\n0,47.0,-122.0\n"1",47.0,-122.0\n')
+# a latitude that overflows to inf, and non-finite values
+@example(data=b"timestamp,lat,lon\n0,1e999,-122.0\n")
+@example(data=b"timestamp,lat,lon\n0,47.0,-122.0\n1e500,47.0,-122.0\n")
+@example(data=b"timestamp,lat,lon\nnan,47.0,-122.0\n")
+# numpy's reader strips \x1c-\x1f around a number; float() does not
+@example(data=b"timestamp,lat,lon\n0,47.0\x1c,-122.0\n")
+@example(data=b"timestamp,lat,lon\n0\x1f,47.0,-122.0\n")
+# a whitespace-only record, an empty field, a hex literal, two numbers, NUL
+@example(data=b"timestamp,lat,lon\n0,47.0,-122.0\n \n")
+@example(data=b"timestamp,lat,lon\n0,,-122.0\n")
+@example(data=b"timestamp,lat,lon\n0x10,47.0,-122.0\n")
+@example(data=b"timestamp,lat,lon\n1 2,47.0,-122.0\n")
+@example(data=b"timestamp,lat,lon\n0,47.0\x00,-122.0\n")
+# a time order fault after a blank line, with CRLF line endings
+@example(data=b"timestamp,lat,lon\r\n1,47.0,-122.0\r\n\r\n0,47.0,-122.0\r\n")
+@settings(max_examples=200, deadline=None)
+@given(data=plain_files())
+def test_plain_trajectory_matches_per_record_oracle(data):
+    _assert_matches_oracle(data)
+
+
+def test_plain_trajectory_columns_are_contiguous_float64(tmp_path):
+    path = tmp_path / "trajectory.csv"
+    path.write_bytes(b" LON ,Timestamp,lat\r\n-122.0,0,47.0\r\n-122.5,1.5,47.5\r\n")
+    traj = parse_trajectory(path)
+    for column, want in ((traj.t, [0.0, 1.5]), (traj.lat, [47.0, 47.5]),
+                         (traj.lon, [-122.0, -122.5])):
+        assert isinstance(column, np.ndarray) and column.dtype == np.float64
+        assert column.flags.c_contiguous
+        assert column.tolist() == want
 
 
 @example(data=_replace_line(TRUTH_LINES, 3, b"\xed\xa0\x80\n"))
