@@ -17,7 +17,6 @@ from .io import (
     RoadNetwork,
     Trajectory,
     build_network,
-    read_ids,
     write_csv,
     write_lines,
     write_road_network,
@@ -296,8 +295,3 @@ def export_report(report: ComparisonReport, out_dir,
     if eps_sweep is not None:
         write_csv(out / "eps_sweep.csv", ["eps", "clustered_points", "noise_points"],
                   ([repr(eps), clustered, noise] for eps, clustered, noise in eps_sweep))
-
-
-def read_report(path) -> dict[str, str]:
-    pairs = (line.partition("=") for _, line in read_ids(path))
-    return {key: val for key, _, val in pairs}

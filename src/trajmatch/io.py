@@ -1,8 +1,8 @@
 """Parsing and serialization of trajectories, road networks, and truth routes.
 
 Every file the package reads or writes goes through this module: inputs
-through `read_utf8`, outputs through `write_csv` and `write_lines`. A plain
-numeric trajectory file is read whole by numpy's C text reader instead (see
+once each through `read_text`, outputs through `write_csv` and `write_lines`.
+A plain numeric trajectory is parsed by numpy's C text reader instead (see
 _plain_trajectory_columns), with the same columns and messages.
 
 Native formats (UTF-8, one leading byte-order mark dropped; a blank CSV
@@ -23,16 +23,16 @@ An input that is not valid UTF-8 or not valid CSV raises ParseError.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import math
-import os
 import re
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import reduce
+from io import StringIO
 from itertools import chain, compress, islice
-from operator import itemgetter
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -174,27 +174,25 @@ class GroundTruthRoute:
         return len(self.edge_ids)
 
 
-def read_utf8(path, parse):
-    """parse(fh) on the UTF-8 file at path, opened with newline="". One
-    leading byte-order mark is dropped.
-
-    Invalid UTF-8 and malformed CSV raise ParseError naming the file.
-    """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        try:
-            return parse(fh)
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not valid UTF-8: {exc}") from None
-        except csv.Error as exc:
-            raise ParseError(f"{path}: malformed CSV: {exc}") from None
+def read_text(path) -> str:
+    """The text of the UTF-8 file at path, read in one call, so a pipe
+    reads too; one leading byte-order mark is dropped. Invalid UTF-8
+    raises ParseError naming the file and the offset of the bad byte after
+    that mark."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8: {exc}") from None
 
 
 def read_ids(path) -> list[tuple[int, str]]:
     """Stripped lines with their 1-based line numbers; blank and `#` lines
     skipped."""
-    return read_utf8(path, lambda fh: [
-        (lineno, token) for lineno, line in enumerate(fh, start=1)
-        if (token := line.strip()) and not token.startswith("#")])
+    lines = StringIO(read_text(path), newline="")
+    return [(lineno, token) for lineno, line in enumerate(lines, start=1)
+            if (token := line.strip()) and not token.startswith("#")]
 
 
 def write_csv(path, header, rows):
@@ -233,19 +231,22 @@ def _is_data(row) -> bool:
     return bool(row) and not row[0].lstrip().startswith("#")
 
 
-def _read_columns(path, columns):
+def _read_columns(path, text, columns):
     """One list per name in columns (two or more) of that field of each data
-    record after the header, and the message for the first data record too
-    short for every column, or None; the lists end before that record.
+    record after the header of text, the file at path, and the message for
+    the first data record too short for every column, or None; the lists
+    end before that record.
 
     Data records are those _is_data keeps. Fields go straight from
     csv.reader into one flat list, so no record is kept; the first field
     rides along so that comment records can be dropped after the read, and
-    only when a `#` occurs in it. The whole file is read before any header
-    or row is judged, so invalid UTF-8 or CSV anywhere wins.
+    only when a `#` occurs in it. Lines end as in a file opened with
+    newline="" (str.splitlines also ends them at \v, \f, \x1c-\x1e, \x85,
+    \u2028 and \u2029). The whole file is decoded, then read as CSV, before
+    any header or row is judged: invalid UTF-8 anywhere wins, then malformed CSV.
     """
-    def read(fh):
-        reader = csv.reader(fh)
+    reader = csv.reader(StringIO(text, newline=""))
+    try:
         header = next(filter(_is_data, reader), None)
         names = [c.strip().lower() for c in header or ()]
         idx = [names.index(k) for k in columns if k in names]
@@ -264,9 +265,8 @@ def _read_columns(path, columns):
                         break
         for _ in reader:
             pass
-        return header, idx, flat, short
-
-    header, idx, flat, short = read_utf8(path, read)
+    except csv.Error as exc:
+        raise ParseError(f"{path}: malformed CSV: {exc}") from None
     if header is None:
         raise ParseError(f"{path}: empty file")
     if len(idx) < len(columns):
@@ -279,25 +279,24 @@ def _read_columns(path, columns):
     return cols, short
 
 
-def _record_lines(path, records) -> list[int]:
+def _record_lines(text, records) -> list[int]:
     """The 1-based file line where each data record in records (numbered
-    from 0 after the header) starts. A quoted field can hold line breaks,
-    so a record can span lines; the file is read again to find them."""
-    def scan(fh):
-        reader = csv.reader(fh)
-        starts, start, last = [], 1, max(records) + 1  # starts[0] is the header's
-        for row in reader:
-            if _is_data(row):
-                starts.append(start)
-                if len(starts) > last:
-                    break
-            start = reader.line_num + 1
-        return [starts[r + 1] for r in records]
-    return read_utf8(path, scan)
+    from 0 after the header) of text starts. A quoted field can hold line
+    breaks, so a record can span lines; a second CSV pass over text, which
+    the first pass or the plain check has cleared, finds them."""
+    reader = csv.reader(StringIO(text, newline=""))
+    starts, start, last = [], 1, max(records) + 1  # starts[0] is the header's
+    for row in reader:
+        if _is_data(row):
+            starts.append(start)
+            if len(starts) > last:
+                break
+        start = reader.line_num + 1
+    return [starts[r + 1] for r in records]
 
 
-def _row_error(path, record, message) -> ParseError:
-    return ParseError(f"{path}: row {_record_lines(path, [record])[0]}: {message}")
+def _row_error(path, text, record, message) -> ParseError:
+    return ParseError(f"{path}: row {_record_lines(text, [record])[0]}: {message}")
 
 
 def _not_plain(text: str) -> bool:
@@ -349,37 +348,30 @@ def _in_range(t, lat, lon) -> bool:
 
 
 _TRAJECTORY_COLUMNS = ("timestamp", "lat", "lon")
-# Bytes that keep a trajectory file off numpy's reader: a quote or `#`
+# Characters that keep a trajectory off numpy's reader: a quote or `#`
 # changes the CSV records, `_` and NUL are not number text, and numpy strips
 # \x1c-\x1f around a number where float() refuses it.
-_NOT_PLAIN_BYTES = b'"#_\0\x1c\x1d\x1e\x1f'
+_NOT_PLAIN_CHARS = '"#_\0\x1c\x1d\x1e\x1f'
 
 
-def _plain_trajectory_columns(path):
-    """The float64 columns t, lat, lon of a plain numeric trajectory file,
-    each a contiguous array, read in one np.loadtxt call; or None when the
-    file is not plain, the reader refuses it or a value fails _in_range.
+def _plain_trajectory_columns(text):
+    """The float64 columns t, lat, lon of a plain numeric trajectory, the
+    decoded text of its file, each a contiguous array, read in one
+    np.loadtxt call; or None when the text is not plain, the reader refuses
+    it or a value fails _in_range.
 
-    Plain is: after one leading byte-order mark, ASCII without the
-    _NOT_PLAIN_BYTES; every CR part of a CRLF; a first line of exactly the
-    three _TRAJECTORY_COLUMNS names in any order (stripped, any case); at
-    least one line after it that is not empty once its CR is dropped (the
-    reader only warns when it finds no data); and no line longer than the
-    csv module's field limit. In such a file each non-empty line is one CSV
-    record and none is a comment, and float() and numpy's reader (through
-    the same correctly rounded string-to-double) read each field alike or
-    both refuse it, so an accepted file gives the record reader's columns.
-
-    Only a regular file is read: a pipe could not be read again by the
-    record reader.
+    Plain is: ASCII without the _NOT_PLAIN_CHARS; every CR part of a CRLF;
+    a first line of exactly the three _TRAJECTORY_COLUMNS names in any
+    order (stripped, any case); at least one line after it that is not
+    empty once its CR is dropped (the reader only warns when it finds no
+    data); and no line longer than the csv module's field limit. In such a
+    text each non-empty line is one CSV record and none is a comment, and
+    float() and numpy's reader (through the same correctly rounded
+    string-to-double) read each field alike or both refuse it, so an
+    accepted text gives the record reader's columns.
     """
-    if not os.path.isfile(path):
+    if not text.isascii() or any(c in text for c in _NOT_PLAIN_CHARS):
         return None
-    with open(path, "rb") as fh:
-        data = fh.read().removeprefix(codecs.BOM_UTF8)
-    if not data.isascii() or any(b in data for b in _NOT_PLAIN_BYTES):
-        return None
-    text = data.decode("ascii")
     if "\r" in text and text.count("\r") != text.count("\r\n"):
         return None
     lines = text.split("\n")
@@ -400,25 +392,25 @@ def _plain_trajectory_columns(path):
     return (t, lat, lon) if _in_range(t, lat, lon) else None
 
 
-def _record_trajectory_columns(path):
-    """The float64 columns t, lat, lon of any trajectory file, read by
-    _read_columns; ParseError names the first record that does not parse
-    or, when all do, the first too short for every column.
+def _record_trajectory_columns(path, text):
+    """The float64 columns t, lat, lon of text, any trajectory file at path,
+    read by _read_columns; ParseError names the first record that does not
+    parse or, when all do, the first too short for every column.
 
     The columns are converted and checked whole; only when that finds a
     fault are the records walked in order, and _check_trajectory_record
     names the first bad one.
     """
-    (ts, lats, lons), short = _read_columns(path, _TRAJECTORY_COLUMNS)
+    (ts, lats, lons), short = _read_columns(path, text, _TRAJECTORY_COLUMNS)
     columns = _trajectory_columns(ts, lats, lons)
     if columns is None:
         for n, record in enumerate(zip(ts, lats, lons)):
             try:
                 _check_trajectory_record(*record)
             except ValueError as exc:
-                raise _row_error(path, n, exc) from None
+                raise _row_error(path, text, n, exc) from None
     if short:
-        raise _row_error(path, len(ts), short)
+        raise _row_error(path, text, len(ts), short)
     if not ts:
         raise ParseError(f"{path}: no data rows")
     return columns
@@ -435,14 +427,15 @@ def parse_trajectory(path, traj_id: str | None = None) -> Trajectory:
     the C reader accepts, the record reader gives the same columns bit for
     bit.
     """
-    columns = _plain_trajectory_columns(path)
+    text = read_text(path)
+    columns = _plain_trajectory_columns(text)
     if columns is None:
-        columns = _record_trajectory_columns(path)
+        columns = _record_trajectory_columns(path, text)
     t, lat, lon = columns
     down = np.flatnonzero(np.diff(t) < 0)
     if down.size:
         k = int(down[0])
-        before, after = _record_lines(path, [k, k + 1])
+        before, after = _record_lines(text, [k, k + 1])
         raise ParseError(f"{path}: row {after}: non-monotonic timestamp "
                          f"{t[k + 1].item()!r} after {t[k].item()!r} on row {before}")
     return Trajectory.from_columns(t, lat, lon, np.arange(len(t)), traj_id or str(path))
@@ -527,8 +520,9 @@ def parse_road_network(path) -> RoadNetwork:
     id, a `#` or a line break are the rows walked to find the first with an
     id fault, and the rows before it are read as usual.
     """
+    text = read_text(path)
     (ids, nodes_from, nodes_to, wkts), short = _read_columns(
-        path, ("edge_id", "node_from", "node_to", "wkt"))
+        path, text, ("edge_id", "node_from", "node_to", "wkt"))
     ids, nodes_from, nodes_to = ([v.strip() for v in col] for col in (ids, nodes_from, nodes_to))
     fault = None
     joined = "".join(ids)
@@ -541,19 +535,19 @@ def parse_road_network(path) -> RoadNetwork:
         try:
             size = _parse_wkt_linestring(wkt, lon, lat)
         except ValueError as exc:
-            raise _row_error(path, k, exc) from None
+            raise _row_error(path, text, k, exc) from None
         if size < 2:
-            raise _row_error(path, k, f"edge {edge_id!r} has <2 vertices")
+            raise _row_error(path, text, k, f"edge {edge_id!r} has <2 vertices")
         if edge_id in first_record:
-            first, this = _record_lines(path, [first_record[edge_id], k])
+            first, this = _record_lines(text, [first_record[edge_id], k])
             raise ParseError(f"{path}: row {this}: duplicate edge_id {edge_id!r} "
                              f"(first at row {first})")
         first_record[edge_id] = k
         sizes.append(size)
     if fault:
-        raise _row_error(path, *fault)
+        raise _row_error(path, text, *fault)
     if short:
-        raise _row_error(path, len(ids), short)
+        raise _row_error(path, text, len(ids), short)
     if not first_record:
         raise ParseError(f"{path}: no edges")
     return _assemble(list(first_record), nodes_from, nodes_to, lon, lat, sizes)
@@ -588,14 +582,15 @@ def _assemble(ids, nodes_from, nodes_to, lon, lat, sizes) -> RoadNetwork:
     """The network over flat vertex columns in edge order, sizes[i] vertices
     for edge i.
 
-    The origin is the vertex mean by the builtin sum in that order. numpy's
-    pairwise sum and math.fsum round differently, and the builtin rounds
-    differently on Python 3.12 than on 3.11, so each interpreter keeps its
-    own origin only with the builtin.
+    The origin is the vertex mean by a left-to-right sum in that order.
+    numpy's pairwise sum, math.fsum and the builtin sum from Python 3.12 on
+    round differently; the left-to-right sum gives every interpreter the
+    same origin.
     """
     if not lon:
         raise ParseError("network has no geometry")
-    proj = Projection(GeoPoint(sum(lat) / len(lat), sum(lon) / len(lon)))
+    proj = Projection(GeoPoint(reduce(add, lat, 0.0) / len(lat),
+                               reduce(add, lon, 0.0) / len(lon)))
     lon, lat = np.array(lon, dtype=np.float64), np.array(lat, dtype=np.float64)
     try:
         geometry = polylines(*proj.project_lonlat(lon, lat), sizes)

@@ -25,6 +25,7 @@ import math
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, fields
+from io import StringIO
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -34,7 +35,7 @@ import yaml
 from .fuzzy import RuleBase, default_rule_base, evaluate_rows, is_finite_number, \
     rule_base_from_config
 from .geo import PlanarPoint, project_onto_polyline
-from .io import ParseError, RoadNetwork, Trajectory, read_utf8, write_csv, write_lines
+from .io import ParseError, RoadNetwork, Trajectory, read_text, write_csv, write_lines
 
 PHASE_IMP = "IMP"
 PHASE_ALONG = "SMP_ALONG"
@@ -115,8 +116,10 @@ def load_matcher_config(path) -> tuple[MatcherConfig, RuleBase]:
     rule base and a rule-base input the matcher does not measure (one other
     than MEASURES) raise ParseError naming the offending key.
     """
+    stream = StringIO(read_text(path))
+    stream.name = path  # yaml's error marks name it, as they name an open file
     try:
-        doc = read_utf8(path, yaml.safe_load)
+        doc = yaml.safe_load(stream)
     except yaml.YAMLError as exc:
         raise ParseError(f"{path}: malformed YAML: {exc}") from None
     doc = {} if doc is None else doc

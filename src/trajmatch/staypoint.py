@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -221,7 +223,7 @@ def threshold_staypoint_detect(traj: Trajectory, delta: float = 10.0,
     Hops of delta or more split the trace into maximal runs, and each run
     whose duration exceeds tau is one stay point; timestamps never
     decrease, so no window that starts inside a run lasts longer than the
-    whole run. The means are builtin sums over the run in time order.
+    whole run. The means are left-to-right sums over the run in time order.
     """
     if delta <= 0 or tau <= 0:
         raise ValueError("delta and tau must be > 0")
@@ -231,7 +233,8 @@ def threshold_staypoint_detect(traj: Trajectory, delta: float = 10.0,
     out = []
     for i, end in zip(starts, starts[1:] + [len(t)]):
         if t[end - 1] - t[i] > tau:
-            out.append(StayPoint(x=sum(lon[i:end]) / (end - i), y=sum(lat[i:end]) / (end - i),
+            out.append(StayPoint(x=reduce(add, lon[i:end], 0.0) / (end - i),
+                                 y=reduce(add, lat[i:end], 0.0) / (end - i),
                                  t_a=t[i], t_l=t[end - 1], member_count=end - i,
                                  cluster_id=len(out)))
     return out

@@ -6,6 +6,7 @@ Everything here deliberately avoids the library's own code paths.
 import csv
 import math
 from datetime import datetime, timezone
+from io import StringIO
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -34,7 +35,7 @@ def window_staypoints(rows, delta, tau):
     next hop is under delta meters; a window lasting more than tau seconds
     is kept and the next start follows it, else the start moves one record
     on. Each kept window gives (mean lon, mean lat, first t, last t, count,
-    ordinal)."""
+    ordinal), the means from left-to-right sums in record order."""
     out = []
     i, n = 0, len(rows)
     while i < n:
@@ -43,8 +44,8 @@ def window_staypoints(rows, delta, tau):
             j += 1
         if rows[j][0] - rows[i][0] > tau:
             members = rows[i:j + 1]
-            out.append((sum(r[2] for r in members) / len(members),
-                        sum(r[1] for r in members) / len(members),
+            out.append((sequential_sum(r[2] for r in members) / len(members),
+                        sequential_sum(r[1] for r in members) / len(members),
                         rows[i][0], rows[j][0], len(members), len(out)))
             i = j + 1
         else:
@@ -76,7 +77,9 @@ def per_record_trajectory(path):
     at a time; a fault raises ValueError with the message the library's
     ParseError must carry.
 
-    The whole file is read first, so invalid UTF-8 or CSV anywhere wins.
+    The whole file is decoded first, so invalid UTF-8 anywhere wins, with
+    its offset in the file after any byte-order mark; then it is read whole
+    as CSV, so malformed CSV anywhere comes next.
     Blank records and those whose first field starts with `#` are skipped;
     the first one left is the header. Each record is checked in this order:
     too short for a column, then timestamp, lat and lon (each ASCII without
@@ -86,13 +89,15 @@ def per_record_trajectory(path):
     columns = ("timestamp", "lat", "lon")
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            records, start = [], 1
-            for row in reader:
-                records.append((start, row))
-                start = reader.line_num + 1
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not valid UTF-8: {exc}") from None
+    try:
+        reader = csv.reader(StringIO(text, newline=""))
+        records, start = [], 1
+        for row in reader:
+            records.append((start, row))
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise ValueError(f"{path}: malformed CSV: {exc}") from None
     records = [(line, row) for line, row in records
@@ -419,8 +424,8 @@ def network_geometry(edges, spacing, radius=6_371_000.0):
     time in Python floats.
 
     edges: [(lons, lats)] in file order. The origin is the mean of every
-    latitude and longitude by the builtin sum in that order; each vertex is
-    projected equirectangularly around it. Segment i of an edge is
+    latitude and longitude by a left-to-right sum in that order; each
+    vertex is projected equirectangularly around it. Segment i of an edge is
     (dx, dy) = (x[i+1] - x[i], y[i+1] - y[i]); it adds math.hypot(dx, dy)
     to the running arc length and has the compass bearing
     degrees(atan2(dx, dy)) % 360. It is sampled at x[i] + dx * k / n for
@@ -431,7 +436,7 @@ def network_geometry(edges, spacing, radius=6_371_000.0):
     """
     lons = [lon for e_lons, _ in edges for lon in e_lons]
     lats = [lat for _, e_lats in edges for lat in e_lats]
-    lat0, lon0 = sum(lats) / len(lats), sum(lons) / len(lons)
+    lat0, lon0 = sequential_sum(lats) / len(lats), sequential_sum(lons) / len(lons)
     m_per_deg = radius * math.pi / 180.0
     coslat = math.cos(math.radians(lat0))
     lines, samples, owners = [], [], []

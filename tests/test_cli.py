@@ -1,5 +1,6 @@
 import copy
 import csv
+import os
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ import yaml
 from trajmatch import cli, evalbench, matcher
 from trajmatch.cli import main
 from trajmatch.io import write_csv
-from conftest import FIXTURES
+from conftest import FIXTURES, piped
 from test_fuzzy_oracle import DEFAULT_CONFIG
 
 MINI = FIXTURES / "mini"
@@ -366,8 +367,13 @@ def test_config_rule_base_universe_beyond_float_range(tmp_path, capsys):
 
 def test_config_broken_yaml(tmp_path, capsys):
     assert _match_with_config(tmp_path, "thresholds: [candidate_radius: 80\n") == 2
-    err = capsys.readouterr().err
-    assert "malformed YAML" in err
+    cfg = tmp_path / "matcher.yaml"
+    # yaml's marks name the file, with no snippet of its text
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: malformed YAML: while parsing a flow sequence\n"
+        f'  in "{cfg}", line 1, column 13\n'
+        f"expected ',' or ']', but got '<stream end>'\n"
+        f'  in "{cfg}", line 2, column 1\n')
 
 
 def test_config_not_a_mapping(tmp_path, capsys):
@@ -430,6 +436,28 @@ def test_short_row_exits_2(tmp_path, capsys, name, text, argv):
     bad.write_text(text, encoding="utf-8")
     assert run([a.format(bad=bad, out=tmp_path / "out") for a in argv]) == 2
     assert f"{name}: row 3: no field for " in capsys.readouterr().err
+
+
+# A faulty input read through a pipe is named as in a regular file: each is
+# read once, so naming its row needs no second read.
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("text, argv, message", [
+    ("timestamp,lat,lon\n0,47.0,-122.0\n1,91.0,-122.0\n",
+     ["staypoints", "--traj", "{pipe}", "--eps", "0.00004", "--min-pts", "3",
+      "--out-dir", "{out}"],
+     "row 3: latitude 91.0 out of [-90, 90]"),
+    ("timestamp,lat,lon\n1,47.0,-122.0\n0,47.0,-122.0\n",
+     ["staypoints", "--traj", "{pipe}", "--eps", "0.00004", "--min-pts", "3",
+      "--out-dir", "{out}"],
+     "row 3: non-monotonic timestamp 0.0 after 1.0 on row 2"),
+    ('edge_id,node_from,node_to,wkt\ne1,a,b,"LINESTRING (0 0, 1 1)"\ne2,b,c,POINT (1 2)\n',
+     ["eval", "--network", "{pipe}", "--edges", TRUTH, "--truth", TRUTH],
+     "row 3: expected WKT LINESTRING, got 'POINT (1 2)'"),
+], ids=["bad-latitude", "time-order", "network-point"])
+def test_faulty_input_from_a_pipe_exits_2(tmp_path, capsys, text, argv, message):
+    with piped(text.encode()) as pipe:
+        assert run([a.format(pipe=pipe, out=tmp_path / "out") for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {pipe}: {message}\n"
 
 
 @pytest.mark.parametrize("edge_id, node_to, id_column, message", [

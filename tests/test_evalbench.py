@@ -6,12 +6,11 @@ from trajmatch.evalbench import (
     correct_link_count,
     export_report,
     generate_scenario,
-    read_report,
     run_pipeline,
     write_scenario,
 )
 from trajmatch.geo import haversine_distance
-from trajmatch.io import GroundTruthRoute, parse_road_network, parse_trajectory
+from trajmatch.io import GroundTruthRoute, parse_road_network, parse_trajectory, read_ids
 from trajmatch.matcher import MatchResult
 from trajmatch.staypoint import threshold_staypoint_detect
 from oracles import brute_lcs
@@ -126,6 +125,12 @@ def test_report_percentages_recomputable():
     expect = 100.0 * (rep.raw.input_points - rep.reduced.input_points) \
         / rep.raw.input_points
     assert abs(rep.volume_reduction_pct - expect) <= 1e-9 * abs(expect)
+
+
+def read_report(path) -> dict[str, str]:
+    """The key=value lines of a report.txt."""
+    pairs = (line.partition("=") for _, line in read_ids(path))
+    return {key: val for key, _, val in pairs}
 
 
 def test_export_report_roundtrip(tmp_path):

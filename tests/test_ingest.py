@@ -1,9 +1,13 @@
+import ast
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import test_golden
+import trajmatch
 from trajmatch.geo import GeoPoint, Polylines
 from trajmatch.io import (
     ParseError,
@@ -17,6 +21,9 @@ from trajmatch.io import (
     write_csv,
     write_trajectory,
 )
+from conftest import FIXTURES
+
+MINI_TRAJ = FIXTURES / "mini" / "trajectory.csv"
 
 
 def write(path, text):
@@ -85,6 +92,24 @@ def test_parse_trajectory_invalid_utf8_names_file(tmp_path):
     p.write_bytes(b"timestamp,lat,lon\n0,47.0,-122.\xff\n")
     with pytest.raises(ParseError, match="t.csv: not valid UTF-8"):
         parse_trajectory(p)
+
+
+# The whole file is decoded before any record is read: the offset is the
+# bad byte's in the file after a byte-order mark, not one within a chunk of
+# the file, and invalid UTF-8 wins over an earlier oversize CSV field.
+@pytest.mark.parametrize("prefix, head", [
+    (b"", b""),
+    (b"\xef\xbb\xbf", b""),
+    (b"", b"timestamp,lat,lon\n0,47.0," + b"1" * 131_073 + b"\n"),
+], ids=["late-byte", "after-bom", "after-oversize-field"])
+def test_invalid_utf8_names_its_offset_in_the_whole_file(tmp_path, prefix, head):
+    data = MINI_TRAJ.read_bytes()
+    p = tmp_path / "t.csv"
+    p.write_bytes(prefix + head + data[:11221] + b"\xff" + data[11222:])
+    with pytest.raises(ParseError) as err:
+        parse_trajectory(p)
+    assert str(err.value) == (f"{p}: not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+                              f"in position {len(head) + 11221}: invalid start byte")
 
 
 def test_read_ids_line_numbers_skip_blank_and_comments(tmp_path):
@@ -255,6 +280,27 @@ def test_build_network_origin_is_centroid():
     edges = [("e1", "a", "b", [GeoPoint(10.0, 20.0), GeoPoint(12.0, 22.0)])]
     net = build_network(edges)
     assert net.projection.origin == GeoPoint(11.0, 21.0)
+
+
+def test_golden_outputs_hold_under_a_compensated_builtin_sum(tmp_path,
+                                                           compensated_builtin_sum):
+    # a network's origin and a stay point's mean do not depend on how the
+    # interpreter's builtin sum rounds
+    for command in ("match", "pipeline"):
+        (tmp_path / command).mkdir()
+        test_golden.test_golden_outputs(tmp_path / command, command)
+    for name in sorted(test_golden.GOLDEN_SCALE):
+        (tmp_path / name).mkdir()
+        test_golden.test_golden_match_at_scale(tmp_path / name, name)
+
+
+def test_the_package_calls_no_builtin_sum():
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(trajmatch.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "sum"]
+    assert calls == []
 
 
 def test_parse_trajectory_non_monotonic_names_file_and_row(tmp_path):
@@ -539,10 +585,11 @@ def test_parse_trajectory_reads_a_pipe(text):
     assert traj.t.tolist() == [0.0, 1.0] and traj.lon.tolist() == [-122.0, -122.5]
 
 
-# A plain numeric file is first read by numpy, a faulty one then by the
-# record reader, and a second csv.reader locates the rows to name. A file
-# whose only fault is its time order is read by numpy alone, so the one
-# csv.reader is the one that locates the rows.
+# A plain numeric file's text is first read by numpy, a faulty one then by
+# the record reader, and a second csv.reader, a second pass over the text in
+# memory, locates the rows to name. A file whose only fault is its time
+# order is read by numpy alone, so the one csv.reader is the one that
+# locates the rows.
 @pytest.mark.parametrize("text, reads", [
     ("timestamp,lat,lon\n0,47.0,-122.0\n1,91.0,-122.0\n", 2),   # names a row
     ("timestamp,lat,lon\n1,47.0,-122.0\n0,47.0,-122.0\n", 1),   # names two rows
@@ -554,3 +601,37 @@ def test_rows_are_located_by_a_second_read_on_error_only(tmp_path, csv_readers, 
     with pytest.raises(ParseError):
         parse_trajectory(write(tmp_path / "t.csv", text))
     assert len(csv_readers) == reads
+
+
+@pytest.fixture
+def opens(monkeypatch):
+    """The paths io has opened since the fixture began."""
+    from trajmatch import io
+
+    opened = []
+
+    def counting(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting, raising=False)
+    return opened
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_trajectory, "timestamp,lat,lon\n0,47.0,-122.0\n1,47.5,-122.5\n"),
+    (parse_trajectory, "timestamp,lat,lon\n0,47.0,-122.0\n# note\n1,47.5,-122.5\n"),
+    (parse_trajectory, "timestamp,lat,lon\n0,47.0,-122.0\n1,91.0,-122.0\n"),
+    (parse_trajectory, "timestamp,lat,lon\n1,47.0,-122.0\n0,47.0,-122.0\n"),
+    (parse_road_network, NET_CSV),
+    (parse_road_network, NET_CSV + "e3,n3,n4,POINT (1 2)\n"),
+    (parse_road_network, NET_CSV + 'e1,n3,n4,"LINESTRING (0 0, 1 1)"\n'),
+], ids=["trajectory-plain", "trajectory-records", "trajectory-bad-row",
+        "trajectory-time-order", "network", "network-bad-row", "network-duplicate-id"])
+def test_each_input_is_opened_once(tmp_path, opens, parse, text):
+    path = write(tmp_path / "in.csv", text)
+    try:
+        parse(path)
+    except ParseError:
+        pass
+    assert opens == [path]

@@ -11,23 +11,28 @@ csv module's field limit of 131,072 characters.
 reader that parses and checks one record at a time: the same columns bit
 for bit, or the same error message. That holds for the mutated files and
 for generated plain numeric files, which numpy's text reader reads unless
-a check sends them to the record reader.
+a check sends them to the record reader. A mutated trajectory or network
+read through a pipe gives what the same bytes give in a regular file.
 """
 
+import os
 import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from trajmatch.cli import main
 from trajmatch.io import ParseError, parse_ground_truth, parse_road_network, parse_trajectory
-from conftest import FIXTURES
+from conftest import FIXTURES, piped
 from oracles import per_record_trajectory
+from test_network_fuzz import mutated_network
 
 MINI = FIXTURES / "mini"
 TRAJ_LINES = (MINI / "trajectory.csv").read_bytes().splitlines(keepends=True)
+TRAJ_BYTES = b"".join(TRAJ_LINES)
 TRUTH_LINES = (MINI / "truth.txt").read_bytes().splitlines(keepends=True)
 NETWORK = parse_road_network(MINI / "network.csv")
 FIELD = re.compile(rb"[^,\r\n]+")
@@ -124,10 +129,40 @@ def _edit(lines, edits):
                                  (6, b"1970-01-01T00:00:05.5+00:00,47.6,-122.3\n")]))
 # a decrease after a multi-line record
 @example(data=_edit(TRAJ_LINES, [(2, b'1.0,"47.6\n",-122.3\n'), (9, b"1.5,47.6,-122.3\n")]))
+# invalid UTF-8 past the first 8 KiB, named at its offset in the whole file
+@example(data=TRAJ_BYTES[:11221] + b"\xff" + TRAJ_BYTES[11222:])
+# an oversize field before invalid UTF-8: the UTF-8 fault wins
+@example(data=_edit(TRAJ_LINES, [(3, b"3.0,47.6," + b"1" * 131_073 + b"\n"), (300, b"\xff\n")]))
 @settings(max_examples=100, deadline=None)
 @given(data=mutated(TRAJ_LINES))
 def test_mutated_trajectory_matches_per_record_oracle(data):
     _assert_matches_oracle(data)
+
+
+def _read(parse, path, names):
+    """The named columns of what parse makes of path, floats as float.hex,
+    or its ParseError message with path replaced by <input>."""
+    try:
+        result = parse(path)
+    except ParseError as exc:
+        return str(exc).replace(str(path), "<input>")
+    return [list(map(float.hex, c.tolist())) if isinstance(c, np.ndarray) else list(c)
+            for c in (getattr(result, name) for name in names)]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@settings(max_examples=100, deadline=None)
+@given(traj=mutated(TRAJ_LINES), network=mutated_network())
+def test_a_pipe_reads_like_a_regular_file(traj, network):
+    with tempfile.TemporaryDirectory() as tmp:
+        for parse, data, names in (
+                (parse_trajectory, traj, ("t", "lat", "lon")),
+                (parse_road_network, network.encode(),
+                 ("ids", "node_from", "node_to", "lon", "lat"))):
+            path = Path(tmp) / "input.csv"
+            path.write_bytes(data)
+            with piped(data) as pipe:
+                assert _read(parse, pipe, names) == _read(parse, path, names)
 
 
 def _assert_matches_oracle(data):

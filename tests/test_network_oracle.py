@@ -172,3 +172,11 @@ def test_written_network_reads_back_column_for_column(edges, order):
     for i in range(len(parsed.ids)):
         assert hexes(chain_bearings(parsed.geometry, i)) == hexes(chain_bearings(again.geometry, i))
     assert parsed.geometry.start == again.geometry.start
+
+
+def test_network_reference_holds_under_a_compensated_builtin_sum(compensated_builtin_sum):
+    # a compensated sum of these latitudes rounds their mean one unit in the
+    # last place away from the left-to-right sum the origin is defined by
+    edges = [([-122.302, -122.25, -122.324, -122.338], [47.612, 47.553, 47.599, 47.605])]
+    test_network_matches_per_vertex_reference.hypothesis.inner_test(edges=edges,
+                                                                    points=[])

@@ -110,3 +110,10 @@ def test_threshold_detector_equals_record_loop(hops, tau):
     got = [(s.x, s.y, s.t_a, s.t_l, s.member_count, s.cluster_id)
            for s in threshold_staypoint_detect(traj, delta=10.0, tau=float(tau))]
     assert got == window_staypoints(rows, 10.0, float(tau))
+
+
+def test_threshold_reference_holds_under_a_compensated_builtin_sum(compensated_builtin_sum):
+    # a compensated sum of this run's latitudes rounds their mean one unit in
+    # the last place away from the left-to-right sum the mean is defined by
+    test_threshold_detector_equals_record_loop.hypothesis.inner_test(
+        hops=[(1, 3e-5, 0.0)] * 7, tau=5)
