@@ -2,8 +2,9 @@
 
 Every file the package reads or writes goes through this module: inputs
 once each through `read_text`, outputs through `write_csv` and `write_lines`.
-A plain numeric trajectory is parsed by numpy's C text reader instead (see
-_plain_trajectory_columns), with the same columns and messages.
+A plain numeric trajectory is parsed by numpy's C text reader (see
+_plain_trajectory_columns), any other in one walk over its records (see
+_record_trajectory_columns), with the same columns and messages.
 
 Native formats (UTF-8, one leading byte-order mark dropped; a blank CSV
 record, or one whose first field starts with `#` after any whitespace, is
@@ -29,10 +30,9 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import reduce
 from io import StringIO
-from itertools import chain, compress, islice
-from operator import add, itemgetter
+from itertools import compress, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -310,41 +310,18 @@ def _check_number_text(name: str, text: str):
         raise ParseError(f"{name} {text!r} has a non-ASCII character or '_'")
 
 
-def _check_trajectory_record(ts: str, lat: str, lon: str):
-    """Raise ValueError at the first fault of one record, in this order:
-    timestamp, lat, lon, each by _check_number_text and then by conversion,
-    then the coordinate range."""
+def _trajectory_record(ts: str, lat: str, lon: str) -> tuple[float, float, float]:
+    """The time, lat and lon of one record; ValueError at its first fault,
+    in this order: timestamp, lat, lon, each by _check_number_text and then
+    by conversion, then the coordinate range."""
     _check_number_text("timestamp", ts)
-    _parse_timestamp(ts)
+    t = _parse_timestamp(ts)
     _check_number_text("lat", lat)
     la = float(lat)
     _check_number_text("lon", lon)
-    check_coordinate(la, float(lon))
-
-
-def _trajectory_columns(ts, lats, lons):
-    """The float64 columns t, lat, lon of a trajectory's fields, or None
-    when some record fails _check_trajectory_record. Each check runs on
-    whole columns: the plain-text rule on the joined fields, float() over
-    each column (a timestamp column that float rejects is read again with
-    _parse_timestamp), then _in_range."""
-    if _not_plain("".join(chain(ts, lats, lons))):
-        return None
-    try:
-        lat, lon = np.array(list(map(float, lats))), np.array(list(map(float, lons)))
-        try:
-            t = np.array(list(map(float, ts)))
-        except ValueError:
-            t = np.array(list(map(_parse_timestamp, ts)))
-    except ValueError:
-        return None
-    return (t, lat, lon) if _in_range(t, lat, lon) else None
-
-
-def _in_range(t, lat, lon) -> bool:
-    """Whether every time is finite and every coordinate in range."""
-    return bool(np.all(np.isfinite(t) & (-90.0 <= lat) & (lat <= 90.0)
-                       & (-180.0 <= lon) & (lon <= 180.0)))
+    lo = float(lon)
+    check_coordinate(la, lo)
+    return t, la, lo
 
 
 _TRAJECTORY_COLUMNS = ("timestamp", "lat", "lon")
@@ -358,7 +335,7 @@ def _plain_trajectory_columns(text):
     """The float64 columns t, lat, lon of a plain numeric trajectory, the
     decoded text of its file, each a contiguous array, read in one
     np.loadtxt call; or None when the text is not plain, the reader refuses
-    it or a value fails _in_range.
+    it, or a time is not finite or a coordinate is out of range.
 
     Plain is: ASCII without the _NOT_PLAIN_CHARS; every CR part of a CRLF;
     a first line of exactly the three _TRAJECTORY_COLUMNS names in any
@@ -389,31 +366,29 @@ def _plain_trajectory_columns(text):
     if rows.shape[1] != len(_TRAJECTORY_COLUMNS):
         return None
     t, lat, lon = (rows[:, names.index(k)].copy() for k in _TRAJECTORY_COLUMNS)
-    return (t, lat, lon) if _in_range(t, lat, lon) else None
+    if not np.all(np.isfinite(t) & (-90.0 <= lat) & (lat <= 90.0)
+                  & (-180.0 <= lon) & (lon <= 180.0)):
+        return None
+    return t, lat, lon
 
 
 def _record_trajectory_columns(path, text):
     """The float64 columns t, lat, lon of text, any trajectory file at path,
-    read by _read_columns; ParseError names the first record that does not
-    parse or, when all do, the first too short for every column.
-
-    The columns are converted and checked whole; only when that finds a
-    fault are the records walked in order, and _check_trajectory_record
-    names the first bad one.
-    """
+    read by _read_columns and converted one record at a time by
+    _trajectory_record; ParseError names the first record that does not
+    parse or, when all do, the first too short for every column."""
     (ts, lats, lons), short = _read_columns(path, text, _TRAJECTORY_COLUMNS)
-    columns = _trajectory_columns(ts, lats, lons)
-    if columns is None:
-        for n, record in enumerate(zip(ts, lats, lons)):
-            try:
-                _check_trajectory_record(*record)
-            except ValueError as exc:
-                raise _row_error(path, text, n, exc) from None
+    records = []
+    for n, record in enumerate(zip(ts, lats, lons)):
+        try:
+            records.append(_trajectory_record(*record))
+        except ValueError as exc:
+            raise _row_error(path, text, n, exc) from None
     if short:
         raise _row_error(path, text, len(ts), short)
-    if not ts:
+    if not records:
         raise ParseError(f"{path}: no data rows")
-    return columns
+    return tuple(np.array(c, dtype=np.float64) for c in zip(*records))
 
 
 def parse_trajectory(path, traj_id: str | None = None) -> Trajectory:
@@ -422,10 +397,10 @@ def parse_trajectory(path, traj_id: str | None = None) -> Trajectory:
 
     A plain numeric file is read by numpy's C text reader
     (_plain_trajectory_columns); any other file, and a plain one that
-    reader refuses or whose values fail a check, by the record reader
-    (_record_trajectory_columns), which also names the bad row. On a file
-    the C reader accepts, the record reader gives the same columns bit for
-    bit.
+    reader refuses or whose values fail a check, by one walk over its
+    records (_record_trajectory_columns), which converts each record once
+    and names the first bad row. On a file the C reader accepts, the record
+    walk gives the same columns bit for bit.
     """
     text = read_text(path)
     columns = _plain_trajectory_columns(text)
@@ -498,12 +473,15 @@ def _parse_wkt_linestring(text: str, lon: list[float], lat: list[float]) -> int:
 def _id_fault(edge_id: str, node_from: str, node_to: str) -> str | None:
     """What keeps a row's stripped ids from naming an edge and its nodes, or
     None. An edge id must come back whole from a one-id-per-line file (see
-    read_ids), so it is not blank, does not start with `#` and holds no line
+    read_ids), so it is not blank, does not start with `#` or with the
+    byte-order mark that read_text drops from line 1, and holds no line
     break; a node id is not blank."""
     if not edge_id:
         return "blank edge_id"
     if edge_id.startswith("#"):
         return f"edge_id {edge_id!r} starts with '#'"
+    if edge_id.startswith("\ufeff"):
+        return f"edge_id {edge_id!r} starts with a byte-order mark"
     if "\n" in edge_id or "\r" in edge_id:
         return f"edge_id {edge_id!r} holds a line break"
     if not node_from:
@@ -517,8 +495,9 @@ def parse_road_network(path) -> RoadNetwork:
     """ParseError names the first row that does not parse.
 
     The id columns are screened whole; only when the screen finds a blank
-    id, a `#` or a line break are the rows walked to find the first with an
-    id fault, and the rows before it are read as usual.
+    id, a `#`, a byte-order mark or a line break are the rows walked to
+    find the first with an id fault, and the rows before it are read as
+    usual.
     """
     text = read_text(path)
     (ids, nodes_from, nodes_to, wkts), short = _read_columns(
@@ -526,7 +505,8 @@ def parse_road_network(path) -> RoadNetwork:
     ids, nodes_from, nodes_to = ([v.strip() for v in col] for col in (ids, nodes_from, nodes_to))
     fault = None
     joined = "".join(ids)
-    if not (all(ids) and all(nodes_from) and all(nodes_to)) or any(c in joined for c in "#\n\r"):
+    if (not (all(ids) and all(nodes_from) and all(nodes_to))
+            or any(c in joined for c in "#\n\r\ufeff")):
         fault = next(((k, message) for k, message in
                       enumerate(map(_id_fault, ids, nodes_from, nodes_to)) if message), None)
     lon, lat, sizes = [], [], []
@@ -582,16 +562,18 @@ def _assemble(ids, nodes_from, nodes_to, lon, lat, sizes) -> RoadNetwork:
     """The network over flat vertex columns in edge order, sizes[i] vertices
     for edge i.
 
-    The origin is the vertex mean by a left-to-right sum in that order.
-    numpy's pairwise sum, math.fsum and the builtin sum from Python 3.12 on
-    round differently; the left-to-right sum gives every interpreter the
-    same origin.
+    The origin is the vertex mean by a left-to-right sum from 0.0 in that
+    order, which ufunc.accumulate is documented to run; numpy's pairwise
+    sum, math.fsum and the builtin sum from Python 3.12 on round
+    differently, so the left-to-right sum gives every interpreter the same
+    origin. Adding the accumulation to 0.0 keeps an all -0.0 column's sum
+    +0.0, as a sum from 0.0 is.
     """
     if not lon:
         raise ParseError("network has no geometry")
-    proj = Projection(GeoPoint(reduce(add, lat, 0.0) / len(lat),
-                               reduce(add, lon, 0.0) / len(lon)))
     lon, lat = np.array(lon, dtype=np.float64), np.array(lat, dtype=np.float64)
+    lat0, lon0 = (0.0 + np.add.accumulate(c)[-1].item() for c in (lat, lon))
+    proj = Projection(GeoPoint(lat0 / len(lat), lon0 / len(lon)))
     try:
         geometry = polylines(*proj.project_lonlat(lon, lat), sizes)
     except InvalidPolylineError as exc:

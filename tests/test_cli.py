@@ -464,12 +464,14 @@ def test_faulty_input_from_a_pipe_exits_2(tmp_path, capsys, text, argv, message)
     ("", "n9", 0, "blank edge_id"),
     ("#a", "n9", 1, "edge_id '#a' starts with '#'"),
     ("a\nb", "n9", 0, r"edge_id 'a\nb' holds a line break"),
+    ("\ufeffa", "n9", 0, r"edge_id '\ufeffa' starts with a byte-order mark"),
     ("a", "", 0, "edge 'a' has a blank node_to"),
 ])
 def test_match_and_eval_reject_ids_that_do_not_read_back(tmp_path, capsys, edge_id, node_to,
                                                          id_column, message):
-    # at the parent, match wrote these ids to edge_sequence.txt and exited 0:
-    # eval then skipped the blank and '#' lines, or split 'a\nb' in two
+    # unchecked, these ids went to edge_sequence.txt and match exited 0: eval
+    # then skipped the blank and '#' lines, split 'a\nb' in two, or read
+    # '\ufeffa' on line 1 back as 'a'
     with open(NETWORK, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     rows.append([edge_id, "n0_0", node_to, "LINESTRING (-122.3 47.6, -122.3 47.5999)"])

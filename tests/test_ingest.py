@@ -282,6 +282,14 @@ def test_build_network_origin_is_centroid():
     assert net.projection.origin == GeoPoint(11.0, 21.0)
 
 
+def test_build_network_origin_of_negative_zeros_is_positive_zero():
+    # a sum from 0.0, as functools.reduce(operator.add, column, 0.0) takes
+    # it: -0.0 + -0.0 is -0.0, but 0.0 + -0.0 is 0.0
+    for a, b in (((-0.0, -0.0), (-0.0, 0.001)), ((-0.0, -0.0), (0.001, -0.0))):
+        origin = build_network([("e1", "a", "b", [GeoPoint(*a), GeoPoint(*b)])]).projection.origin
+        assert [math.copysign(1.0, c) for c in (origin.lat, origin.lon)] == [1.0, 1.0]
+
+
 def test_golden_outputs_hold_under_a_compensated_builtin_sum(tmp_path,
                                                            compensated_builtin_sum):
     # a network's origin and a stay point's mean do not depend on how the
@@ -426,6 +434,10 @@ def test_parse_network_first_bad_row_wins(tmp_path):
     ("a\nb", "n3", "n4", 0, r"edge_id 'a\nb' holds a line break"),
     ("a\r\nb", "n3", "n4", 1, r"edge_id 'a\r\nb' holds a line break"),
     ("a\rb", "n3", "n4", 0, r"edge_id 'a\rb' holds a line break"),
+    # written on line 1, the id read back without it: read_text drops one
+    # leading byte-order mark
+    ("\ufeffa", "n3", "n4", 0, r"edge_id '\ufeffa' starts with a byte-order mark"),
+    (" \ufeffa", "n3", "n4", 1, r"edge_id '\ufeffa' starts with a byte-order mark"),
     # edges 75 km apart were neighbours at node ""
     ("e3", "n3", "", 0, "edge 'e3' has a blank node_to"),
     ("e3", " ", "n4", 1, "edge 'e3' has a blank node_from"),

@@ -11,13 +11,16 @@ csv module's field limit of 131,072 characters.
 reader that parses and checks one record at a time: the same columns bit
 for bit, or the same error message. That holds for the mutated files and
 for generated plain numeric files, which numpy's text reader reads unless
-a check sends them to the record reader. A mutated trajectory or network
-read through a pipe gives what the same bytes give in a regular file.
+a check sends them to the record reader. Generated valid files that numpy's
+reader does not take (ISO timestamps, quoted fields, comments) all parse,
+to the oracle's columns. A mutated trajectory or network read through a
+pipe gives what the same bytes give in a regular file.
 """
 
 import os
 import re
 import tempfile
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +240,74 @@ def plain_files(draw):
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     end = newline if draw(st.booleans()) else ""
     return (newline.join(lines) + end).encode("ascii")
+
+
+@st.composite
+def timestamp_text(draw, us):
+    """A timestamp for us microseconds after the epoch: epoch seconds, or
+    ISO 8601 with a `T` or space separator and `Z`, an offset or none
+    (UTC). Each reads as us / 10**6 correctly rounded, so text for a
+    larger us never reads smaller."""
+    if draw(st.booleans()):
+        return repr(us / 10**6)
+    zone = draw(st.sampled_from([None, timezone.utc, timezone(timedelta(hours=5, minutes=30)),
+                                 timezone(-timedelta(hours=8))]))
+    dt = datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(microseconds=us)
+    text = dt.astimezone(zone or timezone.utc).isoformat(sep=draw(st.sampled_from("T ")))
+    if zone is None:
+        text = text[:-len("+00:00")] + draw(st.sampled_from(["", "Z"]))
+    return text
+
+
+# a comment record's text, and a note column's field
+NOTE = st.text(alphabet="ab #,:;.é", max_size=12)
+
+
+@st.composite
+def record_files(draw):
+    """A valid trajectory file that numpy's reader does not take: up to 60
+    rows in time order with epoch and ISO timestamps mixed, a field now and
+    then quoted (some with a line break inside the quotes, which float()
+    strips), an optional note column, comment and blank records anywhere,
+    an optional byte-order mark, and LF or CRLF line endings. At least one
+    ISO timestamp, quoted field or comment keeps numpy's reader off it."""
+    names = draw(st.permutations(["timestamp", "lat", "lon"] + draw(
+        st.sampled_from([[], ["note"]]))))
+    us = sorted(draw(st.lists(st.integers(-2 * 10**15, 4 * 10**15), min_size=1, max_size=60)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+
+    def field(text):
+        if draw(st.integers(0, 3)):
+            return draw(SPACE) + text + draw(SPACE)
+        inner = st.sampled_from(["", " ", newline])
+        return '"' + draw(inner) + text + draw(inner) + '"'
+
+    def row(t):
+        values = {"timestamp": draw(timestamp_text(t)),
+                  "lat": repr(draw(st.floats(-90.0, 90.0))),
+                  "lon": repr(draw(st.floats(-180.0, 180.0))),
+                  "note": draw(NOTE).replace(",", "")}
+        return ",".join(field(values[name]) for name in names)
+
+    lines = [",".join(field(name) for name in names)] + [row(t) for t in us]
+    for _ in range(draw(st.integers(0, 4))):
+        comment = draw(st.sampled_from(["#", " #", "# "])) + draw(NOTE)
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from([comment, ""])))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    if not any(c in text for c in '"#:'):
+        text = "# trace" + newline + text
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=record_files())
+def test_valid_record_file_matches_per_record_oracle(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trajectory.csv"
+        path.write_bytes(data)
+        traj = parse_trajectory(path)
+        assert [list(map(float.hex, c)) for c in per_record_trajectory(path)] == \
+            [list(map(float.hex, c.tolist())) for c in (traj.t, traj.lat, traj.lon)]
 
 
 TRAP_FIELD = "0." + "0" * 131_072 + "1"
