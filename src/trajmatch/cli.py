@@ -114,8 +114,7 @@ def cmd_pipeline(args) -> int:
     truth = parse_ground_truth(args.truth, network)
     cfg, rules = _load_matcher(args)
     if len(traj) < 2:
-        print("error: trajectory must have at least 2 points", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise TooFewPointsError("trajectory must have at least 2 points")
     # checked before the run: eps / 2 can round to 0 and eps * 2 overflow
     sweep_params = [DbscanParams(eps, args.min_pts, args.metric_space)
                     for eps in (args.eps / 2, args.eps, args.eps * 2)]
@@ -140,25 +139,19 @@ def cmd_synth(args) -> int:
         try:
             start, duration, sigma = (float(v) for v in spec.split(":"))
         except ValueError:
-            print(f"error: bad --dwell {spec!r}, expected start:duration:sigma",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"bad --dwell {spec!r}, expected start:duration:sigma") from None
         if not all(map(math.isfinite, (start, duration, sigma))):
-            print(f"error: bad --dwell {spec!r}, start, duration and sigma must be finite",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"bad --dwell {spec!r}, start, duration and sigma must be finite")
         if not (0.0 <= duration <= MAX_DWELL_S and sigma >= 0.0):
-            print(f"error: bad --dwell {spec!r}, duration must lie in [0, {MAX_DWELL_S:g}] "
-                  f"and sigma must be >= 0", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"bad --dwell {spec!r}, duration must lie in [0, {MAX_DWELL_S:g}] "
+                             f"and sigma must be >= 0")
         dwells.append((start, duration, sigma))
     scn = evalbench.generate_scenario(args.seed, dwell_spec=dwells)
     try:
         for lat, lon in zip(scn.trajectory.lat.tolist(), scn.trajectory.lon.tolist()):
             check_coordinate(lat, lon)
     except InvalidCoordinateError as exc:
-        print(f"error: a --dwell sigma puts points off the globe: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"a --dwell sigma puts points off the globe: {exc}") from None
     evalbench.write_scenario(scn, args.out_dir)
     print(f"wrote scenario to {args.out_dir} "
           f"({len(scn.trajectory)} points, {len(scn.truth)} truth edges)")

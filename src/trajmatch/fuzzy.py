@@ -186,13 +186,14 @@ class RuleBase:
 
         Per input, in `input_names` order: its universe, the `scalar` of each
         used label and its flat intervals, the open intervals between label
-        parameters where every used label is exactly 0.0 or 1.0, with those
-        values. An interval that holds an end of the universe, or ends on it
-        where every used label's `scalar` equals the interval's values, is
-        extended to infinity on that side, since a value at or beyond that
-        end clamps to it and takes those values. Per rule: an itemgetter of
-        its antecedent's vector indices (the one index twice for a one-input
-        rule, so it always returns a tuple) and its weight.
+        parameters where every used label's `scalar` is exactly 0.0 or 1.0
+        (see _flat_value), with those values. An interval that holds an end
+        of the universe, or ends on it where every used label's `scalar`
+        equals the interval's values, is extended to infinity on that side,
+        since a value at or beyond that end clamps to it and takes those
+        values. Per rule: an itemgetter of its antecedent's vector indices
+        (the one index twice for a one-input rule, so it always returns a
+        tuple) and its weight.
         """
         self.input_names = tuple(self.inputs)
         used = {term for rule in self.rules for term in rule.antecedent}
@@ -225,28 +226,13 @@ def _flat_value(mf: MembershipFunction, p: float, q: float) -> float | None:
     """The value mf.scalar returns everywhere strictly inside (p, q) when it
     is exactly 0.0 or 1.0 there, else None. No parameter of mf lies inside.
 
-    A ramp from a to b of a triangle or trapezoid reaches 1.0 at b only when
-    its divisor is b - a, not the 1e-300 floor that guards a zero width.
+    It is read just inside both ends. With no parameter inside, scalar is
+    there a triangle's or trapezoid's clipped min of one rising and one
+    falling ramp, or a z or s spline, monotone but for rounding where it is
+    about 0.5; either is 0.0 or 1.0 throughout when it is at both ends.
     """
-    if mf.shape in ("z", "s"):
-        a, b = mf.params
-        if q <= a:
-            s = 0.0
-        elif p >= b:
-            s = 1.0
-        else:
-            return None
-        return 1.0 - s if mf.shape == "z" else s
-    a, b, c, d = mf._corners
-    left = a == b or b - a >= 1e-300
-    right = c == d or d - c >= 1e-300
-    if q <= a:
-        return 0.0 if a < b else 1.0 if right else None
-    if p >= d:
-        return 0.0 if c < d else 1.0 if left else None
-    if b <= p and q <= c and left and right:
-        return 1.0
-    return None
+    value = mf.scalar(math.nextafter(p, q))
+    return value if value in (0.0, 1.0) and mf.scalar(math.nextafter(q, p)) == value else None
 
 
 def evaluate(rules: RuleBase, crisp_inputs: Mapping[str, float]) -> float:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -22,9 +21,6 @@ from scipy.spatial import cKDTree
 EARTH_RADIUS_M = 6_371_000.0
 METERS_PER_DEGREE = EARTH_RADIUS_M * math.pi / 180.0
 SAMPLE_SPACING = 100.0  # meters between the spatial index's samples along a segment
-# the fewest chains polylines sums one segment position of in one array pass:
-# about where such a pass costs as much per chain as a Python addition
-ARC_CHAINS = 128
 
 
 class InvalidCoordinateError(ValueError):
@@ -128,7 +124,8 @@ def polylines(x, y, sizes) -> Polylines:
 
     Segment lengths are computed with math.hypot on Python floats (numpy's
     hypot differs from it in the last bit on some inputs), and each chain's
-    arc lengths are summed from 0 in order (see _arc_lengths).
+    arc lengths are summed from 0 in order, one accumulate per group of
+    chains of one size (see _arc_lengths).
     """
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     sizes = np.asarray(sizes, dtype=np.intp)
@@ -150,29 +147,22 @@ def _arc_lengths(seglen: np.ndarray, sizes: np.ndarray, ends: np.ndarray) -> np.
     """Every chain's arc lengths, flat by vertex: chain i's are
     accumulate(its seglen, initial=0.0).
 
-    Segment position k is summed across every chain that reaches it at once,
-    one elementwise add (numpy's float64 + rounds as Python's), while at
-    least ARC_CHAINS chains do; the chains still going then finish with
-    accumulate. So an array pass always serves enough chains to cost no
-    more than their Python additions, and a few long chains cost no extra
-    passes.
-    The additions and their order are the same as per chain, so every sum is
-    bit-identical.
+    The chains are grouped by size, and each group is summed in one
+    np.add.accumulate along the rows of its (chains x segments) array.
+    ufunc.accumulate is documented as the sequential loop, so every chain
+    gets the same additions in the same order as summed alone, and every sum
+    is bit-identical.
     """
-    order = np.argsort(-sizes, kind="stable")  # longest first: chains still going are a prefix
+    order = np.argsort(sizes, kind="stable")
     n = sizes[order]
     first = (ends - sizes)[order]  # each chain's first vertex
     seg = first - order  # and its first segment
     cum = np.zeros(len(seglen) + len(sizes), dtype=np.float64)
-    k, m = 1, len(n)  # every chain has a vertex 1
-    while m >= ARC_CHAINS:
-        rows = first[:m] + k
-        cum[rows] = cum[rows - 1] + seglen[seg[:m] + k - 1]
-        k += 1
-        m = int(np.count_nonzero(n[:m] > k))
-    for a, s, size in zip(first[:m].tolist(), seg[:m].tolist(), n[:m].tolist()):
-        cum[a + k - 1:a + size] = list(accumulate(seglen[s + k - 1:s + size - 1].tolist(),
-                                                  initial=cum[a + k - 1].item()))
+    # where each group starts, and the end; none for an empty batch
+    bounds = np.flatnonzero(np.diff(n, prepend=0, append=0)).tolist()
+    for a, b in zip(bounds, bounds[1:]):
+        k = np.arange(n[a] - 1)
+        cum[first[a:b, None] + 1 + k] = np.add.accumulate(seglen[seg[a:b, None] + k], axis=1)
     return cum
 
 

@@ -492,7 +492,9 @@ def _id_fault(edge_id: str, node_from: str, node_to: str) -> str | None:
 
 
 def parse_road_network(path) -> RoadNetwork:
-    """ParseError names the first row that does not parse.
+    """ParseError names the first row that does not parse. Whether a
+    segment is too short to project is known only once every vertex is
+    read, so that fault is named after every row has parsed.
 
     The id columns are screened whole; only when the screen finds a blank
     id, a `#`, a byte-order mark or a line break are the rows walked to
@@ -530,7 +532,10 @@ def parse_road_network(path) -> RoadNetwork:
         raise _row_error(path, text, len(ids), short)
     if not first_record:
         raise ParseError(f"{path}: no edges")
-    return _assemble(list(first_record), nodes_from, nodes_to, lon, lat, sizes)
+    try:
+        return _assemble(list(first_record), nodes_from, nodes_to, lon, lat, sizes)
+    except InvalidPolylineError as exc:
+        raise _row_error(path, text, exc.index, f"edge {ids[exc.index]!r}: {exc}") from None
 
 
 def write_road_network(network: RoadNetwork, path):
@@ -552,10 +557,13 @@ def build_network(edges: list[tuple[str, str, str, list[GeoPoint]]]) -> RoadNetw
     The projection origin is the centroid of all geometry vertices. An edge
     whose projected vertices do not form a polyline raises ParseError.
     """
-    return _assemble([e[0] for e in edges], [e[1] for e in edges], [e[2] for e in edges],
-                     [p.lon for e in edges for p in e[3]],
-                     [p.lat for e in edges for p in e[3]],
-                     [len(e[3]) for e in edges])
+    try:
+        return _assemble([e[0] for e in edges], [e[1] for e in edges], [e[2] for e in edges],
+                         [p.lon for e in edges for p in e[3]],
+                         [p.lat for e in edges for p in e[3]],
+                         [len(e[3]) for e in edges])
+    except InvalidPolylineError as exc:
+        raise ParseError(f"edge {edges[exc.index][0]!r}: {exc}") from None
 
 
 def _assemble(ids, nodes_from, nodes_to, lon, lat, sizes) -> RoadNetwork:
@@ -567,17 +575,15 @@ def _assemble(ids, nodes_from, nodes_to, lon, lat, sizes) -> RoadNetwork:
     sum, math.fsum and the builtin sum from Python 3.12 on round
     differently, so the left-to-right sum gives every interpreter the same
     origin. Adding the accumulation to 0.0 keeps an all -0.0 column's sum
-    +0.0, as a sum from 0.0 is.
+    +0.0, as a sum from 0.0 is. An edge that is no polyline raises
+    polylines' InvalidPolylineError, which each caller names its own way.
     """
     if not lon:
         raise ParseError("network has no geometry")
     lon, lat = np.array(lon, dtype=np.float64), np.array(lat, dtype=np.float64)
     lat0, lon0 = (0.0 + np.add.accumulate(c)[-1].item() for c in (lat, lon))
     proj = Projection(GeoPoint(lat0 / len(lat), lon0 / len(lon)))
-    try:
-        geometry = polylines(*proj.project_lonlat(lon, lat), sizes)
-    except InvalidPolylineError as exc:
-        raise ParseError(f"edge {ids[exc.index]!r}: {exc}") from None
+    geometry = polylines(*proj.project_lonlat(lon, lat), sizes)
     return RoadNetwork(ids, nodes_from, nodes_to, lon, lat, geometry, proj)
 
 

@@ -17,7 +17,7 @@ import math
 from itertools import chain, product
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trajmatch import fuzzy
@@ -124,10 +124,14 @@ def test_flat_table_holds_oracle_output_of_each_cell(config):
 
 @settings(max_examples=500, deadline=None)
 @given(shape=st.sampled_from(["triangular", "trapezoidal", "z", "s"]),
-       params=st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 2e-300, 1.0]),
+       params=st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 2e-300, 1.0,
+                                                  1e308, -1e308]),
                                  st.floats(-10.0, 10.0)), min_size=4, max_size=4),
        where=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
        side=st.sampled_from(["between", "below", "above"]))
+# a triangle whose last two parameters are equal is 1.0 above them, unless
+# b - a overflows: then scalar is 0.0 there
+@example(shape="triangular", params=[-1e308, 1e308, 1e308, 1e308], where=0.5, side="above")
 def test_flat_values_are_exact(shape, params, where, side):
     """Strictly inside an interval between parameters, a flat label's scalar
     is its flat value everywhere, for tiny and zero-width ramps too."""

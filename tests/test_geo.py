@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trajmatch.geo import (
-    ARC_CHAINS,
     GeoPoint,
     InvalidCoordinateError,
     InvalidPolylineError,
@@ -342,10 +341,12 @@ def hexes(values):
 
 
 @pytest.mark.parametrize("sizes", [
-    [2] * ARC_CHAINS,  # one array pass
-    [2] * (ARC_CHAINS - 1),  # none
-    [40] * ARC_CHAINS + [41, 500, 3],  # passes up to vertex 39, then two chains go on
-    [2 + (7 * i) % 60 for i in range(3 * ARC_CHAINS)],
+    [2] * 128,  # many chains of one size
+    [2] * 127,
+    [40] * 128 + [41, 500, 3],  # one large group and three chains alone
+    [2 + (7 * i) % 60 for i in range(3 * 128)],  # chains of many sizes
+    [2 + i // 3 + i * i // 50 for i in range(150)],  # many distinct sizes in a long tail
+    [2] * 500 + [5000] + [2] * 500,  # one long chain among many short ones
 ])
 def test_arc_lengths_equal_each_chain_summed_alone(sizes):
     rng = random.Random(len(sizes))

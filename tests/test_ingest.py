@@ -224,6 +224,19 @@ def test_parse_network_segment_too_short_to_project(tmp_path):
         parse_road_network(p)
 
 
+def test_parse_network_names_file_and_row_of_segment_too_short_to_project(tmp_path):
+    rows = ['e0,n0,n1,"LINESTRING (0 0, 1 0)"', 'e1,n1,n2,"LINESTRING (0 0, 1e-200 0)"']
+    p = write(tmp_path / "n.csv", "edge_id,node_from,node_to,wkt\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ParseError) as exc:
+        parse_road_network(p)
+    assert str(exc.value) == f"{p}: row 3: edge 'e1': consecutive duplicate vertex in polyline"
+    # the check runs once every row has parsed, so a later bad row wins
+    p = write(tmp_path / "n.csv", "edge_id,node_from,node_to,wkt\n" + "\n".join(rows)
+              + "\ne2,n2,n3,LINESTRING (0 0)\n")
+    with pytest.raises(ParseError, match="row 4: edge 'e2' has <2 vertices"):
+        parse_road_network(p)
+
+
 def test_network_edge_length_consistency(tmp_path):
     net = parse_road_network(write(tmp_path / "n.csv", NET_CSV))
     lines = net.geometry

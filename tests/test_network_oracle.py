@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from trajmatch.geo import ARC_CHAINS, SAMPLE_SPACING, GeoPoint, PlanarPoint, project_onto_polyline
+from trajmatch.geo import SAMPLE_SPACING, GeoPoint, PlanarPoint, project_onto_polyline
 from trajmatch.io import (
     ParseError,
     build_network,
@@ -52,11 +52,10 @@ def walk(rng, lon, lat, steps, scale):
 def networks(draw):
     """1-5 edges of 2-6 vertices, or of 100-140 for about one edge in four;
     an edge may start where the previous ends. About one network in four
-    also gets ARC_CHAINS to ARC_CHAINS + 30 more edges of 2-6 vertices, so
-    that `polylines` sums the first positions of every chain in array passes
-    and the rest with accumulate. Long edges and those bundles take their
-    steps from a seeded generator, so that drawing them costs Hypothesis a
-    few values."""
+    also gets 128 to 158 more edges of 2-6 vertices, so that `polylines`
+    sums many chains of each of several sizes together. Long edges and
+    those bundles take their steps from a seeded generator, so that drawing
+    them costs Hypothesis a few values."""
     edges = []
     for _ in range(draw(st.integers(1, 5))):
         if edges and draw(st.booleans()):
@@ -77,7 +76,7 @@ def networks(draw):
         rng = random.Random(draw(st.integers(0, 2**32 - 1)))
         edges += [walk(rng, rng.uniform(-122.5, -122.0), rng.uniform(47.4, 47.8),
                        rng.randint(1, 5), 0.0015)
-                  for _ in range(rng.randint(ARC_CHAINS, ARC_CHAINS + 30))]
+                  for _ in range(rng.randint(128, 158))]
     return edges
 
 
