@@ -101,16 +101,14 @@ def correct_link_count(result: MatchResult, truth: GroundTruthRoute) -> int:
     return len(truth) - v.bit_count()
 
 
-def _timed_match(network, traj, rules, cfg) -> tuple[MatchResult, float]:
-    """Match with the wall time taken as the median of repeated runs."""
-    times = []
-    result = None
-    for _ in range(TIMING_REPEATS):
-        r = match_trajectory(network, traj, rules, cfg)
-        times.append(r.wall_time_s)
-        if result is None:
-            result = r
-    return result, statistics.median(times)
+def _timed_match(network, traj, truth, rules, cfg) -> tuple[MatchResult, RunMetrics]:
+    """The first of TIMING_REPEATS matches of traj, and its metrics with the
+    wall time taken as the median of the repeats; only one result is kept."""
+    result = match_trajectory(network, traj, rules, cfg)
+    times = [result.wall_time_s] + [match_trajectory(network, traj, rules, cfg).wall_time_s
+                                    for _ in range(TIMING_REPEATS - 1)]
+    return result, RunMetrics(correct_link_count(result, truth), len(truth), len(traj),
+                              statistics.median(times))
 
 
 def run_pipeline(network: RoadNetwork, traj: Trajectory,
@@ -132,23 +130,10 @@ def run_pipeline(network: RoadNetwork, traj: Trajectory,
         raise TooFewPointsError(f"eps={eps!r} and min_pts={min_pts} reduce the trajectory "
                                 f"to {len(reduced)} point, fewer than the 2 matching needs")
 
-    raw_result, raw_time = _timed_match(network, traj, rules, cfg)
-    red_result, red_time = _timed_match(network, reduced, rules, cfg)
-
-    raw_metrics = RunMetrics(
-        correct_links=correct_link_count(raw_result, truth),
-        total_truth_links=len(truth),
-        input_points=len(traj),
-        matching_wall_time=raw_time,
-    )
-    red_metrics = RunMetrics(
-        correct_links=correct_link_count(red_result, truth),
-        total_truth_links=len(truth),
-        input_points=len(reduced),
-        matching_wall_time=red_time,
-    )
+    raw_result, raw = _timed_match(network, traj, truth, rules, cfg)
+    red_result, red = _timed_match(network, reduced, truth, rules, cfg)
     return ComparisonReport(
-        raw=raw_metrics, reduced=red_metrics,
+        raw=raw, reduced=red,
         cluster_count=labels.cluster_count, noise_count=labels.noise_count,
         raw_result=raw_result, reduced_result=red_result,
     )
@@ -275,14 +260,14 @@ def export_report(report: ComparisonReport, out_dir,
         "total_truth_links": report.raw.total_truth_links,
         "cluster_count": report.cluster_count,
         "noise_count": report.noise_count,
-        "volume_reduction_pct": repr(report.volume_reduction_pct),
+        "volume_reduction_pct": report.volume_reduction_pct,
         "accuracy_delta": report.accuracy_delta,
-        "timing.raw.matching_wall_time_s": repr(report.raw.matching_wall_time),
-        "timing.reduced.matching_wall_time_s": repr(report.reduced.matching_wall_time),
-        "timing.raw.per_point_time_us": repr(report.raw.per_point_time_us),
-        "timing.reduced.per_point_time_us": repr(report.reduced.per_point_time_us),
-        "timing.time_reduction_pct": repr(report.time_reduction_pct),
-        "timing.speed_gain_pct": repr(report.speed_gain_pct),
+        "timing.raw.matching_wall_time_s": report.raw.matching_wall_time,
+        "timing.reduced.matching_wall_time_s": report.reduced.matching_wall_time,
+        "timing.raw.per_point_time_us": report.raw.per_point_time_us,
+        "timing.reduced.per_point_time_us": report.reduced.per_point_time_us,
+        "timing.time_reduction_pct": report.time_reduction_pct,
+        "timing.speed_gain_pct": report.speed_gain_pct,
     }
     write_lines(out / "report.txt", (f"{key}={val}" for key, val in lines.items()))
     for name, column, attr in (("volume_pair.csv", "input_points", "input_points"),
@@ -290,8 +275,6 @@ def export_report(report: ComparisonReport, out_dir,
                                 "matching_wall_time"),
                                ("speed_pair.csv", "per_point_time_us", "per_point_time_us")):
         write_csv(out / name, ["run", column],
-                  [["raw", repr(getattr(report.raw, attr))],
-                   ["reduced", repr(getattr(report.reduced, attr))]])
+                  [["raw", getattr(report.raw, attr)], ["reduced", getattr(report.reduced, attr)]])
     if eps_sweep is not None:
-        write_csv(out / "eps_sweep.csv", ["eps", "clustered_points", "noise_points"],
-                  ([repr(eps), clustered, noise] for eps, clustered, noise in eps_sweep))
+        write_csv(out / "eps_sweep.csv", ["eps", "clustered_points", "noise_points"], eps_sweep)

@@ -51,6 +51,16 @@ class MembershipFunction:
             raise ValueError("membership parameters must be non-decreasing")
         if self.shape in ("z", "s") and self.params[0] == self.params[1]:
             raise ValueError(f"{self.shape} shape needs distinct parameters")
+        # what the formulas compute from the parameters must be a float: an
+        # overflowed ramp width gives NaN, an overflowed midpoint leaves [0, 1]
+        if self.shape in ("z", "s"):
+            a, b = map(float, self.params)
+            computed, what = (b - a, a + b), "b - a or a + b"
+        else:
+            a, b, c, d = map(float, self._corners)
+            computed, what = (b - a, d - c), "a ramp width"
+        if not all(map(math.isfinite, computed)):
+            raise ValueError(f"{self.shape}{self.params}: {what} is not a finite float")
 
     @property
     def _corners(self) -> tuple[float, ...]:
@@ -138,6 +148,8 @@ class FuzzyVariable:
         lo, hi = self.universe
         if not lo < hi:
             raise ValueError("universe min must be below max")
+        if not math.isfinite(float(hi) - float(lo)):
+            raise ValueError(f"universe width {hi} - {lo} is not a finite float")
         # every universe point must be covered by at least one label
         grid = np.linspace(lo, hi, 401)
         cover = np.max([mf(grid) for mf in self.labels.values()], axis=0)

@@ -112,15 +112,14 @@ class RoadNetwork:
     `lat` (degrees, WKT order) and of `geometry`, their projection as
     Polylines. `edges` maps each id to its position.
 
-    `adjacency`, each node to the ids of its edges, and `index`, which finds
-    the edges near a point, are built from the columns on their first read
-    and kept for the network's life, so reading a network does not pay for
-    them. Each is a property over an attribute that __init__ sets to None:
-    the matcher reads the other attributes per candidate, and on Python 3.11
-    they read about 3 times slower once an attribute is added after
-    __init__ (functools.cached_property) or the class defines __getattr__.
-    Edges and adjacency are fixed once built: `neighbours` keeps what it
-    derives from them for the network's life.
+    `adjacency`, each node to a tuple of the ids of its edges in edge order
+    (a self-loop once), and `index`, which finds the edges near a point, are
+    built from the columns on their first read and kept for the network's
+    life, so reading a network does not pay for them. Each is a property
+    over an attribute that __init__ sets to None: the matcher reads the
+    other attributes per candidate, and on Python 3.11 they read about 3
+    times slower once an attribute is added after __init__
+    (functools.cached_property) or the class defines __getattr__.
     """
 
     def __init__(self, ids, node_from, node_to, lon, lat, geometry: Polylines,
@@ -136,18 +135,18 @@ class RoadNetwork:
                 seen.add(edge_id)
         self.lon, self.lat = (np.asarray(c, dtype=np.float64) for c in (lon, lat))
         self.geometry = geometry
-        self._adjacency: dict[str, set[str]] | None = None
+        self._adjacency: dict[str, tuple[str, ...]] | None = None
         self._index: SpatialIndex | None = None
-        self._neighbours: dict[tuple[str, str], tuple[str, ...]] = {}
 
     @property
-    def adjacency(self) -> dict[str, set[str]]:
+    def adjacency(self) -> dict[str, tuple[str, ...]]:
         if self._adjacency is None:
-            adjacency = defaultdict(set)
+            adjacency = defaultdict(list)
             for edge_id, a, b in zip(self.ids, self.node_from, self.node_to):
-                adjacency[a].add(edge_id)
-                adjacency[b].add(edge_id)
-            self._adjacency = dict(adjacency)
+                adjacency[a].append(edge_id)
+                if b != a:
+                    adjacency[b].append(edge_id)
+            self._adjacency = {node: tuple(ids) for node, ids in adjacency.items()}
         return self._adjacency
 
     @property
@@ -155,15 +154,6 @@ class RoadNetwork:
         if self._index is None:
             self._index = index_build(self.geometry, self.ids)
         return self._index
-
-    def neighbours(self, node: str, edge_id: str) -> tuple[str, ...]:
-        """The ids of the edges at node other than edge_id, sorted; each
-        (node, edge_id) pair is computed on its first call."""
-        others = self._neighbours.get((node, edge_id))
-        if others is None:
-            others = tuple(sorted(self.adjacency.get(node, set()) - {edge_id}))
-            self._neighbours[node, edge_id] = others
-        return others
 
 
 @dataclass(frozen=True)
@@ -196,6 +186,8 @@ def read_ids(path) -> list[tuple[int, str]]:
 
 
 def write_csv(path, header, rows):
+    """Write header and rows as CSV; the csv module writes a float by its
+    repr, so a Python float reads back bit for bit."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -418,8 +410,7 @@ def parse_trajectory(path, traj_id: str | None = None) -> Trajectory:
 
 def write_trajectory(traj: Trajectory, path):
     write_csv(path, ["timestamp", "lat", "lon"],
-              ([repr(t), repr(lat), repr(lon)] for t, lat, lon
-               in zip(traj.t.tolist(), traj.lat.tolist(), traj.lon.tolist())))
+              zip(traj.t.tolist(), traj.lat.tolist(), traj.lon.tolist()))
 
 
 def _wkt_error(text: str) -> str:
@@ -545,7 +536,7 @@ def write_road_network(network: RoadNetwork, path):
 
     def wkt(i):
         vertices = zip(lon[start[i]:start[i + 1]], lat[start[i]:start[i + 1]])
-        return "LINESTRING (" + ", ".join(f"{x!r} {y!r}" for x, y in vertices) + ")"
+        return "LINESTRING (" + ", ".join(f"{x} {y}" for x, y in vertices) + ")"
     write_csv(path, ["edge_id", "node_from", "node_to", "wkt"],
               ([edge_id, network.node_from[i], network.node_to[i], wkt(i)]
                for edge_id, i in sorted(network.edges.items())))

@@ -10,12 +10,12 @@ the pass, inside the timed match.
 
 Per point the pass builds little: points, candidates and matches are
 NamedTuples, smp_step updates the MatchState in place, a junction step
-picks its best candidate in one loop and builds a scored candidate only
-for the edge it keeps, reading the other edges at its node from
-RoadNetwork.neighbours (computed once per network), and the snapped
-positions come from one array unprojection after the pass. Each link
-measurement reads its segment's constants from Polylines.segments, built
-once per network.
+measures the edges at its node as RoadNetwork.adjacency lists them (built
+once per network), reusing the current edge's measurement, picks its best
+candidate in one loop and builds a scored candidate only for the edge it
+keeps, and the snapped positions come from one array unprojection after
+the pass. Each link measurement reads its segment's constants from
+Polylines.segments, built once per network.
 """
 
 from __future__ import annotations
@@ -271,8 +271,8 @@ def smp_step(network: RoadNetwork, state: MatchState, p: PlanarPoint,
 
     nearer = (network.node_from if here.arc_offset <= length - here.arc_offset
               else network.node_to)[i]
-    measured = [here] + [_measure(network, e, p, heading)
-                         for e in network.neighbours(nearer, state.edge_id)]
+    measured = [here if e == state.edge_id else _measure(network, e, p, heading)
+                for e in network.adjacency[nearer]]
     likelihoods = _likelihoods(measured, rules)
     k = _best_index(measured, likelihoods)
     c = measured[k]  # the one candidate built scored
@@ -386,9 +386,7 @@ def match_trajectory(network: RoadNetwork, traj: Trajectory, rules: RuleBase,
 def write_match_result(result: MatchResult, path):
     write_csv(path, ["source_index", "edge_id", "offset_m",
                      "snapped_lat", "snapped_lon", "likelihood", "phase"],
-              ([m.source_index, m.edge_id, repr(m.position_on_edge),
-                repr(m.snapped_lat), repr(m.snapped_lon),
-                repr(m.likelihood), m.phase_used] for m in result.matched))
+              (m[:7] for m in result.matched))
 
 
 def write_edge_sequence(result: MatchResult, path):

@@ -260,10 +260,9 @@ def elbow_candidates(curve: KnnCurve, n: int = 5) -> list[ElbowCandidate]:
 
 def write_knn_curve(curve: KnnCurve, path):
     write_csv(path, ["rank", "distance"],
-              ([rank, repr(float(dist))] for rank, dist in enumerate(curve.distances)))
+              enumerate(curve.distances.tolist()))
 
 
 def write_staypoints(stay_points: list[StayPoint], path):
     write_csv(path, ["cluster_id", "lat", "lon", "t_arrive", "t_leave", "count"],
-              ([s.cluster_id, repr(s.y), repr(s.x), repr(s.t_a), repr(s.t_l),
-                s.member_count] for s in stay_points))
+              ([s.cluster_id, s.y, s.x, s.t_a, s.t_l, s.member_count] for s in stay_points))

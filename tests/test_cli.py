@@ -365,6 +365,27 @@ def test_config_rule_base_universe_beyond_float_range(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("where, spec, message", [
+    ("labels", {"shape": "triangular", "params": [-1e308, 1e308, 1e308]},
+     "rule_base: inputs.pd.labels.short: triangular(-1e+308, 1e+308, 1e+308): "
+     "a ramp width is not a finite float"),
+    ("labels", {"shape": "s", "params": [1e308, 1.5e308]},
+     "rule_base: inputs.pd.labels.short: s(1e+308, 1.5e+308): "
+     "b - a or a + b is not a finite float"),
+    ("universe", [-1e308, 1e308],
+     "rule_base: inputs.pd.universe: universe width 1e+308 - -1e+308 is not a finite float"),
+])
+def test_config_rule_base_overflowing_label_or_universe(tmp_path, capsys, where, spec, message):
+    doc = copy.deepcopy(DEFAULT_CONFIG)
+    if where == "labels":
+        doc["inputs"]["pd"]["labels"]["short"] = spec
+    else:
+        doc["inputs"]["pd"]["universe"] = spec
+    assert _match_with_config(tmp_path, yaml.safe_dump({"rule_base": doc})) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_broken_yaml(tmp_path, capsys):
     assert _match_with_config(tmp_path, "thresholds: [candidate_radius: 80\n") == 2
     cfg = tmp_path / "matcher.yaml"

@@ -52,6 +52,32 @@ def test_membership_param_validation():
         MembershipFunction("blob", (1, 2))
 
 
+@pytest.mark.parametrize("make", [
+    # b - a overflows: __call__ was NaN at 1.2e308, where scalar was 0.0
+    lambda: triangular(-1e308, 1e308, 1e308),
+    lambda: trapezoidal(-1e308, -1e308, -1e308, 1e308),
+    lambda: trapezoidal(0.0, 0.0, float("inf"), float("inf")),
+    # (a + b) / 2 overflows: scalar(1.5e308) was 2.0 for s, -1.0 for z
+    lambda: s_shaped(1e308, 1.5e308),
+    lambda: z_shaped(1e308, 1.5e308),
+    lambda: s_shaped(-1e308, 1e308),
+    # hi - lo overflows: np.linspace warned "overflow encountered in subtract"
+    lambda: FuzzyVariable("x", (-1e308, 1e308), {"all": trapezoidal(-1e308, -1e308, 1e308, 1e308)}),
+])
+def test_labels_and_universes_whose_formulas_overflow_are_refused(make):
+    with pytest.raises(ValueError, match="is not a finite float"):
+        make()
+
+
+def test_zero_width_ramps_at_the_float_range_evaluate():
+    # c - b overflows, but no formula computes it; a zero-width ramp is 1
+    mf = trapezoidal(-1e308, -1e308, 1e308, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (-1.5e308, -1e308, 0.0, 1e308, 1.5e308):
+            assert float(mf(x)) == mf.scalar(x) == 1.0
+
+
 @pytest.mark.parametrize("params, x, want", [
     ((0.0, 0.0, 1e-310, 1.0), 1e10, 0.0),      # zero-width left ramp, far right
     ((0.0, 0.0, 1.0, 1.0 + 1e-300), -1e10, 1.0),  # zero-width right ramp (1 + 1e-300 == 1)

@@ -17,6 +17,7 @@ import math
 from itertools import chain, product
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -129,15 +130,27 @@ def test_flat_table_holds_oracle_output_of_each_cell(config):
                                  st.floats(-10.0, 10.0)), min_size=4, max_size=4),
        where=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
        side=st.sampled_from(["between", "below", "above"]))
-# a triangle whose last two parameters are equal is 1.0 above them, unless
-# b - a overflows: then scalar is 0.0 there
+# a triangle whose b - a overflows: its scalar was 0.0 above its last two
+# (equal) parameters, and __call__ NaN
 @example(shape="triangular", params=[-1e308, 1e308, 1e308, 1e308], where=0.5, side="above")
 def test_flat_values_are_exact(shape, params, where, side):
     """Strictly inside an interval between parameters, a flat label's scalar
-    is its flat value everywhere, for tiny and zero-width ramps too."""
+    is its flat value everywhere, for tiny and zero-width ramps too. A label
+    is refused when built if a ramp width, or a z or s label's b - a or
+    a + b, overflows."""
     n = {"triangular": 3, "trapezoidal": 4, "z": 2, "s": 2}[shape]
     params = sorted(params)[:n]
     if shape in ("z", "s") and params[0] == params[1]:
+        return
+    a, b = params[:2]
+    if shape in ("z", "s"):
+        computed = (b - a, a + b)
+    else:  # the ramps; triangular(a, b, c) is trapezoidal(a, b, b, c)
+        c, d = params[2:] if shape == "trapezoidal" else params[1:]
+        computed = (b - a, d - c)
+    if not all(map(math.isfinite, computed)):
+        with pytest.raises(ValueError, match="is not a finite float"):
+            MembershipFunction(shape, tuple(params))
         return
     mf = MembershipFunction(shape, tuple(params))
     cuts = sorted(set(params))

@@ -139,8 +139,8 @@ NET_CSV = (
 def test_parse_network_adjacency(tmp_path):
     net = parse_road_network(write(tmp_path / "n.csv", NET_CSV))
     assert set(net.edges) == {"e1", "e2"}
-    assert net.adjacency["n2"] == {"e1", "e2"}
-    assert net.adjacency["n1"] == {"e1"}
+    assert net.adjacency["n2"] == ("e1", "e2")
+    assert net.adjacency["n1"] == ("e1",)
 
 
 def test_parse_network_duplicate_edge(tmp_path):
@@ -178,13 +178,13 @@ def test_parse_trajectory_rows_are_file_lines_after_a_multiline_comment(tmp_path
                               "on row 5")
 
 
-def test_network_neighbours_exclude_the_edge_and_are_sorted(tmp_path):
+def test_network_adjacency_lists_each_edge_once_in_edge_order(tmp_path):
+    # e0 comes last in the file and sorts first; the loop e9 joins n9 to itself
     net = parse_road_network(write(tmp_path / "n.csv", NET_CSV + (
-        'e0,n2,n9,"LINESTRING (-122.0 47.001, -122.0 47.002)"\n')))
-    assert net.neighbours("n2", "e1") == ("e0", "e2")
-    assert net.neighbours("n2", "e0") == ("e1", "e2")
-    assert net.neighbours("n1", "e1") == ()
-    assert net.neighbours("n1", "e1") is net.neighbours("n1", "e1")
+        'e0,n2,n9,"LINESTRING (-122.0 47.001, -122.0 47.002)"\n'
+        'e9,n9,n9,"LINESTRING (-122.0 47.002, -121.999 47.002, -122.0 47.003, -122.0 47.002)"\n')))
+    assert net.adjacency == {"n1": ("e1",), "n2": ("e1", "e2", "e0"), "n3": ("e2",),
+                             "n9": ("e0", "e9")}
 
 
 def test_build_network_duplicate_edge():
@@ -484,7 +484,7 @@ def test_parse_network_ids_may_hold_inner_hashes_and_spaces(tmp_path):
     net = parse_road_network(write(tmp_path / "n.csv", NET_CSV.replace("e2,n2,n3", "a#2 b,n 2,n3")
                                    .replace("e1,n1,n2", "e1,n1,n 2")))
     assert net.ids == ("e1", "a#2 b")
-    assert net.neighbours("n 2", "e1") == ("a#2 b",)
+    assert net.adjacency["n 2"] == ("e1", "a#2 b")
 
 
 def test_parse_and_build_network_build_no_index_or_adjacency(tmp_path, index_builds):

@@ -270,7 +270,9 @@ def record_files(draw):
     then quoted (some with a line break inside the quotes, which float()
     strips), an optional note column, comment and blank records anywhere,
     an optional byte-order mark, and LF or CRLF line endings. At least one
-    ISO timestamp, quoted field or comment keeps numpy's reader off it."""
+    ISO timestamp, quoted field or comment keeps numpy's reader off it. A
+    note in the first column holds no `#`, which would make its record a
+    comment."""
     names = draw(st.permutations(["timestamp", "lat", "lon"] + draw(
         st.sampled_from([[], ["note"]]))))
     us = sorted(draw(st.lists(st.integers(-2 * 10**15, 4 * 10**15), min_size=1, max_size=60)))
@@ -287,6 +289,8 @@ def record_files(draw):
                   "lat": repr(draw(st.floats(-90.0, 90.0))),
                   "lon": repr(draw(st.floats(-180.0, 180.0))),
                   "note": draw(NOTE).replace(",", "")}
+        if names[0] == "note":
+            values["note"] = values["note"].replace("#", "")
         return ",".join(field(values[name]) for name in names)
 
     lines = [",".join(field(name) for name in names)] + [row(t) for t in us]
@@ -308,6 +312,23 @@ def test_valid_record_file_matches_per_record_oracle(data):
         traj = parse_trajectory(path)
         assert [list(map(float.hex, c)) for c in per_record_trajectory(path)] == \
             [list(map(float.hex, c.tolist())) for c in (traj.t, traj.lat, traj.lon)]
+
+
+def test_a_record_whose_first_field_starts_with_hash_is_a_comment(tmp_path):
+    # the first column is a note, not the timestamp: a quoted `#` note and a
+    # spaced one make comment records, whose bad latitude and timestamp are
+    # never read, to the library and the oracle alike
+    path = tmp_path / "trajectory.csv"
+    path.write_text('note,lat,lon,timestamp\na,47.0,-122.0,0\n"#",91.0,-122.0,1\n'
+                    ' #b,47.0,-122.0,x\nb,47.0,-122.5,2\n', encoding="utf-8")
+    traj = parse_trajectory(path)
+    assert [c.tolist() for c in (traj.t, traj.lat, traj.lon)] == \
+        list(per_record_trajectory(path)) == [[0.0, 2.0], [47.0, 47.0], [-122.0, -122.5]]
+    path.write_text('"note","lat","lon","timestamp"\n'
+                    '"#","0.0","0.0","1970-01-01T00:00:00"\n', encoding="utf-8")
+    for read in (parse_trajectory, per_record_trajectory):
+        with pytest.raises(ValueError, match="no data rows"):
+            read(path)
 
 
 TRAP_FIELD = "0." + "0" * 131_072 + "1"

@@ -3,6 +3,7 @@ import re
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings
 
 from trajmatch import matcher
 from trajmatch.fuzzy import default_rule_base
@@ -21,6 +22,7 @@ from trajmatch.matcher import (
     score_link,
     smp_step,
 )
+from test_reference_matcher import THRESHOLDS, scenarios
 
 ORIGIN = GeoPoint(47.6, -122.3)
 PROJ = Projection(ORIGIN)
@@ -442,6 +444,19 @@ def test_junction_step_projects_each_edge_once(monkeypatch):
     _, _, phase = smp_step(net, state, p, 90.0, RULES, CFG)
     assert phase == PHASE_JUNCTION
     assert sorted(calls) == ["continue", "east", "north"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios(), THRESHOLDS)
+def test_junction_choice_does_not_depend_on_adjacency_order(scenario, cfg):
+    # a junction step measures the edges at its node in adjacency order and
+    # keeps the first minimum of (-likelihood, pd, edge_id), a total order
+    network, traj = scenario
+    assume(len(traj) >= 2)
+    matched = match_trajectory(network, traj, RULES, cfg).matched
+    assume(any(m.phase_used == PHASE_JUNCTION for m in matched))
+    network._adjacency = {node: ids[::-1] for node, ids in network.adjacency.items()}
+    assert match_trajectory(network, traj, RULES, cfg).matched == matched
 
 
 def grid_net(n=3, step=200.0):
