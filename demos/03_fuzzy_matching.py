@@ -29,7 +29,7 @@ def main():
     result = match_trajectory(network, traj, rules)
 
     phases = Counter(m.phase_used for m in result.matched)
-    print(f"\nmatched {result.total_points} points in "
+    print(f"\nmatched {len(result.matched)} points in "
           f"{result.wall_time_s * 1e3:.1f} ms")
     print(f"phase mix: {dict(phases)}")
     print(f"edge sequence ({len(result.edge_sequence)} links): "

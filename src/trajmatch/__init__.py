@@ -11,7 +11,6 @@ from .geo import (
     project_onto_polyline,
 )
 from .io import (
-    GroundTruthRoute,
     RoadNetwork,
     Trajectory,
     TrajectoryRecord,

@@ -16,8 +16,8 @@ from .fuzzy import default_rule_base
 from .geo import InvalidCoordinateError, check_coordinate
 from .io import ParseError, parse_edge_ids, parse_ground_truth, parse_road_network, \
     parse_trajectory, write_trajectory
-from .matcher import MatcherConfig, MatchResult, TooFewPointsError, load_matcher_config, \
-    match_trajectory, write_edge_sequence, write_match_result
+from .matcher import MatcherConfig, TooFewPointsError, load_matcher_config, match_trajectory, \
+    write_edge_sequence, write_match_result
 from .staypoint import DbscanParams, DEGREE_EUCLIDEAN
 
 EXIT_USAGE = 1
@@ -48,9 +48,10 @@ def cmd_knn_curve(args) -> int:
     curve = staypoint.knn_distance_curve(traj, args.k, args.metric_space)
     staypoint.write_knn_curve(curve, args.out)
     print(f"wrote {args.out} ({len(curve.distances)} points)")
-    for cand in staypoint.elbow_candidates(curve, 5):
-        print(f"elbow candidate: rank {cand.index}  distance {cand.distance:.8g}  "
-              f"curvature {cand.score:.4g}")
+    if len(curve.distances) >= 3:  # elbow candidates are advisory; a shorter curve has none
+        for cand in staypoint.elbow_candidates(curve, 5):
+            print(f"elbow candidate: rank {cand.index}  distance {cand.distance:.8g}  "
+                  f"curvature {cand.score:.4g}")
     return 0
 
 
@@ -92,7 +93,7 @@ def cmd_match(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_match_result(result, out / "matched.csv")
     write_edge_sequence(result, out / "edge_sequence.txt")
-    print(f"matched {result.total_points} points onto "
+    print(f"matched {len(result.matched)} points onto "
           f"{len(result.edge_sequence)} links in {result.wall_time_s:.3f} s")
     return 0
 
@@ -100,9 +101,7 @@ def cmd_match(args) -> int:
 def cmd_eval(args) -> int:
     network = parse_road_network(args.network)
     truth = parse_ground_truth(args.truth, network)
-    result = MatchResult(matched=[], edge_sequence=parse_edge_ids(args.edges, network),
-                         total_points=0)
-    correct = evalbench.correct_link_count(result, truth)
+    correct = evalbench.correct_link_count(parse_edge_ids(args.edges, network), truth)
     print(f"correct_links={correct}")
     print(f"total_truth_links={len(truth)}")
     return 0

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -13,7 +14,6 @@ import numpy as np
 
 from .geo import GeoPoint, PlanarPoint, Projection
 from .io import (
-    GroundTruthRoute,
     RoadNetwork,
     Trajectory,
     build_network,
@@ -74,14 +74,15 @@ class ComparisonReport:
 class SyntheticScenario:
     network: RoadNetwork
     trajectory: Trajectory
-    truth: GroundTruthRoute
+    truth: tuple[str, ...]  # the route's edge ids in order
     dwell_windows: list[tuple[float, float, float]]  # (start_s, duration_s, sigma_m)
     dwell_centers: list[GeoPoint]
 
 
-def correct_link_count(result: MatchResult, truth: GroundTruthRoute) -> int:
-    """Longest common subsequence between the matched edge sequence and the
-    truth route: order-respecting credit, bounded by the truth length.
+def correct_link_count(edge_sequence: Iterable[str], truth: Sequence[str]) -> int:
+    """The length of the longest common subsequence of two sequences of edge
+    ids, a matched edge sequence and a truth route: order-respecting credit,
+    bounded by the truth length.
 
     Bit-parallel LCS (Allison & Dix, IPL 1986; Hyyrö, 2004). One Python int
     holds a DP row as a bit per truth position, a 0 bit where the row steps
@@ -91,11 +92,11 @@ def correct_link_count(result: MatchResult, truth: GroundTruthRoute) -> int:
     and gives the same integer.
     """
     masks: dict[str, int] = {}
-    for j, y in enumerate(truth.edge_ids):
+    for j, y in enumerate(truth):
         masks[y] = masks.get(y, 0) | (1 << j)
     full = (1 << len(truth)) - 1
     v = full
-    for x in result.edge_sequence:
+    for x in edge_sequence:
         u = v & masks.get(x, 0)
         v = ((v + u) | (v - u)) & full
     return len(truth) - v.bit_count()
@@ -107,12 +108,12 @@ def _timed_match(network, traj, truth, rules, cfg) -> tuple[MatchResult, RunMetr
     result = match_trajectory(network, traj, rules, cfg)
     times = [result.wall_time_s] + [match_trajectory(network, traj, rules, cfg).wall_time_s
                                     for _ in range(TIMING_REPEATS - 1)]
-    return result, RunMetrics(correct_link_count(result, truth), len(truth), len(traj),
-                              statistics.median(times))
+    return result, RunMetrics(correct_link_count(result.edge_sequence, truth), len(truth),
+                              len(traj), statistics.median(times))
 
 
 def run_pipeline(network: RoadNetwork, traj: Trajectory,
-                 truth: GroundTruthRoute, eps: float, min_pts: int,
+                 truth: tuple[str, ...], eps: float, min_pts: int,
                  rules: RuleBase | None = None,
                  cfg: MatcherConfig = MatcherConfig(),
                  metric_space: str = "degree-euclidean") -> ComparisonReport:
@@ -186,9 +187,8 @@ def generate_scenario(seed: int, grid_size: int = 6, edge_len_m: float = 200.0,
         options = [o for o in options if len(path_nodes) < 2 or o != path_nodes[-2]]
         pos = options[rng.integers(len(options))]
         path_nodes.append(pos)
-    truth_ids = [edge_by_nodes[(node_id(*a), node_id(*b))]
-                 for a, b in zip(path_nodes, path_nodes[1:])]
-    truth = GroundTruthRoute(tuple(truth_ids))
+    truth = tuple(edge_by_nodes[(node_id(*a), node_id(*b))]
+                  for a, b in zip(path_nodes, path_nodes[1:]))
 
     # true positions at 1 Hz along the node path
     waypoints = [(i * edge_len_m, j * edge_len_m) for i, j in path_nodes]
@@ -239,7 +239,7 @@ def write_scenario(scn: SyntheticScenario, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     write_road_network(scn.network, out / "network.csv")
     write_trajectory(scn.trajectory, out / "trajectory.csv")
-    write_lines(out / "truth.txt", scn.truth.edge_ids)
+    write_lines(out / "truth.txt", scn.truth)
 
 
 def export_report(report: ComparisonReport, out_dir,

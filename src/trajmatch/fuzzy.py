@@ -166,6 +166,9 @@ class Rule:
 
 @dataclass
 class RuleBase:
+    """Input variables, an output variable and rules over their labels; a
+    ValueError at construction names the field at fault, `rules` or
+    `output.universe`."""
     inputs: dict[str, FuzzyVariable]
     output: FuzzyVariable
     rules: list[Rule] = field(default_factory=list)
@@ -173,16 +176,23 @@ class RuleBase:
     def __post_init__(self):
         for rule in self.rules:
             if not rule.antecedent:
-                raise ValueError("rule has an empty antecedent")
+                raise ValueError("rules: rule has an empty antecedent")
             for var, label in rule.antecedent:
                 if var not in self.inputs:
-                    raise ValueError(f"rule references unknown input {var!r}")
+                    raise ValueError(f"rules: rule references unknown input {var!r}")
                 if label not in self.inputs[var].labels:
-                    raise ValueError(f"rule references unknown label {var}.{label}")
+                    raise ValueError(f"rules: rule references unknown label {var}.{label}")
             if rule.consequent not in self.output.labels:
-                raise ValueError(f"rule references unknown output label {rule.consequent}")
+                raise ValueError(f"rules: rule references unknown output label "
+                                 f"{rule.consequent}")
         lo, hi = self.output.universe
         self._grid = np.linspace(lo, hi, DEFUZZ_SAMPLES)
+        # a moment sum (see _outputs) adds grid values times memberships in
+        # [0, 1], so no moment exceeds the same sum of |grid| in magnitude
+        with np.errstate(over="ignore"):
+            if not math.isfinite(np.add.reduce(np.abs(self._grid))):
+                raise ValueError(f"output.universe [{lo}, {hi}]: the moment sum over "
+                                 f"{DEFUZZ_SAMPLES} samples is not a finite float")
         sampled = {label: mf(self._grid) for label, mf in self.output.labels.items()}
         self._consequents = np.array([sampled[rule.consequent] for rule in self.rules]
                                      ).reshape(len(self.rules), DEFUZZ_SAMPLES)
@@ -422,7 +432,4 @@ def rule_base_from_config(node: Mapping) -> RuleBase:
         [weight] = _numbers([spec.get("weight", 1.0)], f"{path}.weight")
         rules.append(Rule(tuple(map(tuple, antecedent)), _field(spec, "then", str, path),
                           float(weight)))
-    try:
-        return RuleBase(inputs, output, rules)
-    except ValueError as exc:
-        raise ValueError(f"rules: {exc}") from None
+    return RuleBase(inputs, output, rules)

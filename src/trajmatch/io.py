@@ -61,8 +61,8 @@ class TrajectoryRecord:
 
 class Trajectory:
     """A trace as four columns: `t`, `lat`, `lon` (float64), `source_index`
-    (int). Iteration, indexing and `records` build TrajectoryRecord values of
-    plain Python floats and ints on demand."""
+    (int). Iteration and `records` build TrajectoryRecord values of plain
+    Python floats and ints on demand."""
 
     def __init__(self, records: list[TrajectoryRecord], traj_id: str = ""):
         if not records:
@@ -94,11 +94,6 @@ class Trajectory:
         return map(TrajectoryRecord, self.t.tolist(),
                    map(GeoPoint, self.lat.tolist(), self.lon.tolist()),
                    self.source_index.tolist())
-
-    def __getitem__(self, i: int) -> TrajectoryRecord:
-        return TrajectoryRecord(self.t[i].item(),
-                                GeoPoint(self.lat[i].item(), self.lon[i].item()),
-                                self.source_index[i].item())
 
     @property
     def records(self) -> tuple[TrajectoryRecord, ...]:
@@ -154,14 +149,6 @@ class RoadNetwork:
         if self._index is None:
             self._index = index_build(self.geometry, self.ids)
         return self._index
-
-
-@dataclass(frozen=True)
-class GroundTruthRoute:
-    edge_ids: tuple[str, ...]
-
-    def __len__(self):
-        return len(self.edge_ids)
 
 
 def read_text(path) -> str:
@@ -589,8 +576,9 @@ def parse_edge_ids(path, network: RoadNetwork) -> list[str]:
     return ids
 
 
-def parse_ground_truth(path, network: RoadNetwork) -> GroundTruthRoute:
+def parse_ground_truth(path, network: RoadNetwork) -> tuple[str, ...]:
+    """The edge ids of the truth route in path, in order (see parse_edge_ids)."""
     ids = parse_edge_ids(path, network)
     if not ids:
         raise ParseError(f"{path}: empty ground-truth route")
-    return GroundTruthRoute(tuple(ids))
+    return tuple(ids)

@@ -84,7 +84,6 @@ class LinkCandidate(NamedTuple):
 @dataclass
 class MatchState:
     edge_id: str | None = None          # None = UNINITIALIZED
-    last_heading: float | None = None
     consecutive_low_confidence: int = 0
 
 
@@ -104,8 +103,7 @@ class MatchedPoint(NamedTuple):
 class MatchResult:
     matched: list[MatchedPoint]
     edge_sequence: list[str]
-    total_points: int
-    wall_time_s: float = 0.0
+    wall_time_s: float
 
 
 def load_matcher_config(path) -> tuple[MatcherConfig, RuleBase]:
@@ -249,9 +247,9 @@ def _confident(pd: float, likelihood: float, cfg: MatcherConfig) -> bool:
 
 def smp_step(network: RoadNetwork, state: MatchState, p: PlanarPoint,
              heading: float | None, rules: RuleBase,
-             cfg: MatcherConfig) -> tuple[MatchState, LinkCandidate, str]:
-    """One tracking step while on a link; updates state in place and
-    returns it.
+             cfg: MatcherConfig) -> tuple[LinkCandidate, str]:
+    """One tracking step while on a link: updates state in place and
+    returns the step's candidate and phase.
 
     Stays on the current edge while the projection falls in the edge
     interior with small PD, a decision from geometry alone: the returned
@@ -267,7 +265,7 @@ def smp_step(network: RoadNetwork, state: MatchState, p: PlanarPoint,
     if (here.arc_offset > cfg.junction_radius and length - here.arc_offset > cfg.junction_radius
             and here.pd <= cfg.pd_escape):
         state.consecutive_low_confidence = 0
-        return state, here, PHASE_ALONG
+        return here, PHASE_ALONG
 
     nearer = (network.node_from if here.arc_offset <= length - here.arc_offset
               else network.node_to)[i]
@@ -285,7 +283,7 @@ def smp_step(network: RoadNetwork, state: MatchState, p: PlanarPoint,
         if state.consecutive_low_confidence >= cfg.reinit_after:
             state.edge_id = None
             state.consecutive_low_confidence = 0
-    return state, best, PHASE_JUNCTION
+    return best, PHASE_JUNCTION
 
 
 def imp(network: RoadNetwork, p: PlanarPoint, heading: float | None,
@@ -333,7 +331,7 @@ def match_trajectory(network: RoadNetwork, traj: Trajectory, rules: RuleBase,
     t0 = time.perf_counter()
     state = MatchState()
     steps = []  # (candidate, phase, reinitialized) per point
-    prev = None
+    prev = heading = None
     # points are built as the pass reaches them: the steps already hold a
     # candidate per point until the on-link batch is scored
     for p in map(PlanarPoint, xs.tolist(), ys.tolist()):
@@ -342,9 +340,8 @@ def match_trajectory(network: RoadNetwork, traj: Trajectory, rules: RuleBase,
             if (dx * dx + dy * dy) ** 0.5 >= cfg.min_heading_separation:
                 # geo.bearing(prev, p), inlined with the same arithmetic: the
                 # fixes are apart, as min_heading_separation > 0
-                state.last_heading = math.degrees(math.atan2(dx, dy)) % 360.0
+                heading = math.degrees(math.atan2(dx, dy)) % 360.0
         prev = p
-        heading = state.last_heading
 
         if state.edge_id is None:
             cand = imp(network, p, heading, rules, cfg)
@@ -352,7 +349,7 @@ def match_trajectory(network: RoadNetwork, traj: Trajectory, rules: RuleBase,
                 state.edge_id = cand.edge_id
             steps.append((cand, PHASE_IMP, False))
         else:
-            state, cand, phase = smp_step(network, state, p, heading, rules, cfg)
+            cand, phase = smp_step(network, state, p, heading, rules, cfg)
             steps.append((cand, phase, state.edge_id is None))
 
     # On-link steps come back unscored: score them all in one batch and
@@ -379,8 +376,7 @@ def match_trajectory(network: RoadNetwork, traj: Trajectory, rules: RuleBase,
     for m in matched:
         if not edge_sequence or edge_sequence[-1] != m.edge_id:
             edge_sequence.append(m.edge_id)
-    return MatchResult(matched, edge_sequence, total_points=len(matched),
-                       wall_time_s=wall)
+    return MatchResult(matched, edge_sequence, wall)
 
 
 def write_match_result(result: MatchResult, path):

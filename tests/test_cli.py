@@ -33,6 +33,21 @@ def test_knn_curve_writes_csv(tmp_path, capsys):
     assert "elbow candidate" in capsys.readouterr().out
 
 
+def test_knn_curve_of_two_points_prints_no_elbow_and_exits_0(tmp_path, capsys):
+    # elbow candidates need 3 points; the curve is still written, and a
+    # shorter one is no usage error
+    traj = tmp_path / "t.csv"
+    traj.write_text("timestamp,lat,lon\n0,47.0,-122.0\n1,47.001,-122.0\n")
+    out = tmp_path / "knn.csv"
+    assert run(["knn-curve", "--traj", str(traj), "--k", "1", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "rank,distance"
+    assert len(lines) == 3  # header + one row per point
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote {out} (2 points)\n"
+    assert captured.err == ""
+
+
 def test_knn_curve_missing_k(tmp_path, capsys):
     assert run(["knn-curve", "--traj", str(MINI / "trajectory.csv"),
                 "--out", str(tmp_path / "c.csv")]) == 1
@@ -374,13 +389,25 @@ def test_config_rule_base_universe_beyond_float_range(tmp_path, capsys):
      "b - a or a + b is not a finite float"),
     ("universe", [-1e308, 1e308],
      "rule_base: inputs.pd.universe: universe width 1e+308 - -1e+308 is not a finite float"),
+    # each output label is finite, but a moment sum over the grid overflowed
+    # and the likelihood came out inf
+    ("output", {"universe": [0, 1.5e308],
+                "labels": {"low": {"shape": "trapezoidal", "params": [0, 0, 0, 1.5e308]},
+                           "average": {"shape": "trapezoidal",
+                                       "params": [0, 1.5e308, 1.5e308, 1.5e308]},
+                           "high": {"shape": "trapezoidal",
+                                    "params": [0, 1.5e308, 1.5e308, 1.5e308]}}},
+     "rule_base: output.universe [0, 1.5e+308]: the moment sum over 1001 samples "
+     "is not a finite float"),
 ])
 def test_config_rule_base_overflowing_label_or_universe(tmp_path, capsys, where, spec, message):
     doc = copy.deepcopy(DEFAULT_CONFIG)
     if where == "labels":
         doc["inputs"]["pd"]["labels"]["short"] = spec
-    else:
+    elif where == "universe":
         doc["inputs"]["pd"]["universe"] = spec
+    else:
+        doc["output"] = spec
     assert _match_with_config(tmp_path, yaml.safe_dump({"rule_base": doc})) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

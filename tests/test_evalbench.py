@@ -10,29 +10,24 @@ from trajmatch.evalbench import (
     write_scenario,
 )
 from trajmatch.geo import haversine_distance
-from trajmatch.io import GroundTruthRoute, parse_road_network, parse_trajectory, read_ids
-from trajmatch.matcher import MatchResult
+from trajmatch.io import parse_road_network, parse_trajectory, read_ids
 from trajmatch.staypoint import threshold_staypoint_detect
 from oracles import brute_lcs
 
 
-def seq_result(ids):
-    return MatchResult(matched=[], edge_sequence=list(ids), total_points=0)
-
-
 def test_lcs_identical():
-    truth = GroundTruthRoute(("a", "b", "c", "d", "e"))
-    assert correct_link_count(seq_result(["a", "b", "c", "d", "e"]), truth) == 5
+    truth = ("a", "b", "c", "d", "e")
+    assert correct_link_count(["a", "b", "c", "d", "e"], truth) == 5
 
 
 def test_lcs_disjoint():
-    truth = GroundTruthRoute(("a", "b"))
-    assert correct_link_count(seq_result(["x", "y"]), truth) == 0
+    truth = ("a", "b")
+    assert correct_link_count(["x", "y"], truth) == 0
 
 
 def test_lcs_partial():
-    truth = GroundTruthRoute(("a", "b", "c", "d"))
-    assert correct_link_count(seq_result(["a", "x", "b", "d"]), truth) == 3
+    truth = ("a", "b", "c", "d")
+    assert correct_link_count(["a", "x", "b", "d"], truth) == 3
 
 
 def test_lcs_vs_bruteforce():
@@ -41,7 +36,7 @@ def test_lcs_vs_bruteforce():
     for _ in range(200):
         a = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 10)))
         b = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 10)))
-        got = correct_link_count(seq_result(a), GroundTruthRoute(b))
+        got = correct_link_count(a, b)
         assert got == brute_lcs(a, b)
         assert got <= min(len(a), len(b))
 
@@ -53,7 +48,7 @@ def test_scenario_deterministic():
     for ra, rb in zip(a.trajectory, b.trajectory):
         assert ra.timestamp == rb.timestamp
         assert ra.position == rb.position
-    assert a.truth.edge_ids == b.truth.edge_ids
+    assert a.truth == b.truth
 
 
 def test_dwells_starting_in_one_step_begin_at_one_sample():
@@ -90,7 +85,7 @@ def test_scenario_trajectory_near_truth_path():
     for rec in scn.trajectory:
         p = scn.network.projection.project(rec.position)
         dmin = min(project_onto_polyline(p, scn.network.geometry, scn.network.edges[eid])[0]
-                   for eid in scn.truth.edge_ids)
+                   for eid in scn.truth)
         assert dmin < 15.0  # well inside jitter bounds
 
 

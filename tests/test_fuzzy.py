@@ -52,6 +52,23 @@ def test_membership_param_validation():
         MembershipFunction("blob", (1, 2))
 
 
+def one_rule_output(hi):
+    """A rule base whose one rule always fires, over output universe [0, hi]."""
+    output = FuzzyVariable("likelihood", (0.0, hi), {"low": trapezoidal(0.0, 0.0, 0.0, hi),
+                                                     "high": trapezoidal(0.0, hi, hi, hi)})
+    x = FuzzyVariable("x", (0.0, 1.0), {"all": trapezoidal(0.0, 0.0, 1.0, 1.0)})
+    return RuleBase({"x": x}, output, [Rule((("x", "all"),), "high")])
+
+
+def test_an_output_universe_within_the_moment_bound_evaluates():
+    # 1001 samples of [0, 1e305] sum to about 5e307: no RuntimeWarning, and
+    # a finite centroid inside the universe
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rules = one_rule_output(1e305)
+        assert 0.0 < evaluate(rules, {"x": 0.5}) < 1e305
+
+
 @pytest.mark.parametrize("make", [
     # b - a overflows: __call__ was NaN at 1.2e308, where scalar was 0.0
     lambda: triangular(-1e308, 1e308, 1e308),
@@ -63,6 +80,9 @@ def test_membership_param_validation():
     lambda: s_shaped(-1e308, 1e308),
     # hi - lo overflows: np.linspace warned "overflow encountered in subtract"
     lambda: FuzzyVariable("x", (-1e308, 1e308), {"all": trapezoidal(-1e308, -1e308, 1e308, 1e308)}),
+    # an output moment sum overflows: evaluate returned inf
+    lambda: one_rule_output(1.5e308),
+    lambda: one_rule_output(1e306),
 ])
 def test_labels_and_universes_whose_formulas_overflow_are_refused(make):
     with pytest.raises(ValueError, match="is not a finite float"):

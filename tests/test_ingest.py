@@ -37,7 +37,7 @@ def test_parse_trajectory_basic(tmp_path):
     traj = parse_trajectory(p)
     assert len(traj) == 3
     assert [r.source_index for r in traj] == [0, 1, 2]
-    assert traj[1].position == GeoPoint(47.001, -122.0)
+    assert traj.records[1].position == GeoPoint(47.001, -122.0)
 
 
 def test_parse_trajectory_iso_timestamps(tmp_path):
@@ -46,7 +46,7 @@ def test_parse_trajectory_iso_timestamps(tmp_path):
               "2020-01-01T00:00:00Z,47.0,-122.0\n"
               "2020-01-01T00:00:01Z,47.001,-122.0\n")
     traj = parse_trajectory(p)
-    assert traj[1].timestamp - traj[0].timestamp == 1.0
+    assert traj.records[1].timestamp - traj.records[0].timestamp == 1.0
 
 
 def test_parse_trajectory_comment_lines(tmp_path):
@@ -266,7 +266,7 @@ def test_parse_ground_truth(tmp_path):
     net = parse_road_network(write(tmp_path / "n.csv", NET_CSV))
     p = write(tmp_path / "truth.txt", "e1\ne2\ne1\n")
     route = parse_ground_truth(p, net)
-    assert route.edge_ids == ("e1", "e2", "e1")
+    assert route == ("e1", "e2", "e1")
 
 
 def test_parse_ground_truth_unknown_edge(tmp_path):
@@ -370,7 +370,7 @@ def test_trajectory_columns_and_record_view(tmp_path):
     assert traj.lat.tolist() == [47.0, 47.001] and traj.lon.tolist() == [-122.0, -122.5]
     assert traj.source_index.tolist() == [0, 1]
     # the view yields plain Python numbers, never numpy scalars
-    for rec in (traj[1], traj.records[1], list(traj)[1]):
+    for rec in (traj.records[1], list(traj)[1]):
         assert rec == TrajectoryRecord(1.5, GeoPoint(47.001, -122.5), 1)
         assert (type(rec.timestamp), type(rec.position.lat), type(rec.position.lon),
                 type(rec.source_index)) == (float, float, float, int)
@@ -525,7 +525,7 @@ def test_parse_network_reads_a_byte_order_mark(tmp_path):
 def test_read_ids_reads_a_byte_order_mark(tmp_path):
     net = parse_road_network(write(tmp_path / "n.csv", NET_CSV))
     p = write(tmp_path / "truth.txt", BOM + "e1\ne2\n")
-    assert parse_ground_truth(p, net).edge_ids == ("e1", "e2")
+    assert parse_ground_truth(p, net) == ("e1", "e2")
 
 
 def test_only_one_byte_order_mark_is_dropped(tmp_path):

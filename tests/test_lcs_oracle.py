@@ -11,17 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trajmatch.evalbench import correct_link_count
-from trajmatch.io import GroundTruthRoute
-from trajmatch.matcher import MatchResult
 from oracles import dp_lcs
 
 ROUTE_IDS = [f"h{i}" for i in range(6)] + [f"v{i}" for i in range(6)]
 OFF_ROUTE_IDS = ["x0", "x1", "x2"]  # never in a truth
-
-
-def count(seq, truth):
-    return correct_link_count(MatchResult(matched=[], edge_sequence=list(seq), total_points=0),
-                              GroundTruthRoute(tuple(truth)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -33,7 +26,7 @@ def count(seq, truth):
 @example(seq=ROUTE_IDS[::-1] * 12, truth=ROUTE_IDS * 12)
 @example(seq=["h1"], truth=[])
 def test_correct_link_count_equals_dp(seq, truth):
-    got = count(seq, truth)
+    got = correct_link_count(seq, truth)
     assert got == dp_lcs(seq, truth)
     assert 0 <= got <= min(len(seq), len(truth))
 
@@ -59,5 +52,5 @@ def test_correct_link_count_long_route():
             seq.append(rng.choice([f"off{rng.randrange(50)}", eid, rng.choice(truth)]))
     assert 1600 <= len(seq) <= 1700 and len(truth) == 1500
     want = dp_lcs(seq, truth)
-    assert count(seq, truth) == want
+    assert correct_link_count(seq, truth) == want
     assert want < len(truth)

@@ -165,32 +165,32 @@ def test_imp_empty_candidates():
 
 def test_smp_mid_link_stays():
     net = t_junction_net()
-    state = MatchState(edge_id="north", last_heading=0.0)
+    state = MatchState(edge_id="north")
     p = net.projection.project(g(3, 100))
-    new_state, cand, phase = smp_step(net, state, p, 0.0, RULES, CFG)
+    cand, phase = smp_step(net, state, p, 0.0, RULES, CFG)
     assert phase == PHASE_ALONG
-    assert new_state.edge_id == "north"
+    assert state.edge_id == "north"
     assert cand.edge_id == "north"
 
 
 def test_smp_turn_at_junction():
     net = t_junction_net()
-    state = MatchState(edge_id="north", last_heading=0.0)
+    state = MatchState(edge_id="north")
     # vehicle just past the junction, heading east
     p = net.projection.project(g(25, 200))
-    new_state, cand, phase = smp_step(net, state, p, 90.0, RULES, CFG)
+    cand, phase = smp_step(net, state, p, 90.0, RULES, CFG)
     assert phase == PHASE_JUNCTION
-    assert new_state.edge_id == "east"
+    assert state.edge_id == "east"
 
 
 def test_smp_reset_after_low_confidence():
     net = straight_net()
-    state = MatchState(edge_id="e1", last_heading=0.0)
+    state = MatchState(edge_id="e1")
     off = net.projection.project(g(250, 200))  # 250 m off the only road
     resets = 0
     for _ in range(CFG.reinit_after):
         # the jump direction also swings the heading away from the link
-        state, cand, phase = smp_step(net, state, off, 90.0, RULES, CFG)
+        cand, phase = smp_step(net, state, off, 90.0, RULES, CFG)
         if state.edge_id is None:
             resets += 1
     assert resets == 1
@@ -211,7 +211,7 @@ def test_match_straight_road():
     traj = traj_from_planar(net, [(1, y) for y in range(10, 390, 20)])
     result = match_trajectory(net, traj, RULES, CFG)
     assert result.edge_sequence == ["e1"]
-    assert result.total_points == len(traj)
+    assert len(result.matched) == len(traj)
     assert all(m.confident for m in result.matched)
 
 
@@ -439,9 +439,9 @@ def test_junction_step_projects_each_edge_once(monkeypatch):
         return project_onto_polyline(p, lines, i)
 
     monkeypatch.setattr(matcher, "project_onto_polyline", counting)
-    state = MatchState(edge_id="north", last_heading=0.0)
+    state = MatchState(edge_id="north")
     p = net.projection.project(g(25, 200))
-    _, _, phase = smp_step(net, state, p, 90.0, RULES, CFG)
+    _, phase = smp_step(net, state, p, 90.0, RULES, CFG)
     assert phase == PHASE_JUNCTION
     assert sorted(calls) == ["continue", "east", "north"]
 

@@ -225,8 +225,9 @@ def test_dbscan_core_set_order_invariant():
 
     order = list(range(len(traj)))
     rng.shuffle(order)
+    records = traj.records
     shuffled = Trajectory(
-        [TrajectoryRecord(float(k), traj[i].position, k)
+        [TrajectoryRecord(float(k), records[i].position, k)
          for k, i in enumerate(order)])
     perm = dbscan(shuffled, params)
     # core flags are permutation-equivariant
