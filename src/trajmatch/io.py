@@ -4,7 +4,10 @@ Every file the package reads or writes goes through this module: inputs
 once each through `read_text`, outputs through `write_csv` and `write_lines`.
 A plain numeric trajectory is parsed by numpy's C text reader (see
 _plain_trajectory_columns), any other in one walk over its records (see
-_record_trajectory_columns), with the same columns and messages.
+_record_trajectory_columns), with the same columns and messages. A plain
+network, as write_road_network writes it, is parsed in whole-text passes
+(see _plain_network_columns), any other in one walk over its records (see
+_record_network_columns), with the same columns and messages.
 
 Native formats (UTF-8, one leading byte-order mark dropped; a blank CSV
 record, or one whose first field starts with `#` after any whitespace, is
@@ -31,7 +34,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from io import StringIO
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -469,19 +472,85 @@ def _id_fault(edge_id: str, node_from: str, node_to: str) -> str | None:
     return None
 
 
-def parse_road_network(path) -> RoadNetwork:
-    """ParseError names the first row that does not parse. Whether a
-    segment is too short to project is known only once every vertex is
-    read, so that fault is named after every row has parsed.
+_NETWORK_COLUMNS = ("edge_id", "node_from", "node_to", "wkt")
+# A plain id: printable ASCII other than space, `"`, `#` and `,`. A plain
+# coordinate: a run of the characters of a decimal float literal, left to
+# float() to read. The class says 0-9, not \d: \d matches every Unicode
+# digit, so the class needs a per-character category test, which made the
+# pass about 1.6 times slower on CPython 3.11.
+_PLAIN_ID = r"([\x21\x24-\x2b\x2d-\x7e]+)"
+_PLAIN_PAIR = r"[-+.0-9eE]+ [-+.0-9eE]+"
+# The record regex of a plain network, by its header line, whose line end
+# every record but a last unended one repeats: each match is (the whole
+# record, its three ids, the body of its LINESTRING: two or more `x y`
+# pairs joined by `, `). A match starts a line, so a search past a record
+# that does not match skips the rest of that line at one test a character.
+_PLAIN_EDGE = {
+    ",".join(_NETWORK_COLUMNS) + eol: re.compile(
+        rf'(?m)^({_PLAIN_ID},{_PLAIN_ID},{_PLAIN_ID},'
+        rf'"LINESTRING \(({_PLAIN_PAIR}(?:, {_PLAIN_PAIR})+)\)"(?:{eol}|\Z))')
+    for eol in ("\n", "\r\n")}
+
+
+def _plain_network_columns(text):
+    """The columns ids, nodes_from, nodes_to, lon, lat and sizes of a plain
+    network, the decoded text of its file, for _assemble; or None when the
+    text is not plain or a value fails a check.
+
+    Plain is: ASCII without `#`; a first line of exactly the
+    _NETWORK_COLUMNS names in that order, ended by LF or CRLF; then one or
+    more records that its _PLAIN_EDGE regex matches back to back to the end
+    of the text, so every line ends as the header does; and no record longer
+    than the csv module's field limit. In such a text each line after the
+    header is one CSV record of four fields, no id needs stripping or has an
+    _id_fault, and every edge has at least two vertices. All coordinates
+    are converted by float() in one pass, as _parse_wkt_linestring converts
+    each, and duplicate ids, the coordinate range and consecutive duplicate
+    vertices are checked on whole columns, so an accepted text gives the
+    record walk's columns.
+    """
+    # the regex refuses these and a text whose first record it does not
+    # match, but only after a pass over the whole text
+    if not text.isascii() or "#" in text:
+        return None
+    header = text[:text.find("\n") + 1]
+    edge = _PLAIN_EDGE.get(header)
+    if edge is None or not edge.match(text, len(header)):
+        return None
+    records = edge.findall(text, len(header))
+    whole, ids, nodes_from, nodes_to, bodies = zip(*records)
+    # matches do not overlap, so they cover the text when their lengths add up to it
+    lengths = np.fromiter(map(len, whole), dtype=np.intp, count=len(whole))
+    if (lengths.sum() != len(text) - len(header) or lengths.max() > csv.field_size_limit()
+            or len(set(ids)) < len(ids)):
+        return None
+    tokens = ", ".join(bodies).replace(",", "").split(" ")
+    try:
+        coords = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+    except ValueError:
+        return None
+    lon, lat = coords[0::2], coords[1::2]
+    sizes = np.fromiter(map(str.count, bodies, repeat(",")), dtype=np.intp,
+                        count=len(bodies)) + 1
+    repeated = (lon[1:] == lon[:-1]) & (lat[1:] == lat[:-1])
+    repeated[np.cumsum(sizes)[:-1] - 1] = False  # an edge may start where the last ends
+    if repeated.any() or not np.all((-90.0 <= lat) & (lat <= 90.0)
+                                    & (-180.0 <= lon) & (lon <= 180.0)):
+        return None
+    return ids, nodes_from, nodes_to, lon, lat, sizes
+
+
+def _record_network_columns(path, text):
+    """The columns of text, any network file at path, for _assemble, read by
+    _read_columns and parsed one record at a time by _parse_wkt_linestring.
+    ParseError names the first row that does not parse.
 
     The id columns are screened whole; only when the screen finds a blank
     id, a `#`, a byte-order mark or a line break are the rows walked to
     find the first with an id fault, and the rows before it are read as
     usual.
     """
-    text = read_text(path)
-    (ids, nodes_from, nodes_to, wkts), short = _read_columns(
-        path, text, ("edge_id", "node_from", "node_to", "wkt"))
+    (ids, nodes_from, nodes_to, wkts), short = _read_columns(path, text, _NETWORK_COLUMNS)
     ids, nodes_from, nodes_to = ([v.strip() for v in col] for col in (ids, nodes_from, nodes_to))
     fault = None
     joined = "".join(ids)
@@ -510,8 +579,28 @@ def parse_road_network(path) -> RoadNetwork:
         raise _row_error(path, text, len(ids), short)
     if not first_record:
         raise ParseError(f"{path}: no edges")
+    return list(first_record), nodes_from, nodes_to, lon, lat, sizes
+
+
+def parse_road_network(path) -> RoadNetwork:
+    """ParseError names the first row that does not parse. Whether a
+    segment is too short to project is known only once every vertex is
+    read, so that fault is named after every row has parsed.
+
+    A plain file is read in whole-text passes (_plain_network_columns): one
+    regex over its records, one float() pass over its coordinates and
+    checks on whole columns. Any other file, and a plain one whose values
+    fail a check, is read by one walk over its records
+    (_record_network_columns), which names the first bad row. On a file
+    the plain reader accepts, the walk gives the same columns bit for bit.
+    """
+    text = read_text(path)
+    columns = _plain_network_columns(text)
+    if columns is None:
+        columns = _record_network_columns(path, text)
+    ids = columns[0]
     try:
-        return _assemble(list(first_record), nodes_from, nodes_to, lon, lat, sizes)
+        return _assemble(*columns)
     except InvalidPolylineError as exc:
         raise _row_error(path, text, exc.index, f"edge {ids[exc.index]!r}: {exc}") from None
 
@@ -524,7 +613,7 @@ def write_road_network(network: RoadNetwork, path):
     def wkt(i):
         vertices = zip(lon[start[i]:start[i + 1]], lat[start[i]:start[i + 1]])
         return "LINESTRING (" + ", ".join(f"{x} {y}" for x, y in vertices) + ")"
-    write_csv(path, ["edge_id", "node_from", "node_to", "wkt"],
+    write_csv(path, _NETWORK_COLUMNS,
               ([edge_id, network.node_from[i], network.node_to[i], wkt(i)]
                for edge_id, i in sorted(network.edges.items())))
 
@@ -556,7 +645,7 @@ def _assemble(ids, nodes_from, nodes_to, lon, lat, sizes) -> RoadNetwork:
     +0.0, as a sum from 0.0 is. An edge that is no polyline raises
     polylines' InvalidPolylineError, which each caller names its own way.
     """
-    if not lon:
+    if not len(lon):
         raise ParseError("network has no geometry")
     lon, lat = np.array(lon, dtype=np.float64), np.array(lat, dtype=np.float64)
     lat0, lon0 = (0.0 + np.add.accumulate(c)[-1].item() for c in (lat, lon))

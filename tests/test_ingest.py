@@ -19,6 +19,7 @@ from trajmatch.io import (
     parse_trajectory,
     read_ids,
     write_csv,
+    write_road_network,
     write_trajectory,
 )
 from conftest import FIXTURES
@@ -583,8 +584,10 @@ def test_a_valid_file_is_read_once(tmp_path, csv_readers):
     parse_trajectory(write(tmp_path / "t.csv", 'timestamp,lat,lon\n"0\n",47.0,-122.0\n'
                                                "# note\n1,47.0,-122.0\n"))
     assert len(csv_readers) == 1
-    parse_road_network(write(tmp_path / "n.csv", NET_CSV))
-    assert len(csv_readers) == 2
+    csv_readers.clear()
+    # lower case keeps the network off the plain reader
+    parse_road_network(write(tmp_path / "n.csv", NET_CSV.replace("LINESTRING", "linestring")))
+    assert len(csv_readers) == 1
 
 
 def test_a_valid_plain_file_makes_no_csv_reader(tmp_path, csv_readers):
@@ -592,6 +595,37 @@ def test_a_valid_plain_file_makes_no_csv_reader(tmp_path, csv_readers):
                                                       "1,47.5,-122.5\n"))
     assert traj.lat.tolist() == [47.0, 47.5]
     assert len(csv_readers) == 0
+
+
+@pytest.mark.parametrize("crlf", [False, True])
+def test_a_valid_plain_network_makes_no_csv_reader(tmp_path, csv_readers, crlf):
+    path = tmp_path / "n.csv"
+    write_road_network(parse_road_network(FIXTURES / "mini" / "network.csv"), path)
+    text = path.read_bytes().decode("utf-8")
+    assert text.count("\r\n") == text.count("\n") > 1  # the csv module ends lines in CRLF
+    if not crlf:
+        write(path, text.replace("\r\n", "\n"))
+    assert len(parse_road_network(path).ids) == 60
+    assert len(csv_readers) == 0
+
+
+# A plain network with a faulty value is read again by the record walk, and
+# a second csv.reader locates the row to name, as for any network file. A
+# segment too short to project is found after a plain read, so the one
+# csv.reader is the one that locates the row.
+@pytest.mark.parametrize("text, reads", [
+    (NET_CSV.replace("47.001)", "91.0)", 1), 2),                      # names a row
+    (NET_CSV + 'e1,n3,n4,"LINESTRING (0 0, 1 1)"\n', 2),              # names two rows
+    (NET_CSV + 'e3,n3,n4,"LINESTRING (0 0)"\n', 2),
+    (NET_CSV.replace("LINESTRING", "linestring") + "e3,n3,n4,POINT (1 2)\n", 2),
+    (NET_CSV + 'e3,n3,n4,"LINESTRING (0.0 0.0, 0.0 1e-170)"\n', 1),
+    ("edge_id,node_from,node_to\n", 1),                                # no row named
+], ids=["range", "duplicate-id", "one-vertex", "not-plain", "too-short-segment", "header"])
+def test_a_network_row_is_located_by_a_second_read_on_error_only(tmp_path, csv_readers,
+                                                                 text, reads):
+    with pytest.raises(ParseError, match="row" if "wkt" in text else "header"):
+        parse_road_network(write(tmp_path / "n.csv", text))
+    assert len(csv_readers) == reads
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
