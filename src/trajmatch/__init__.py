@@ -5,9 +5,7 @@ from .geo import (
     PlanarPoint,
     Polylines,
     Projection,
-    bearing,
     haversine_distance,
-    heading_error,
     project_onto_polyline,
 )
 from .io import (

@@ -9,17 +9,18 @@ consequent sampled on it, its antecedents (one flat membership vector, an
 index tuple per rule, and each input's flat intervals, where every label is
 exactly 0 or 1) and a table of the crisp output of every combination of
 flat intervals are computed once. evaluate_rows, the one evaluator, takes
-rows as tuples in the rule base's input order; a row inside flat intervals
-gets its output from the table with no label call, and only the other rows
-go through the array pass, which clips, takes the pointwise max and
-computes the centroid. evaluate takes one row as a mapping from input name
-to value. Changing a rule base's rules or labels after construction is not
+rows as tuples in the rule base's input order; a row inside flat intervals,
+each found by one bisection, gets its output from the table with no label
+call, and only the other rows go through the array pass, which clips, takes
+the pointwise max and computes the centroid. evaluate takes one row as a
+mapping from input name to value. Changing a rule base's rules or labels after construction is not
 supported.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, product
@@ -199,8 +200,8 @@ class RuleBase:
         self._compile_antecedents()
         # crisp output per membership vector of a row whose every input lies
         # inside a flat interval (see evaluate_rows)
-        flat = [tuple(chain.from_iterable(values for _, _, values in cell))
-                for cell in product(*(flat for *_, flat in self._columns))]
+        flat = [tuple(chain.from_iterable(cell))
+                for cell in product(*(values for *_, values in self._columns))]
         self._flat_outputs = dict(zip(flat, _outputs(self, flat)))
 
     def _compile_antecedents(self):
@@ -209,7 +210,8 @@ class RuleBase:
         Per input, in `input_names` order: its universe, the `scalar` of each
         used label and its flat intervals, the open intervals between label
         parameters where every used label's `scalar` is exactly 0.0 or 1.0
-        (see _flat_value), with those values. An interval that holds an end
+        (see _flat_value), with those values, as three ascending tuples of
+        left ends, right ends and values. An interval that holds an end
         of the universe, or ends on it where every used label's `scalar`
         equals the interval's values, is extended to infinity on that side,
         since a value at or beyond that end clamps to it and takes those
@@ -235,7 +237,8 @@ class RuleBase:
                 if p < hi and q > lo and None not in values:
                     flat.append((-math.inf if p <= lo and at_lo == values else p,
                                  math.inf if q >= hi and at_hi == values else q, values))
-            self._columns.append((lo, hi, tuple(mf.scalar for mf in mfs), tuple(flat)))
+            lefts, rights, values = zip(*flat) if flat else ((), (), ())
+            self._columns.append((lo, hi, tuple(mf.scalar for mf in mfs), lefts, rights, values))
         self._terms = []
         for rule in self.rules:
             idx = [index[term] for term in rule.antecedent]
@@ -269,23 +272,23 @@ def evaluate_rows(rules: RuleBase, rows: Iterable[Sequence[float]]) -> list[floa
     whole. A row holds one crisp value per input, in `rules.input_names`
     order. Its membership vector comes from the compiled antecedents: each
     value is clamped to its universe, and one that lies strictly inside a
-    flat interval takes that interval's memberships with no label call.
+    flat interval (the disjoint intervals' last left end below it, found by
+    bisection) takes that interval's memberships with no label call.
 
     A row's output is a pure function of its membership vector (see
     _outputs), so a vector in the rule base's table of flat rows, built
     with the rule base, takes its output from there: every row whose inputs
     all lie in flat intervals does. The other rows go through the array
-    pass together. The rule base is only read.
+    pass together, if any. The rule base is only read.
     """
     columns, table = rules._columns, rules._flat_outputs
     out, misses, vectors = [], [], []
     for row in rows:
         memberships = ()
-        for x, (lo, hi, labels, flat) in zip(row, columns, strict=True):
-            for p, q, values in flat:
-                if p < x < q:
-                    memberships += values
-                    break
+        for x, (lo, hi, labels, lefts, rights, values) in zip(row, columns, strict=True):
+            k = bisect_left(lefts, x) - 1
+            if k >= 0 and x < rights[k]:
+                memberships += values[k]
             else:
                 x = min(hi, max(lo, x))
                 memberships += tuple([label(x) for label in labels])
@@ -294,8 +297,9 @@ def evaluate_rows(rules: RuleBase, rows: Iterable[Sequence[float]]) -> list[floa
             misses.append(len(out))
             vectors.append(memberships)
         out.append(value)
-    for i, value in zip(misses, _outputs(rules, vectors)):
-        out[i] = value
+    if misses:
+        for i, value in zip(misses, _outputs(rules, vectors)):
+            out[i] = value
     return out
 
 

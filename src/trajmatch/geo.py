@@ -27,10 +27,6 @@ class InvalidCoordinateError(ValueError):
     """Latitude/longitude outside the valid WGS-84 range, or non-finite."""
 
 
-class UndefinedBearingError(ValueError):
-    """Bearing requested between two identical points."""
-
-
 @dataclass(frozen=True)
 class GeoPoint:
     """A WGS-84 position in decimal degrees."""
@@ -82,8 +78,10 @@ class Polylines:
     that projecting onto it and comparing a heading with it read: (ax, ay,
     dx, dy, dx * dx + dy * dy, cumlen at a, cumlen at b, bearing % 360.0,
     (bearing + 180.0) % 360.0 % 360.0) for the segment from a to b, bearing
-    as bearing(a, b) computes it. It is built from the columns on its first
-    read, so building a batch does not pay for it, and kept for its life.
+    its compass bearing degrees(atan2(dx, dy)) % 360.0 (0 = north, 90 =
+    east), which can round to 360.0. It is built from the columns on its
+    first read, so building a batch does not pay for it, and kept for its
+    life.
     """
 
     __slots__ = ("x", "y", "cumlen", "start", "segments")
@@ -204,19 +202,6 @@ def haversine_lat_lon(lat1: float, lon1: float, lat2: float, lon2: float) -> flo
     dlam = math.radians(lon2 - lon1)
     h = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2) ** 2
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
-
-
-def bearing(a: PlanarPoint, b: PlanarPoint) -> float:
-    """Compass bearing a→b in degrees: 0 = north, 90 = east."""
-    if a == b:
-        raise UndefinedBearingError("bearing undefined for coincident points")
-    return math.degrees(math.atan2(b.x - a.x, b.y - a.y)) % 360.0
-
-
-def heading_error(h1: float, h2: float) -> float:
-    """Smallest angular difference between two headings, in [0, 180]."""
-    d = abs(h1 % 360.0 - h2 % 360.0)
-    return min(d, 360.0 - d)
 
 
 def project_onto_polyline(p: PlanarPoint, lines: Polylines,

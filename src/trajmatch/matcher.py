@@ -8,14 +8,14 @@ from geometry alone (arc offset and PD), since its likelihood never steers
 the state; match_trajectory scores every on-link point in one batch after
 the pass, inside the timed match.
 
-Per point the pass builds little: points, candidates and matches are
-NamedTuples, smp_step updates the MatchState in place, a junction step
-measures the edges at its node as RoadNetwork.adjacency lists them (built
-once per network), reusing the current edge's measurement, picks its best
-candidate in one loop and builds a scored candidate only for the edge it
-keeps, and the snapped positions come from one array unprojection after
-the pass. Each link measurement reads its segment's constants from
-Polylines.segments, built once per network.
+A link is measured into a plain row (pd, he, foot x, foot y, arc offset)
+by one projection, which reads its segment's constants from
+Polylines.segments, built once per network. Steps and scoring work on rows;
+a LinkCandidate is built only where a public function returns one, so
+match_trajectory's on-link and junction steps build none. A junction step
+measures the edges at its node as RoadNetwork.adjacency lists them, reusing
+the current edge's row, and the snapped positions come from one array
+unprojection after the pass.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, fields
 from io import StringIO
 from operator import itemgetter
@@ -156,10 +156,12 @@ def load_matcher_config(path) -> tuple[MatcherConfig, RuleBase]:
 
 
 def candidate_links(network: RoadNetwork, p: PlanarPoint, radius: float,
-                    measure: Callable[[str], LinkCandidate]) -> list[LinkCandidate]:
+                    measure: Callable[[str], tuple]) -> list[LinkCandidate]:
     """The links within exact polyline distance radius of p, measured by
-    measure(edge_id), nearest first (ties to the smaller edge id)."""
-    near = [c for c in map(measure, network.index.query(p, radius)) if c.pd <= radius]
+    measure(edge_id) into _measure rows, nearest first (ties to the smaller
+    edge id)."""
+    near = [_candidate(e, row) for e in network.index.query(p, radius)
+            if (row := measure(e))[0] <= radius]
     near.sort(key=lambda c: (c.pd, c.edge_id))
     return near
 
@@ -167,12 +169,12 @@ def candidate_links(network: RoadNetwork, p: PlanarPoint, radius: float,
 def score_link(network: RoadNetwork, edge_id: str, p: PlanarPoint,
                vehicle_heading: float | None, rules: RuleBase) -> LinkCandidate:
     """Score one candidate link by fuzzy inference over PD and HE."""
-    return _score([_measure(network, edge_id, p, vehicle_heading)], rules)[0]
+    return _candidate(*_score([edge_id], [_measure(network, edge_id, p, vehicle_heading)], rules))
 
 
 def _measure(network: RoadNetwork, edge_id: str, p: PlanarPoint,
-             vehicle_heading: float | None) -> LinkCandidate:
-    """The link's PD, HE, projection foot and arc offset, with no likelihood.
+             vehicle_heading: float | None) -> tuple[float, float, float, float, float]:
+    """The link's row for p: (pd, he, foot x, foot y, arc offset).
 
     The link direction is taken on the segment holding the projection foot
     and evaluated both ways (no one-way information in the network format);
@@ -180,13 +182,12 @@ def _measure(network: RoadNetwork, edge_id: str, p: PlanarPoint,
     """
     i = network.edges[edge_id]
     lines = network.geometry
-    pd, foot, seg_idx, arc_offset = project_onto_polyline(p, lines, i)
+    pd, (fx, fy), seg_idx, arc_offset = project_onto_polyline(p, lines, i)
     if vehicle_heading is None:
         he = 0.0
     else:
-        # geo.heading_error against the segment's bearing and its reverse,
-        # inlined on the residues the segment keeps: each conditional picks
-        # what min() would, min(min(d, 360 - d), min(r, 360 - r))
+        # the least angle to the segment's bearing residues, either way: each
+        # conditional picks what min() would, min(min(d, 360 - d), min(r, 360 - r))
         seg = lines.segments[i][seg_idx]
         h = vehicle_heading % 360.0
         d = abs(h - seg[7])
@@ -196,40 +197,41 @@ def _measure(network: RoadNetwork, edge_id: str, p: PlanarPoint,
         if 360.0 - r < r:
             r = 360.0 - r
         he = r if r < d else d
-    return LinkCandidate(edge_id, pd, he, None, foot, arc_offset)
+    return pd, he, fx, fy, arc_offset
 
 
-def _score(measured: list[LinkCandidate], rules: RuleBase) -> list[LinkCandidate]:
-    """The measured candidates with their likelihoods."""
-    return [LinkCandidate(c.edge_id, c.pd, c.he, likelihood, c.foot, c.arc_offset)
-            for c, likelihood in zip(measured, _likelihoods(measured, rules))]
+def _candidate(edge_id: str, row: tuple, likelihood: float | None = None) -> LinkCandidate:
+    """The LinkCandidate of a link's _measure row."""
+    pd, he, fx, fy, arc_offset = row
+    return LinkCandidate(edge_id, pd, he, likelihood, PlanarPoint(fx, fy), arc_offset)
 
 
-def _likelihoods(measured: Iterable[LinkCandidate], rules: RuleBase) -> list[float]:
-    """The likelihoods of measured candidates, scored in one batch."""
-    return evaluate_rows(rules, map(_row_getter(rules.input_names), measured))
+def _likelihoods(rows: Iterable[tuple], rules: RuleBase) -> list[float]:
+    """The likelihoods of _measure rows, scored in one batch."""
+    return evaluate_rows(rules, map(_row_getter(rules.input_names), rows))
 
 
 @functools.cache
 def _row_getter(input_names: tuple[str, ...]):
-    """A candidate's row of rule-base inputs (MEASURES), in the rule base's
-    order."""
-    fields = [LinkCandidate._fields.index(name) for name in input_names]
-    return itemgetter(*fields) if len(fields) > 1 else lambda c: (c[fields[0]],)
+    """A _measure row's rule-base inputs (MEASURES, its first fields), in the
+    rule base's order."""
+    fields = [MEASURES.index(name) for name in input_names]
+    return itemgetter(*fields) if len(fields) > 1 else lambda row: tuple([row[k] for k in fields])
 
 
-def _best_index(candidates: list[LinkCandidate], likelihoods: list[float]) -> int:
-    """The index of the candidate of highest likelihood, ties to the smaller
-    pd, then the smaller edge id: the first minimum of the key (-likelihood,
-    pd, edge_id), found in one pass with no key built."""
+def _score(edge_ids: Sequence[str], rows: Sequence[tuple],
+           rules: RuleBase) -> tuple[str, tuple, float]:
+    """The best measured link as (edge id, row, likelihood), scored in one
+    batch: the first minimum of (-likelihood, pd, edge_id), found in one
+    pass with no key built."""
+    likelihoods = _likelihoods(rows, rules)
     k, top = 0, likelihoods[0]
-    for j in range(1, len(candidates)):
+    for j in range(1, len(rows)):
         likelihood = likelihoods[j]
         if likelihood > top or likelihood == top and (
-                candidates[j].pd < candidates[k].pd or candidates[j].pd == candidates[k].pd
-                and candidates[j].edge_id < candidates[k].edge_id):
+                rows[j][0] < rows[k][0] or rows[j][0] == rows[k][0] and edge_ids[j] < edge_ids[k]):
             k, top = j, likelihood
-    return k
+    return edge_ids[k], rows[k], top
 
 
 def _confident(pd: float, likelihood: float, cfg: MatcherConfig) -> bool:
@@ -259,31 +261,37 @@ def smp_step(network: RoadNetwork, state: MatchState, p: PlanarPoint,
     batch and picks the best. Three consecutive junction decisions that are
     not confident (see _confident) reset the state to uninitialized.
     """
-    i = network.edges[state.edge_id]
-    here = _measure(network, state.edge_id, p, heading)
-    length = network.geometry.segments[i][-1][6]  # the last segment's cumlen at b
-    if (here.arc_offset > cfg.junction_radius and length - here.arc_offset > cfg.junction_radius
-            and here.pd <= cfg.pd_escape):
-        state.consecutive_low_confidence = 0
-        return here, PHASE_ALONG
+    *step, phase = _smp_step(network, state, p, heading, rules, cfg)
+    return _candidate(*step), phase
 
-    nearer = (network.node_from if here.arc_offset <= length - here.arc_offset
-              else network.node_to)[i]
-    measured = [here if e == state.edge_id else _measure(network, e, p, heading)
-                for e in network.adjacency[nearer]]
-    likelihoods = _likelihoods(measured, rules)
-    k = _best_index(measured, likelihoods)
-    c = measured[k]  # the one candidate built scored
-    best = LinkCandidate(c.edge_id, c.pd, c.he, likelihoods[k], c.foot, c.arc_offset)
-    if _confident(best.pd, best.likelihood, cfg):
-        state.edge_id = best.edge_id
+
+def _smp_step(network: RoadNetwork, state: MatchState, p: PlanarPoint, heading: float | None,
+              rules: RuleBase, cfg: MatcherConfig) -> tuple[str, tuple, float | None, str]:
+    """smp_step's (edge id, row, likelihood or None, phase)."""
+    edge_id = state.edge_id
+    i = network.edges[edge_id]
+    here = _measure(network, edge_id, p, heading)
+    pd, arc_offset = here[0], here[4]
+    length = network.geometry.segments[i][-1][6]  # the last segment's cumlen at b
+    if (arc_offset > cfg.junction_radius and length - arc_offset > cfg.junction_radius
+            and pd <= cfg.pd_escape):
+        state.consecutive_low_confidence = 0
+        return edge_id, here, None, PHASE_ALONG
+
+    edge_ids = network.adjacency[(network.node_from if arc_offset <= length - arc_offset
+                                  else network.node_to)[i]]
+    best, row, likelihood = _score(
+        edge_ids, [here if e == edge_id else _measure(network, e, p, heading) for e in edge_ids],
+        rules)
+    if _confident(row[0], likelihood, cfg):
+        state.edge_id = best
         state.consecutive_low_confidence = 0
     else:
         state.consecutive_low_confidence += 1
         if state.consecutive_low_confidence >= cfg.reinit_after:
             state.edge_id = None
             state.consecutive_low_confidence = 0
-    return best, PHASE_JUNCTION
+    return best, row, likelihood, PHASE_JUNCTION
 
 
 def imp(network: RoadNetwork, p: PlanarPoint, heading: float | None,
@@ -299,19 +307,24 @@ def imp(network: RoadNetwork, p: PlanarPoint, heading: float | None,
     measured at most once, whether the nearest-link scan or the radius
     query reaches it first.
     """
+    return _candidate(*_imp(network, p, heading, rules, cfg))
+
+
+def _imp(network: RoadNetwork, p: PlanarPoint, heading: float | None, rules: RuleBase,
+         cfg: MatcherConfig) -> tuple[str, tuple, float]:
+    """imp's (edge id, row, likelihood)."""
     measure = functools.cache(lambda edge_id: _measure(network, edge_id, p, heading))
-    near = [measure(e) for e in network.index.nearest(p)]
-    nearest = min(c.pd for c in near)
+    near = network.index.nearest(p)
+    nearest = min(measure(e)[0] for e in near)
     radius = cfg.candidate_radius
     for _ in range(8):
         if nearest <= radius:
-            candidates = candidate_links(network, p, radius, measure)
+            edge_ids = [c.edge_id for c in candidate_links(network, p, radius, measure)]
             break
         radius *= 2.0
     else:
-        candidates = sorted((c for c in near if c.pd == nearest), key=lambda c: c.edge_id)
-    scored = _score(candidates, rules)
-    return scored[_best_index(scored, [c.likelihood for c in scored])]
+        edge_ids = sorted(e for e in near if measure(e)[0] == nearest)
+    return _score(edge_ids, [measure(e) for e in edge_ids], rules)
 
 
 def match_trajectory(network: RoadNetwork, traj: Trajectory, rules: RuleBase,
@@ -330,45 +343,43 @@ def match_trajectory(network: RoadNetwork, traj: Trajectory, rules: RuleBase,
 
     t0 = time.perf_counter()
     state = MatchState()
-    steps = []  # (candidate, phase, reinitialized) per point
+    steps = []  # (edge_id, row, likelihood or None, phase, reinitialized) per point
     prev = heading = None
-    # points are built as the pass reaches them: the steps already hold a
-    # candidate per point until the on-link batch is scored
+    # points are built as the pass reaches them
     for p in map(PlanarPoint, xs.tolist(), ys.tolist()):
         if prev is not None:
             dx, dy = p.x - prev.x, p.y - prev.y
             if (dx * dx + dy * dy) ** 0.5 >= cfg.min_heading_separation:
-                # geo.bearing(prev, p), inlined with the same arithmetic: the
-                # fixes are apart, as min_heading_separation > 0
+                # the compass bearing from prev to p: the fixes are apart, as
+                # min_heading_separation > 0
                 heading = math.degrees(math.atan2(dx, dy)) % 360.0
         prev = p
 
         if state.edge_id is None:
-            cand = imp(network, p, heading, rules, cfg)
-            if _confident(cand.pd, cand.likelihood, cfg):
-                state.edge_id = cand.edge_id
-            steps.append((cand, PHASE_IMP, False))
+            edge_id, row, likelihood = _imp(network, p, heading, rules, cfg)
+            if _confident(row[0], likelihood, cfg):
+                state.edge_id = edge_id
+            steps.append((edge_id, row, likelihood, PHASE_IMP, False))
         else:
-            cand, phase = smp_step(network, state, p, heading, rules, cfg)
-            steps.append((cand, phase, state.edge_id is None))
+            steps.append((*_smp_step(network, state, p, heading, rules, cfg),
+                          state.edge_id is None))
 
     # On-link steps come back unscored: score them all in one batch and
     # unproject every foot in one array call (elementwise + and /, as exact
     # as one call per point), then turn each step into its MatchedPoint in
-    # place. The feet go straight into one (n, 2) array, and the snapped
-    # floats are made as the steps are replaced: np.array over a list of
-    # feet and whole-trace float lists both raised the match's peak memory.
-    scores = iter(_likelihoods((cand for cand, _, _ in steps if cand.likelihood is None),
+    # place. The feet go straight into two arrays, and the snapped floats
+    # are made as the steps are replaced: whole-trace float lists raised the
+    # match's peak memory.
+    scores = iter(_likelihoods((row for _, row, likelihood, _, _ in steps if likelihood is None),
                                rules))
-    feet = np.fromiter((cand.foot for cand, _, _ in steps), np.dtype((float, 2)), len(steps))
-    lat, lon = proj.unproject_xy(feet[:, 0], feet[:, 1])
-    del feet
-    for i, (source_index, snapped_lat, snapped_lon, (cand, phase, reinit)) in enumerate(
-            zip(traj.source_index.tolist(), map(float, lat), map(float, lon), steps)):
-        likelihood = next(scores) if cand.likelihood is None else cand.likelihood
-        steps[i] = MatchedPoint(source_index, cand.edge_id, cand.arc_offset,
-                                snapped_lat, snapped_lon, likelihood, phase,
-                                _confident(cand.pd, likelihood, cfg), reinit)
+    lat, lon = proj.unproject_xy(np.fromiter((s[1][2] for s in steps), float, len(steps)),
+                                 np.fromiter((s[1][3] for s in steps), float, len(steps)))
+    for i, (source_index, snapped_lat, snapped_lon, (edge_id, row, likelihood, phase, reinit)) \
+            in enumerate(zip(traj.source_index.tolist(), map(float, lat), map(float, lon), steps)):
+        if likelihood is None:
+            likelihood = next(scores)
+        steps[i] = MatchedPoint(source_index, edge_id, row[4], snapped_lat, snapped_lon,
+                                likelihood, phase, _confident(row[0], likelihood, cfg), reinit)
     matched: list[MatchedPoint] = steps
     wall = time.perf_counter() - t0
 

@@ -12,6 +12,22 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 
+def bearing(a, b):
+    """Compass bearing from planar point a to b in degrees, 0 = north and
+    90 = east; ValueError for coincident points."""
+    (ax, ay), (bx, by) = a, b
+    if (ax, ay) == (bx, by):
+        raise ValueError("bearing undefined for coincident points")
+    return math.degrees(math.atan2(bx - ax, by - ay)) % 360.0
+
+
+def heading_error(h1, h2):
+    """Smallest angular difference between two headings in degrees, in
+    [0, 180]."""
+    d = abs(h1 % 360.0 - h2 % 360.0)
+    return min(d, 360.0 - d)
+
+
 def law_of_cosines_distance(lat1, lon1, lat2, lon2, radius=6_371_000.0):
     """Spherical law of cosines great-circle distance (meters)."""
     p1, p2 = math.radians(lat1), math.radians(lat2)
@@ -519,10 +535,6 @@ def reference_match(edges, points, config, thresholds):
     for pos, (_, a, b, _, _) in enumerate(edges):
         at_node.setdefault(a, set()).add(pos)
         at_node.setdefault(b, set()).add(pos)
-
-    def heading_error(h, b):
-        d = abs(h % 360.0 - b % 360.0)
-        return min(d, 360.0 - d)
 
     def measure(pos, px, py, heading):
         xs, ys, cumlen, bearings = lines[pos]

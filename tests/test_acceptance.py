@@ -21,7 +21,6 @@ from trajmatch.geo import (
     PlanarPoint,
     Projection,
     haversine_distance,
-    heading_error,
     index_build,
     polylines,
     project_onto_polyline,
@@ -36,7 +35,7 @@ from trajmatch.staypoint import (
     threshold_staypoint_detect,
 )
 from conftest import FIXTURES
-from oracles import brute_dbscan, highres_centroid, sampled_segment_distance
+from oracles import brute_dbscan, heading_error, highres_centroid, sampled_segment_distance
 
 MINI = FIXTURES / "mini"
 FIXTURE_EPS = 0.00004

@@ -282,8 +282,9 @@ def test_config_unknown_threshold_key(tmp_path, capsys):
 
 
 def test_config_zero_heading_separation_with_repeated_fix(tmp_path, capsys):
-    # With min_heading_separation 0 a repeated fix asked for the bearing
-    # between coincident points: exit 1, "bearing undefined".
+    # A heading is the bearing between two fixes, which coincident fixes do
+    # not define, so min_heading_separation 0 is refused before a repeated
+    # fix can ask for one.
     rows = (MINI / "trajectory.csv").read_text().splitlines(keepends=True)
     traj = tmp_path / "repeat.csv"
     # file row 3 (t=1.0) again at t=1.5

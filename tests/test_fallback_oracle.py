@@ -59,9 +59,9 @@ def scored_ids(monkeypatch, edges, px, py):
     scored = []
     real = matcher._score
 
-    def recording(measured, rules):
-        scored.append({c.edge_id for c in measured})
-        return real(measured, rules)
+    def recording(edge_ids, rows, rules):
+        scored.append(set(edge_ids))
+        return real(edge_ids, rows, rules)
 
     monkeypatch.setattr(matcher, "_score", recording)
     cand = matcher.imp(network(edges), PlanarPoint(float(px), float(py)),

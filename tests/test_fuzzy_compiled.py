@@ -110,7 +110,7 @@ def test_row_output_independent_of_batch_position_and_passes(config, values, cel
 @given(config=configs())
 def test_flat_table_holds_oracle_output_of_each_cell(config):
     rb = rule_base_from_config(config)
-    flats = [flat for *_, flat in rb._columns]
+    flats = [list(zip(lefts, rights, values)) for *_, lefts, rights, values in rb._columns]
     # one entry per combination of each input's distinct flat memberships
     assert len(rb._flat_outputs) == math.prod(len({v for *_, v in flat}) for flat in flats)
     for cell in product(*flats):

@@ -7,8 +7,10 @@ table of flat rows.
 """
 
 import copy
+import math
 import pickle
 import random
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -202,6 +204,39 @@ def test_universe_ends_on_breakpoints_take_no_label_call(monkeypatch):
     got = evaluate_batch(rb, rows)
     assert calls == []
     assert got == [numpy_mamdani(MIXED_CONFIG, row) for row in rows]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_flat_interval_ends_equal_numpy_oracle(name, monkeypatch):
+    # A value's flat interval is found by bisecting the sorted left ends.
+    # Probe every interval end, its neighbours on either side, both
+    # infinities and values outside the universe: a value on an end is
+    # strictly inside no interval and takes the label calls, one just
+    # inside takes the interval's memberships with none.
+    calls = []
+    scalar = MembershipFunction.scalar
+
+    def counting(mf, x):
+        calls.append(x)
+        return scalar(mf, x)
+
+    monkeypatch.setattr(MembershipFunction, "scalar", counting)
+    rb = rule_base_from_config(CONFIGS[name])
+    probes, expected_calls = [], []
+    for lo, hi, labels, lefts, rights, _ in rb._columns:
+        ends = {lo, hi, *lefts, *rights, -math.inf, math.inf}
+        xs = sorted({y for end in ends for y in (math.nextafter(end, -math.inf), end,
+                                                 math.nextafter(end, math.inf))}
+                    | {lo - 1.0, hi + 1.0})
+        probes.append(xs)
+        expected_calls.append({x: [] if any(p < x < q for p, q in zip(lefts, rights))
+                               else [min(hi, max(lo, x))] * len(labels) for x in xs})
+    rows = [dict(zip(rb.input_names, xs)) for xs in product(*probes)]
+    want = [numpy_mamdani(CONFIGS[name], row) for row in rows]
+    calls.clear()
+    assert evaluate_batch(rb, rows) == want
+    assert calls == [y for row in rows for var, per_input in zip(rb.input_names, expected_calls)
+                     for y in per_input[row[var]]]
 
 
 def test_default_flat_table_has_four_entries():

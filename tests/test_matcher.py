@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from trajmatch import matcher
-from trajmatch.fuzzy import default_rule_base
+from trajmatch.fuzzy import default_rule_base, rule_base_from_config
 from trajmatch.geo import GeoPoint, PlanarPoint, Polylines, Projection, project_onto_polyline
 from trajmatch.io import ParseError, Trajectory, TrajectoryRecord, build_network
 from trajmatch.matcher import (
@@ -446,6 +446,42 @@ def test_junction_step_projects_each_edge_once(monkeypatch):
     assert sorted(calls) == ["continue", "east", "north"]
 
 
+def test_junction_step_builds_one_candidate(monkeypatch):
+    # the step measures every edge at the node into plain rows and builds a
+    # LinkCandidate for the one it returns only
+    built = []
+
+    class Counting(matcher.LinkCandidate):
+        __slots__ = ()
+
+        def __new__(cls, *args):
+            built.append(args[0])
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(matcher, "LinkCandidate", Counting)
+    net = t_junction_net()
+    state = MatchState(edge_id="north")
+    cand, phase = smp_step(net, state, net.projection.project(g(25, 200)), 90.0, RULES, CFG)
+    assert phase == PHASE_JUNCTION
+    assert built == [cand.edge_id] == ["east"]
+    assert cand.likelihood is not None
+
+
+def test_rule_base_without_inputs_scores_every_link_at_the_midpoint():
+    # no input to read from a row: every link scores the output universe's
+    # midpoint, and the nearer link wins on pd
+    rules = rule_base_from_config({
+        "inputs": {},
+        "output": {"universe": [0, 100],
+                   "labels": {"any": {"shape": "trapezoidal", "params": [0, 0, 100, 100]}}},
+        "rules": []})
+    net = t_junction_net()
+    traj = traj_from_planar(net, [(3, y) for y in range(0, 200, 20)] + [(25, 200)])
+    matched = match_trajectory(net, traj, rules, CFG).matched
+    assert {m.likelihood for m in matched} == {50.0}
+    assert matched[0].edge_id == "north"
+
+
 @settings(max_examples=40, deadline=None)
 @given(scenarios(), THRESHOLDS)
 def test_junction_choice_does_not_depend_on_adjacency_order(scenario, cfg):
@@ -513,21 +549,22 @@ def test_far_run_scores_only_nearest_links(monkeypatch):
     scored = []
     real = matcher._score
 
-    def counting(measured, rules):
-        scored.append(len(measured))
-        return real(measured, rules)
+    def counting(edge_ids, rows, rules):
+        scored.append(len(edge_ids))
+        return real(edge_ids, rows, rules)
 
     monkeypatch.setattr(matcher, "_score", counting)
     on_road = [g(200, y) for y in range(20, 180, 20)]
     far = GeoPoint(on_road[-1].lat + 0.5, on_road[-1].lon)
     positions = on_road + [far] * 8
     traj = Trajectory([TrajectoryRecord(float(i), pos, i) for i, pos in enumerate(positions)])
-    before = len(scored)
     result = match_trajectory(net, traj, RULES, CFG)
     tail = result.matched[len(on_road) + 3:]
     assert [m.phase_used for m in tail] == [PHASE_IMP] * 5
     assert all(m.edge_id in {"h0_5", "h1_5", "v1_4"} for m in tail)
-    assert max(scored[before:]) <= 3 < len(net.edges)
+    # each junction step and each IMP step scores once, so the last calls
+    # are the tail's (a junction step scores the 4 edges at its node)
+    assert max(scored[-len(tail):]) <= 3 < len(net.edges)
 
 
 def test_far_point_projects_only_nearby_links(monkeypatch):
