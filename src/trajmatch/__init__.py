@@ -5,7 +5,6 @@ from .geo import (
     PlanarPoint,
     Polylines,
     Projection,
-    haversine_distance,
     project_onto_polyline,
 )
 from .io import (

@@ -190,13 +190,9 @@ class Projection:
                 self.origin.lon + x / (self._coslat * METERS_PER_DEGREE))
 
 
-def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance in meters (mean Earth radius)."""
-    return haversine_lat_lon(a.lat, a.lon, b.lat, b.lon)
-
-
 def haversine_lat_lon(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """haversine_distance of bare latitudes and longitudes in degrees."""
+    """Great-circle distance in meters (mean Earth radius) between two
+    latitude-longitude pairs in degrees."""
     phi1, phi2 = math.radians(lat1), math.radians(lat2)
     dphi = phi2 - phi1
     dlam = math.radians(lon2 - lon1)

@@ -4,11 +4,18 @@ Two metric spaces are supported:
   degree-euclidean: plain Euclidean distance on raw (lon, lat) degrees,
       matching epsilon values quoted in degrees;
   meter-planar: Euclidean distance on locally projected meters.
+
+DBSCAN sweeps the points along one axis and finds the pairs within eps one
+stripe at a time, each pair once; its working set is O(STRIPE x the largest
+eps-neighbourhood + n x min_pts) for n points, not the whole trace's pair
+count, unless an eps-wide slab across the sweep holds more than STRIPE
+points (see dbscan).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -20,6 +27,9 @@ from .geo import GeoPoint, Projection, haversine_lat_lon
 from .io import Trajectory, write_csv
 
 NOISE = -1
+
+# Points per stripe of the sweep in `dbscan` (at least; see its docstring).
+STRIPE = 2048
 
 DEGREE_EUCLIDEAN = "degree-euclidean"
 METER_PLANAR = "meter-planar"
@@ -132,11 +142,22 @@ def _lowest_connected(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
             root, up = up, up[up]
 
 
-def dbscan(traj: Trajectory, params: DbscanParams) -> ClusterLabel:
-    """DBSCAN with self-inclusive neighborhood counting, from one pair list.
+def _halo_end(xs, b: int, reach: float) -> int:
+    """The end of the halo of a stripe that ends before sweep position b:
+    the first position j >= b with xs[j] - xs[b - 1] > reach, or len(xs).
 
-    One k-d tree over all points gives every pair within eps once
-    (`query_pairs`), and every label comes from that list:
+    The float difference never decreases as j grows, since xs is sorted.
+    The rounded sum xs[b - 1] + reach would never leave out such a point,
+    but can take in later ones."""
+    last = xs[b - 1]
+    return bisect_right(xs, reach, lo=b, key=lambda x: x - last)
+
+
+def dbscan(traj: Trajectory, params: DbscanParams) -> ClusterLabel:
+    """DBSCAN with self-inclusive neighborhood counting, a stripe at a time.
+
+    Every label comes from the pairs within eps that k-d trees give
+    (`query_pairs`):
       - a point is core iff its eps-ball, itself included, holds >= min_pts
         points: 1 + its number of pairs;
       - clusters are the connected components of the core-core pairs,
@@ -144,26 +165,74 @@ def dbscan(traj: Trajectory, params: DbscanParams) -> ClusterLabel:
       - a non-core point takes the smallest cluster id over its pairs with a
         core point, or NOISE if it has none.
     The labelling depends only on the points and their order.
+
+    The pairs are found and used one stripe at a time. The points are
+    sorted along the axis of larger extent and cut into stripes of at least
+    STRIPE points (but the last). A stripe's halo is the later points at
+    most eps * (1 + 1e-9) beyond its last one along that axis; the next
+    stripe covers the halo, and a halo larger than its stripe joins the
+    stripe (so a dense cloud is one stripe). Invariant: each pair within
+    eps is found once, in the tree over the stripe that holds its earlier
+    end in sweep order plus that stripe's halo, and each point is in at
+    most two trees. A stripe is settled, down to a spanning forest of its
+    core-core pairs and its border pairs, once the stripes after it cover
+    its halo: every count its pairs touch is then final.
+
+    The working set is O(m * k + n * min_pts) for n points, trees of at
+    most m points (2 * STRIPE, unless an eps-wide slab across the sweep
+    axis holds more than STRIPE points) and eps-neighbourhoods of at most k
+    points: two stripes' pairs, at most 2n forest edges and at most
+    n * (min_pts - 1) border pairs.
     """
     coords = _coords(traj, params.metric_space)
     n = len(coords)
-    tree = cKDTree(coords, balanced_tree=False, compact_nodes=False)
-    pairs = tree.query_pairs(params.eps, output_type="ndarray")
-    core = np.bincount(pairs.ravel(), minlength=n) + 1 >= params.min_pts
-    pairs = pairs.astype(np.min_scalar_type(n))  # a smaller working set
-    i, j = pairs[:, 0], pairs[:, 1]
-    core_i, core_j = core[i], core[j]
+    axis = int(np.ptp(coords[:, 1]) > np.ptp(coords[:, 0]))
+    order = np.argsort(coords[:, axis], kind="stable")
+    xs = coords[order, axis]
+    ids = order.astype(np.min_scalar_type(n))  # a smaller working set
+    reach = float(params.eps) * (1 + 1e-9)
+    count = np.ones(n, dtype=np.intp)  # per sweep position, itself included
+    forest, border, held = [], [], []  # every stripe is settled, so none stays empty
 
-    both = core_i & core_j
-    roots, cluster = np.unique(_lowest_connected(n, i[both], j[both])[core],
-                               return_inverse=True)
+    def settle(a, h, pairs):
+        p, q = pairs[:, 0], pairs[:, 1]
+        local = count[a:h] >= params.min_pts
+        core_p, core_q = local[p], local[q]
+        both = core_p & core_q
+        root = _lowest_connected(h - a, p[both], q[both])
+        hooked = np.flatnonzero(root != np.arange(h - a))
+        stripe_ids = ids[a:h]
+        forest.append((stripe_ids[hooked], stripe_ids[root[hooked]]))
+        # a pair with one core end: its other end is a border point
+        one = core_p != core_q
+        p, q, core_p = p[one], q[one], core_p[one]
+        border.append((stripe_ids[np.where(core_p, q, p)], stripe_ids[np.where(core_p, p, q)]))
+
+    a = h = 0
+    while a < n:
+        b = min(max(a + STRIPE, h), n)
+        h = _halo_end(xs, b, reach)
+        while h - b > b - a:
+            b, h = h, _halo_end(xs, h, reach)
+        tree = cKDTree(coords[order[a:h]], balanced_tree=False, compact_nodes=False)
+        pairs = tree.query_pairs(params.eps, output_type="ndarray")
+        pairs = pairs[pairs[:, 0] < b - a]
+        count[a:h] += np.bincount(pairs.ravel(), minlength=h - a)
+        held.append((a, h, pairs))
+        while held and held[0][1] <= b:
+            settle(*held.pop(0))
+        a = b
+
+    core = np.empty(n, dtype=bool)
+    core[order] = count >= params.min_pts
+    roots, cluster = np.unique(
+        _lowest_connected(n, *map(np.concatenate, zip(*forest)))[core],
+        return_inverse=True)
     n_clusters = roots.size
     best = np.full(n, n_clusters)
     best[core] = cluster
-    # a pair with one core end: its other end is a border point
-    one = core_i != core_j
-    i, j, core_i = i[one], j[one], core_i[one]
-    np.minimum.at(best, np.where(core_i, j, i), best[np.where(core_i, i, j)])
+    border_pt, core_pt = map(np.concatenate, zip(*border))
+    np.minimum.at(best, border_pt, best[core_pt])
     labels = np.where(best < n_clusters, best, NOISE)
     return ClusterLabel(labels=labels, core=core)
 

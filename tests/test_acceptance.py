@@ -20,7 +20,7 @@ from trajmatch.geo import (
     GeoPoint,
     PlanarPoint,
     Projection,
-    haversine_distance,
+    haversine_lat_lon,
     index_build,
     polylines,
     project_onto_polyline,
@@ -231,7 +231,7 @@ def test_criterion_8_synthetic_end_to_end():
     assert len(sps) == 2, f"expected 2 stay-points, got {len(sps)}"
     errors = []
     for s, center in zip(sps, scn.dwell_centers):
-        errors.append(haversine_distance(GeoPoint(s.y, s.x), center))
+        errors.append(haversine_lat_lon(s.y, s.x, center.lat, center.lon))
     assert all(e <= 1.0 for e in errors), f"center errors {errors}"
 
     rep = run_pipeline(scn.network, scn.trajectory, scn.truth,

@@ -9,7 +9,7 @@ from trajmatch.evalbench import (
     run_pipeline,
     write_scenario,
 )
-from trajmatch.geo import haversine_distance
+from trajmatch.geo import haversine_lat_lon
 from trajmatch.io import parse_road_network, parse_trajectory, read_ids
 from trajmatch.staypoint import threshold_staypoint_detect
 from oracles import brute_lcs
@@ -70,7 +70,8 @@ def test_scenario_dwell_density():
     scn = generate_scenario(42, dwell_spec=[(50, 60, 3.0)])
     center = scn.dwell_centers[0]
     near = sum(1 for r in scn.trajectory
-               if haversine_distance(r.position, center) <= 10.0)
+               if haversine_lat_lon(r.position.lat, r.position.lon,
+                                    center.lat, center.lon) <= 10.0)
     assert near >= 60
 
 

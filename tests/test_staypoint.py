@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +157,108 @@ def test_dbscan_one_tree_one_pair_query(monkeypatch, a_first):
     assert labels[1:11] == [0] * 5 + [1] * 5
     assert labels[0] == 0                     # the smaller of the two cluster ids
     assert labels[11:] == [NOISE, NOISE]      # near only non-core points
+
+
+def counting_tree(calls, sizes):
+    """A cKDTree that appends "tree" and the name of each query it answers
+    to calls, and each tree's point count to sizes."""
+    class CountingTree(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            calls.append("tree")
+            sizes.append(len(data))
+            super().__init__(data, *args, **kwargs)
+
+    for name in ("query", "query_ball_point", "query_ball_tree", "query_pairs",
+                 "count_neighbors", "sparse_distance_matrix"):
+        def counting(self, *args, _name=name, **kwargs):
+            calls.append(_name)
+            return getattr(cKDTree, _name)(self, *args, **kwargs)
+        setattr(CountingTree, name, counting)
+    return CountingTree
+
+
+@pytest.mark.parametrize("a_first", [True, False])
+def test_dbscan_one_tree_one_pair_query_per_stripe(monkeypatch, a_first):
+    # test_dbscan_one_tree_one_pair_query's points in stripes of 3, in H
+    # along the sweep: 0 0.5 1 | 1.5 2 4 | 6 6.5 7 | 7.5 8 12 | 13, each
+    # tree also holding the later points within eps of its stripe's last one
+    calls, sizes = [], []
+    monkeypatch.setattr(staypoint, "cKDTree", counting_tree(calls, sizes))
+    monkeypatch.setattr(staypoint, "STRIPE", 3)
+    H = 1e-5
+    a, b = [0.0, 0.5, 1.0, 1.5, 2.0], [6.0, 6.5, 7.0, 7.5, 8.0]
+    xs = [4.0] + (a + b if a_first else b + a) + [12.0, 13.0]
+    traj = traj_from([(i, 0.0, x * H) for i, x in enumerate(xs)])
+    got = dbscan(traj, DbscanParams(2.2 * H, 4))
+    assert calls == ["tree", "query_pairs"] * 5
+    assert sizes == [5, 4, 5, 4, 1]  # no point in more than two trees
+
+    labels = got.labels.tolist()
+    assert got.core.tolist() == [False] + [True] * 10 + [False, False]
+    assert labels[1:11] == [0] * 5 + [1] * 5
+    assert labels[0] == 0
+    assert labels[11:] == [NOISE, NOISE]
+
+
+def test_dbscan_dense_cloud_is_one_stripe(monkeypatch):
+    # each stripe's halo holds every later point and joins it
+    calls, sizes = [], []
+    monkeypatch.setattr(staypoint, "cKDTree", counting_tree(calls, sizes))
+    monkeypatch.setattr(staypoint, "STRIPE", 3)
+    traj = traj_from([(i, 47.0, -122.0 + (i % 4) * 1e-6) for i in range(20)])
+    got = dbscan(traj, DbscanParams(1e-5, 20))
+    assert calls == ["tree", "query_pairs"] and sizes == [20]
+    assert got.labels.tolist() == [0] * 20 and got.core.all()
+
+
+def test_dbscan_working_set_is_bounded():
+    # 400 dwells of 80 points, 1.5 m Gaussian jitter, 2e-3 degrees apart,
+    # and a line of 8,001 points through them: 1.16 million pairs within
+    # eps, 18.5 MB as one array of index pairs (a single pair list grew
+    # peak RSS by 26-35 MB), against about 59,000 for a 2,048-point stripe
+    # (about 7 MB). Run in a child process, whose peak RSS is its own.
+    child = """if True:
+        import resource, sys
+        import numpy as np
+        from trajmatch.io import Trajectory
+        from trajmatch.staypoint import DbscanParams, dbscan
+
+        rng = np.random.default_rng(28)
+        jitter = 1.5 / 111_195.0
+        lon = np.concatenate([np.repeat(-122.0 + np.arange(400) * 2e-3, 80)
+                              + rng.normal(0, jitter, 32_000),
+                              -122.0 + np.arange(8_001) * 1e-4])
+        lat = np.concatenate([47.0 + rng.normal(0, jitter, 32_000), np.full(8_001, 47.0)])
+        traj = Trajectory.from_columns(np.arange(lon.size, dtype=float), lat, lon,
+                                       np.arange(lon.size))
+        dbscan(Trajectory.from_columns([0.0, 1.0], [47.0, 47.0], [-122.0, -122.0], [0, 1]),
+               DbscanParams(4e-5, 10))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        labels = dbscan(traj, DbscanParams(4e-5, 10))
+        grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+        # ru_maxrss is in KiB, but in bytes on macOS
+        print(grown * (1 if sys.platform == "darwin" else 1024), labels.cluster_count)
+    """
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(staypoint.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    grown, clusters = int(out[0]), int(out[1])
+    assert clusters == 400
+    assert grown < 14 * 2**20, f"dbscan grew peak RSS by {grown / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("space", [DEGREE_EUCLIDEAN, METER_PLANAR])
+def test_dbscan_eps_near_the_float_maximum(space):
+    # the halo reach, eps * (1 + 1e-9), and the tree's squared radius stay
+    # free of numpy overflow warnings
+    traj = traj_from([(i, 47.0 + (i % 3) * 1e-3, -122.0 + i * 1e-3) for i in range(7)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        labels = dbscan(traj, DbscanParams(1e308, 7, space))
+    assert labels.labels.tolist() == [0] * 7 and labels.core.all()
 
 
 def test_dbscan_params_validation():
@@ -358,7 +464,7 @@ def test_threshold_constant_motion():
 
 
 def test_threshold_window_predicates():
-    from trajmatch.geo import haversine_distance
+    from trajmatch.geo import haversine_lat_lon
     rng = random.Random(15)
     pts = []
     t = 0.0
@@ -375,7 +481,8 @@ def test_threshold_window_predicates():
         assert s.t_l - s.t_a > tau
         members = [r for r in traj if s.t_a <= r.timestamp <= s.t_l]
         for a, b in zip(members, members[1:]):
-            assert haversine_distance(a.position, b.position) < delta
+            assert haversine_lat_lon(a.position.lat, a.position.lon,
+                                     b.position.lat, b.position.lon) < delta
 
 
 # ------------------------------------------------------------------ elbow

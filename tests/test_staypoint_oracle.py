@@ -12,11 +12,18 @@ that pair and any other at the same distance sit on the eps boundary. Only
 the breadth-first oracle is compared there: its eps-balls come from
 `query_ball_point`, the k-d tree's own distance arithmetic, while a brute
 force distance may round the other way.
+
+Every DBSCAN example is labelled at STRIPES, so that tiny stripes put
+neighbours in different stripes and halos.
 """
+
+import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
+from trajmatch import staypoint
 from trajmatch.geo import GeoPoint
 from trajmatch.io import Trajectory, TrajectoryRecord
 from trajmatch.staypoint import (
@@ -30,8 +37,21 @@ from oracles import bfs_dbscan, brute_dbscan, brute_dbscan_labels, planar_coords
     window_staypoints
 
 H = 1e-5
+STRIPES = (1, 2, 3, staypoint.STRIPE)
 
 
+def striped_dbscan(traj, params):
+    """(stripe, dbscan(traj, params)) with staypoint.STRIPE at each of STRIPES."""
+    for stripe in STRIPES:
+        with mock.patch.object(staypoint, "STRIPE", stripe):
+            yield stripe, dbscan(traj, params)
+
+
+# a column of 5 points at one sweep coordinate x = 3, longer than a stripe
+@example(cells=[(0, 0), (5, 0), (3, 0), (3, 1), (3, 2), (3, 3), (3, 4)], reach=1, min_pts=3)
+@example(cells=[(0, 0), (5, 5)] + [(2, 1)] * 6, reach=0, min_pts=4)
+# north-south: the sweep axis is y
+@example(cells=[(0, y) for y in (5, 0, 2, 1, 4, 3)] + [(1, 2)], reach=1, min_pts=2)
 @settings(max_examples=300, deadline=None)
 @given(cells=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
                       min_size=1, max_size=40),
@@ -40,14 +60,15 @@ def test_dbscan_lattice_labels(cells, reach, min_pts):
     traj = Trajectory([TrajectoryRecord(float(i), GeoPoint(47.0 + y * H, -122.0 + x * H), i)
                        for i, (x, y) in enumerate(cells)])
     eps = (reach + 0.5) * H
-    got = dbscan(traj, DbscanParams(eps, min_pts))
     coords = [[r.position.lon, r.position.lat] for r in traj]
-
     core, _ = brute_dbscan(coords, eps, min_pts)
-    assert np.array_equal(got.core, core)
-    assert np.array_equal(got.labels, brute_dbscan_labels(coords, eps, min_pts))
+    brute_labels = brute_dbscan_labels(coords, eps, min_pts)
     labels, bfs_core = bfs_dbscan(coords, eps, min_pts)
-    assert np.array_equal(got.labels, labels) and np.array_equal(got.core, bfs_core)
+
+    for stripe, got in striped_dbscan(traj, DbscanParams(eps, min_pts)):
+        assert np.array_equal(got.core, core), stripe
+        assert np.array_equal(got.labels, brute_labels), stripe
+        assert np.array_equal(got.labels, labels) and np.array_equal(got.core, bfs_core), stripe
 
 
 @st.composite
@@ -65,6 +86,29 @@ def blobs(draw):
     return [(47.0 + y, -122.0 + x) for y, x in bridges + members], len(bridges)
 
 
+def ulps(x, k):
+    """x moved k units in the last place up."""
+    for _ in range(k):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+# along a parallel, the bridge at 2H and its nearest points H either side:
+# eps is a pair's exact distance along the sweep axis, and at stripe 1 or 2
+# the pair crosses a stripe boundary
+ALONG = [(47.0, -122.0 + 2 * H)] + [(47.0, -122.0 + k * H) for k in (0, 1, 3, 4, 5)]
+# eps of a few units in the last place of the longitude (about 2.8e-14)
+NEAR_180 = [(47.0, ulps(179.99, 3))] + [(47.0, ulps(179.99, k)) for k in (0, 1, 5, 6, 9)]
+# north-south: the sweep axis is latitude
+MERIDIAN = [(47.0 + 2 * H, -122.0)] + [(47.0 + k * H, -122.0) for k in (0, 1, 3, 4, 5)]
+
+
+@example(sample=(ALONG, 1), bridge=0, rank=1, min_pts=3, space=DEGREE_EUCLIDEAN)
+@example(sample=(ALONG, 1), bridge=0, rank=2, min_pts=3, space=METER_PLANAR)
+@example(sample=(NEAR_180, 1), bridge=0, rank=2, min_pts=3, space=DEGREE_EUCLIDEAN)
+@example(sample=(NEAR_180, 1), bridge=0, rank=2, min_pts=2, space=METER_PLANAR)
+@example(sample=(MERIDIAN, 1), bridge=0, rank=3, min_pts=3, space=DEGREE_EUCLIDEAN)
+@example(sample=(MERIDIAN, 1), bridge=0, rank=1, min_pts=2, space=METER_PLANAR)
 @settings(max_examples=300, deadline=None)
 @given(sample=blobs(), bridge=st.integers(0, 1), rank=st.integers(1, 4),
        min_pts=st.integers(2, 8), space=st.sampled_from([DEGREE_EUCLIDEAN, METER_PLANAR]))
@@ -80,10 +124,10 @@ def test_dbscan_float_labels_with_eps_on_a_pair_distance(sample, bridge, rank, m
     eps = float(np.sort(dist)[rank])
     assume(eps > 0)
 
-    got = dbscan(traj, DbscanParams(eps, min_pts, space))
     labels, core = bfs_dbscan(coords, eps, min_pts)
-    assert np.array_equal(got.core, core)
-    assert np.array_equal(got.labels, labels)
+    for stripe, got in striped_dbscan(traj, DbscanParams(eps, min_pts, space)):
+        assert np.array_equal(got.core, core), stripe
+        assert np.array_equal(got.labels, labels), stripe
 
 
 # A hop is a few meters (a dwell) or about 55 m (a move) against delta 10 m;
