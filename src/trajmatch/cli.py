@@ -133,6 +133,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"bad --seed {args.seed}, expected an integer >= 0")
     dwells = []
     for spec in args.dwell or []:
         try:

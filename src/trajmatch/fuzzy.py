@@ -125,10 +125,6 @@ def triangular(a, b, c) -> MembershipFunction:
     return MembershipFunction("triangular", (a, b, c))
 
 
-def trapezoidal(a, b, c, d) -> MembershipFunction:
-    return MembershipFunction("trapezoidal", (a, b, c, d))
-
-
 def z_shaped(a, b) -> MembershipFunction:
     return MembershipFunction("z", (a, b))
 

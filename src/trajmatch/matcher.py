@@ -10,12 +10,11 @@ the pass, inside the timed match.
 
 A link is measured into a plain row (pd, he, foot x, foot y, arc offset)
 by one projection, which reads its segment's constants from
-Polylines.segments, built once per network. Steps and scoring work on rows;
-a LinkCandidate is built only where a public function returns one, so
-match_trajectory's on-link and junction steps build none. A junction step
-measures the edges at its node as RoadNetwork.adjacency lists them, reusing
-the current edge's row, and the snapped positions come from one array
-unprojection after the pass.
+Polylines.segments, built once per network. Steps and scoring work on these
+rows, and imp and smp_step return the edge id, row and likelihood that
+match_trajectory keeps. A junction step measures the edges at its node as
+RoadNetwork.adjacency lists them, reusing the current edge's row, and the
+snapped positions come from one array unprojection after the pass.
 """
 
 from __future__ import annotations
@@ -69,16 +68,6 @@ class MatcherConfig:
                 ("min_heading_separation", self.min_heading_separation > 0, "a number > 0")):
             if not valid:
                 raise ValueError(f"{name}: expected {expected}, got {getattr(self, name)!r}")
-
-
-class LinkCandidate(NamedTuple):
-    """A link measured against one point; likelihood is None until scored."""
-    edge_id: str
-    pd: float
-    he: float
-    likelihood: float | None
-    foot: PlanarPoint
-    arc_offset: float
 
 
 @dataclass
@@ -156,20 +145,20 @@ def load_matcher_config(path) -> tuple[MatcherConfig, RuleBase]:
 
 
 def candidate_links(network: RoadNetwork, p: PlanarPoint, radius: float,
-                    measure: Callable[[str], tuple]) -> list[LinkCandidate]:
-    """The links within exact polyline distance radius of p, measured by
-    measure(edge_id) into _measure rows, nearest first (ties to the smaller
-    edge id)."""
-    near = [_candidate(e, row) for e in network.index.query(p, radius)
-            if (row := measure(e))[0] <= radius]
-    near.sort(key=lambda c: (c.pd, c.edge_id))
-    return near
+                    measure: Callable[[str], tuple]) -> list[str]:
+    """The ids of the links within exact polyline distance radius of p,
+    nearest first (ties to the smaller id); measure(edge_id) gives a link's
+    _measure row."""
+    near = [(pd, e) for e in network.index.query(p, radius) if (pd := measure(e)[0]) <= radius]
+    near.sort()
+    return [e for _, e in near]
 
 
 def score_link(network: RoadNetwork, edge_id: str, p: PlanarPoint,
-               vehicle_heading: float | None, rules: RuleBase) -> LinkCandidate:
-    """Score one candidate link by fuzzy inference over PD and HE."""
-    return _candidate(*_score([edge_id], [_measure(network, edge_id, p, vehicle_heading)], rules))
+               vehicle_heading: float | None, rules: RuleBase) -> tuple[str, tuple, float]:
+    """One link scored by fuzzy inference over PD and HE, as
+    (edge_id, _measure row, likelihood)."""
+    return _score([edge_id], [_measure(network, edge_id, p, vehicle_heading)], rules)
 
 
 def _measure(network: RoadNetwork, edge_id: str, p: PlanarPoint,
@@ -198,12 +187,6 @@ def _measure(network: RoadNetwork, edge_id: str, p: PlanarPoint,
             r = 360.0 - r
         he = r if r < d else d
     return pd, he, fx, fy, arc_offset
-
-
-def _candidate(edge_id: str, row: tuple, likelihood: float | None = None) -> LinkCandidate:
-    """The LinkCandidate of a link's _measure row."""
-    pd, he, fx, fy, arc_offset = row
-    return LinkCandidate(edge_id, pd, he, likelihood, PlanarPoint(fx, fy), arc_offset)
 
 
 def _likelihoods(rows: Iterable[tuple], rules: RuleBase) -> list[float]:
@@ -247,27 +230,19 @@ def _confident(pd: float, likelihood: float, cfg: MatcherConfig) -> bool:
     return pd <= cfg.candidate_radius and likelihood >= cfg.l_min
 
 
-def smp_step(network: RoadNetwork, state: MatchState, p: PlanarPoint,
-             heading: float | None, rules: RuleBase,
-             cfg: MatcherConfig) -> tuple[LinkCandidate, str]:
+def smp_step(network: RoadNetwork, state: MatchState, p: PlanarPoint, heading: float | None,
+             rules: RuleBase, cfg: MatcherConfig) -> tuple[str, tuple, float | None, str]:
     """One tracking step while on a link: updates state in place and
-    returns the step's candidate and phase.
+    returns the step's (edge id, _measure row, likelihood or None, phase).
 
     Stays on the current edge while the projection falls in the edge
-    interior with small PD, a decision from geometry alone: the returned
-    candidate is unscored (likelihood None), since its likelihood does not
-    steer the state. Near an endpoint node (or on a large PD excursion) it
-    scores the current edge and the edges incident to the nearer node in one
-    batch and picks the best. Three consecutive junction decisions that are
-    not confident (see _confident) reset the state to uninitialized.
+    interior with small PD, a decision from geometry alone: the likelihood
+    comes back None (unscored), since it does not steer the state. Near an
+    endpoint node (or on a large PD excursion) it scores the current edge
+    and the edges incident to the nearer node in one batch and picks the
+    best. Three consecutive junction decisions that are not confident (see
+    _confident) reset the state to uninitialized.
     """
-    *step, phase = _smp_step(network, state, p, heading, rules, cfg)
-    return _candidate(*step), phase
-
-
-def _smp_step(network: RoadNetwork, state: MatchState, p: PlanarPoint, heading: float | None,
-              rules: RuleBase, cfg: MatcherConfig) -> tuple[str, tuple, float | None, str]:
-    """smp_step's (edge id, row, likelihood or None, phase)."""
     edge_id = state.edge_id
     i = network.edges[edge_id]
     here = _measure(network, edge_id, p, heading)
@@ -294,32 +269,26 @@ def _smp_step(network: RoadNetwork, state: MatchState, p: PlanarPoint, heading: 
     return best, row, likelihood, PHASE_JUNCTION
 
 
-def imp(network: RoadNetwork, p: PlanarPoint, heading: float | None,
-        rules: RuleBase, cfg: MatcherConfig) -> LinkCandidate:
-    """Initial link selection: the best of the links within the first radius
-    candidate_radius * 2**k (k < 8) that holds a link, picked by the nearest
-    link's distance.
+def imp(network: RoadNetwork, p: PlanarPoint, heading: float | None, rules: RuleBase,
+        cfg: MatcherConfig) -> tuple[str, tuple, float]:
+    """Initial link selection: (edge id, _measure row, likelihood) of the
+    best of the links within the first radius candidate_radius * 2**k
+    (k < 8) that holds a link, picked by the nearest link's distance.
 
     Beyond 128 times candidate_radius only the nearest links are scored:
     that far out the default rule base clamps pd, so scoring more would
-    rank links by heading alone. Whether the returned candidate is
-    confident (see _confident) is the caller's decision. Each link is
-    measured at most once, whether the nearest-link scan or the radius
-    query reaches it first.
+    rank links by heading alone. Whether the returned link is confident
+    (see _confident) is the caller's decision. Each link is measured at
+    most once, whether the nearest-link scan or the radius query reaches it
+    first.
     """
-    return _candidate(*_imp(network, p, heading, rules, cfg))
-
-
-def _imp(network: RoadNetwork, p: PlanarPoint, heading: float | None, rules: RuleBase,
-         cfg: MatcherConfig) -> tuple[str, tuple, float]:
-    """imp's (edge id, row, likelihood)."""
     measure = functools.cache(lambda edge_id: _measure(network, edge_id, p, heading))
     near = network.index.nearest(p)
     nearest = min(measure(e)[0] for e in near)
     radius = cfg.candidate_radius
     for _ in range(8):
         if nearest <= radius:
-            edge_ids = [c.edge_id for c in candidate_links(network, p, radius, measure)]
+            edge_ids = candidate_links(network, p, radius, measure)
             break
         radius *= 2.0
     else:
@@ -356,12 +325,12 @@ def match_trajectory(network: RoadNetwork, traj: Trajectory, rules: RuleBase,
         prev = p
 
         if state.edge_id is None:
-            edge_id, row, likelihood = _imp(network, p, heading, rules, cfg)
+            edge_id, row, likelihood = imp(network, p, heading, rules, cfg)
             if _confident(row[0], likelihood, cfg):
                 state.edge_id = edge_id
             steps.append((edge_id, row, likelihood, PHASE_IMP, False))
         else:
-            steps.append((*_smp_step(network, state, p, heading, rules, cfg),
+            steps.append((*smp_step(network, state, p, heading, rules, cfg),
                           state.edge_id is None))
 
     # On-link steps come back unscored: score them all in one batch and

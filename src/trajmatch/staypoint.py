@@ -78,7 +78,6 @@ class StayPoint:
 @dataclass
 class ReducedTrajectory:
     trajectory: Trajectory
-    provenance: tuple[str, ...]  # per record: "original" or "representative:<id>"
 
 
 @dataclass
@@ -276,12 +275,11 @@ def reduce_trajectory(traj: Trajectory, labels: ClusterLabel,
     lat = np.concatenate([traj.lat[noise], [s.y for s in reps]])
     lon = np.concatenate([traj.lon[noise], [s.x for s in reps]])
     source = np.concatenate([traj.source_index[noise], first])
-    provenance = ["original"] * noise.size + [f"representative:{s.cluster_id}" for s in reps]
     # stable, like sorting (timestamp, source_index) tuples
     order = np.lexsort((source, t))
     reduced = Trajectory.from_columns(t[order], lat[order], lon[order], source[order],
                                       traj_id=traj.id + ":reduced")
-    return ReducedTrajectory(reduced, tuple(provenance[i] for i in order.tolist()))
+    return ReducedTrajectory(reduced)
 
 
 def threshold_staypoint_detect(traj: Trajectory, delta: float = 10.0,

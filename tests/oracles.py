@@ -296,7 +296,7 @@ def per_cluster_reduction(rows, labels):
     noise, else a cluster ordinal 0..k-1. Returns (summaries, reduced):
     summaries[c] is (mean lon, mean lat, first time, last time, count),
     the means from left-to-right sums in record order; reduced holds
-    (timestamp, lat, lon, source_index, provenance) for every noise record
+    (timestamp, lat, lon, source_index) for every noise record
     and one representative per cluster (its arrival time, its mean, its
     smallest source_index), sorted by (timestamp, source_index), noise
     before representatives and both in input order among equal keys.
@@ -308,10 +308,10 @@ def per_cluster_reduction(rows, labels):
                           sequential_sum(r[1] for r in members) / len(members),
                           min(r[0] for r in members), max(r[0] for r in members),
                           len(members)))
-    reduced = [(*r, "original") for r, lab in zip(rows, labels) if lab == -1]
+    reduced = [r for r, lab in zip(rows, labels) if lab == -1]
     for c, (lon, lat, t_a, _, _) in enumerate(summaries):
         first = min(r[3] for r, lab in zip(rows, labels) if lab == c)
-        reduced.append((t_a, lat, lon, first, f"representative:{c}"))
+        reduced.append((t_a, lat, lon, first))
     reduced.sort(key=lambda e: (e[0], e[3]))
     return summaries, reduced
 

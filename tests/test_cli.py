@@ -243,6 +243,13 @@ def test_synth_roundtrip(tmp_path):
         assert (tmp_path / name).exists()
 
 
+def test_synth_negative_seed(tmp_path, capsys):
+    # numpy's own refusal named no option: "expected non-negative integer"
+    assert run(["synth", "--seed", "-1", "--out-dir", str(tmp_path)]) == 1
+    assert "bad --seed -1" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_synth_bad_dwell(tmp_path):
     assert run(["synth", "--seed", "11", "--dwell", "oops",
                 "--out-dir", str(tmp_path)]) == 1

@@ -64,9 +64,9 @@ def scored_ids(monkeypatch, edges, px, py):
         return real(edge_ids, rows, rules)
 
     monkeypatch.setattr(matcher, "_score", recording)
-    cand = matcher.imp(network(edges), PlanarPoint(float(px), float(py)),
-                      None, RULES, CFG)
-    assert len(scored) == 1 and cand.edge_id in scored[0]
+    edge_id, _, _ = matcher.imp(network(edges), PlanarPoint(float(px), float(py)),
+                                None, RULES, CFG)
+    assert len(scored) == 1 and edge_id in scored[0]
     return scored[0]
 
 

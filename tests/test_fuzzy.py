@@ -16,10 +16,14 @@ from trajmatch.fuzzy import (
     rule_base_from_config,
     s_shaped,
     triangular,
-    trapezoidal,
     z_shaped,
 )
 from oracles import highres_centroid
+
+
+def trapezoidal(a, b, c, d):
+    """The trapezoid (a, b, c, d), as a rule-base config builds it."""
+    return MembershipFunction("trapezoidal", (a, b, c, d))
 
 
 def test_triangular_examples():

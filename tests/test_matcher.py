@@ -64,8 +64,7 @@ def t_junction_net():
 
 def candidate_ids(net, p, radius):
     """The ids candidate_links gives, each link measured with no heading."""
-    return [c.edge_id for c in candidate_links(
-        net, p, radius, lambda edge_id: matcher._measure(net, edge_id, p, None))]
+    return candidate_links(net, p, radius, lambda edge_id: matcher._measure(net, edge_id, p, None))
 
 
 def test_candidate_point_on_edge_first():
@@ -103,32 +102,32 @@ def test_candidate_links_vs_linear_scan():
 def test_score_on_road_aligned():
     net = straight_net()
     p = net.projection.project(g(0, 100))
-    cand = score_link(net, "e1", p, 0.0, RULES)  # heading due north
-    assert cand.pd == pytest.approx(0.0, abs=1e-9)
-    assert cand.he == pytest.approx(0.0, abs=1e-9)
-    assert cand.likelihood >= 80.0
+    _, (pd, he, *_), likelihood = score_link(net, "e1", p, 0.0, RULES)  # heading due north
+    assert pd == pytest.approx(0.0, abs=1e-9)
+    assert he == pytest.approx(0.0, abs=1e-9)
+    assert likelihood >= 80.0
 
 
 def test_score_link_two_way_direction():
     net = straight_net()
     p = net.projection.project(g(0, 100))
-    southbound = score_link(net, "e1", p, 180.0, RULES)
-    assert southbound.he == pytest.approx(0.0, abs=1e-9)
+    _, (_, he, *_), _ = score_link(net, "e1", p, 180.0, RULES)  # southbound
+    assert he == pytest.approx(0.0, abs=1e-9)
 
 
 def test_score_link_deterministic():
     net = straight_net()
     p = net.projection.project(g(3, 77))
-    a = score_link(net, "e1", p, 12.5, RULES)
-    b = score_link(net, "e1", p, 12.5, RULES)
-    assert a.likelihood == b.likelihood  # bit-equal
+    _, _, a = score_link(net, "e1", p, 12.5, RULES)
+    _, _, b = score_link(net, "e1", p, 12.5, RULES)
+    assert a == b  # bit-equal
 
 
 def test_score_link_absent_heading_neutral():
     net = straight_net()
     p = net.projection.project(g(2, 100))
-    cand = score_link(net, "e1", p, None, RULES)
-    assert cand.he == 0.0
+    _, (_, he, *_), _ = score_link(net, "e1", p, None, RULES)
+    assert he == 0.0
 
 
 # -------------------------------------------------------------------- imp
@@ -136,9 +135,9 @@ def test_score_link_absent_heading_neutral():
 def test_imp_single_road():
     net = straight_net()
     p = net.projection.project(g(5, 100))
-    cand = imp(net, p, 0.0, RULES, CFG)
-    assert cand.edge_id == "e1"
-    assert cand.likelihood >= CFG.l_min
+    edge_id, _, likelihood = imp(net, p, 0.0, RULES, CFG)
+    assert edge_id == "e1"
+    assert likelihood >= CFG.l_min
 
 
 def test_imp_parallel_roads_nearer_wins():
@@ -147,8 +146,8 @@ def test_imp_parallel_roads_nearer_wins():
         ("far", "c", "d", [(40, 0), (40, 400)]),
     ])
     p = net.projection.project(g(0, 100))
-    cand = imp(net, p, 0.0, RULES, CFG)
-    assert cand.edge_id == "near"
+    edge_id, _, _ = imp(net, p, 0.0, RULES, CFG)
+    assert edge_id == "near"
 
 
 def test_imp_empty_candidates():
@@ -156,9 +155,9 @@ def test_imp_empty_candidates():
     # but not as a confident match
     net = straight_net()
     p = net.projection.project(g(9000, 9000))
-    cand = imp(net, p, 0.0, RULES, CFG)
-    assert cand.edge_id == "e1"
-    assert not matcher._confident(cand.pd, cand.likelihood, CFG)
+    edge_id, (pd, *_), likelihood = imp(net, p, 0.0, RULES, CFG)
+    assert edge_id == "e1"
+    assert not matcher._confident(pd, likelihood, CFG)
 
 
 # --------------------------------------------------------------------- smp
@@ -167,10 +166,10 @@ def test_smp_mid_link_stays():
     net = t_junction_net()
     state = MatchState(edge_id="north")
     p = net.projection.project(g(3, 100))
-    cand, phase = smp_step(net, state, p, 0.0, RULES, CFG)
+    edge_id, _, _, phase = smp_step(net, state, p, 0.0, RULES, CFG)
     assert phase == PHASE_ALONG
     assert state.edge_id == "north"
-    assert cand.edge_id == "north"
+    assert edge_id == "north"
 
 
 def test_smp_turn_at_junction():
@@ -178,9 +177,11 @@ def test_smp_turn_at_junction():
     state = MatchState(edge_id="north")
     # vehicle just past the junction, heading east
     p = net.projection.project(g(25, 200))
-    cand, phase = smp_step(net, state, p, 90.0, RULES, CFG)
+    edge_id, _, likelihood, phase = smp_step(net, state, p, 90.0, RULES, CFG)
     assert phase == PHASE_JUNCTION
     assert state.edge_id == "east"
+    assert edge_id == "east"
+    assert likelihood is not None
 
 
 def test_smp_reset_after_low_confidence():
@@ -190,7 +191,7 @@ def test_smp_reset_after_low_confidence():
     resets = 0
     for _ in range(CFG.reinit_after):
         # the jump direction also swings the heading away from the link
-        cand, phase = smp_step(net, state, off, 90.0, RULES, CFG)
+        smp_step(net, state, off, 90.0, RULES, CFG)
         if state.edge_id is None:
             resets += 1
     assert resets == 1
@@ -441,30 +442,9 @@ def test_junction_step_projects_each_edge_once(monkeypatch):
     monkeypatch.setattr(matcher, "project_onto_polyline", counting)
     state = MatchState(edge_id="north")
     p = net.projection.project(g(25, 200))
-    _, phase = smp_step(net, state, p, 90.0, RULES, CFG)
+    *_, phase = smp_step(net, state, p, 90.0, RULES, CFG)
     assert phase == PHASE_JUNCTION
     assert sorted(calls) == ["continue", "east", "north"]
-
-
-def test_junction_step_builds_one_candidate(monkeypatch):
-    # the step measures every edge at the node into plain rows and builds a
-    # LinkCandidate for the one it returns only
-    built = []
-
-    class Counting(matcher.LinkCandidate):
-        __slots__ = ()
-
-        def __new__(cls, *args):
-            built.append(args[0])
-            return super().__new__(cls, *args)
-
-    monkeypatch.setattr(matcher, "LinkCandidate", Counting)
-    net = t_junction_net()
-    state = MatchState(edge_id="north")
-    cand, phase = smp_step(net, state, net.projection.project(g(25, 200)), 90.0, RULES, CFG)
-    assert phase == PHASE_JUNCTION
-    assert built == [cand.edge_id] == ["east"]
-    assert cand.likelihood is not None
 
 
 def test_rule_base_without_inputs_scores_every_link_at_the_midpoint():
@@ -581,8 +561,8 @@ def test_far_point_projects_only_nearby_links(monkeypatch):
 
     monkeypatch.setattr(matcher, "project_onto_polyline", counting)
     p = net.projection.project(g(1250, 3000 + 7000))
-    cand = matcher.imp(net, p, None, RULES, CFG)
-    assert cand.edge_id == "h2_6"
+    edge_id, _, _ = matcher.imp(net, p, None, RULES, CFG)
+    assert edge_id == "h2_6"
     assert len(net.edges) == 84
     assert len(calls) <= 10
 
@@ -600,7 +580,7 @@ def test_initial_selection_projects_each_edge_once(monkeypatch, x, y, among):
         return project_onto_polyline(p, lines, i)
 
     monkeypatch.setattr(matcher, "project_onto_polyline", counting)
-    cand = imp(net, net.projection.project(g(x, y)), 90.0, RULES, CFG)
-    assert cand.edge_id in among
+    edge_id, _, _ = imp(net, net.projection.project(g(x, y)), 90.0, RULES, CFG)
+    assert edge_id in among
     assert len(calls) == len(set(calls))
     assert among <= set(calls)

@@ -390,7 +390,6 @@ def test_reduce_all_noise_is_identity():
     labels = ClusterLabel(labels=np.full(5, NOISE), core=np.zeros(5, bool))
     red = reduce_trajectory(traj, labels, [])
     assert [r.position for r in red.trajectory] == [r.position for r in traj]
-    assert all(p == "original" for p in red.provenance)
 
 
 def test_reduce_single_cluster_length():
@@ -402,8 +401,9 @@ def test_reduce_single_cluster_length():
     sps = summarize_clusters(traj, labels)
     red = reduce_trajectory(traj, labels, sps)
     assert len(red.trajectory) == 6
-    assert red.trajectory.records[3].timestamp == 3.0  # representative at t_a
-    assert "representative:0" in red.provenance
+    rep = red.trajectory.records[3]
+    assert rep.timestamp == 3.0  # representative at t_a
+    assert (rep.position.lat, rep.position.lon) == (sps[0].y, sps[0].x)  # at the cluster's mean
 
 
 def test_reduce_size_invariant_and_order():
@@ -413,9 +413,10 @@ def test_reduce_size_invariant_and_order():
     sps = summarize_clusters(traj, labels)
     red = reduce_trajectory(traj, labels, sps)
     assert len(red.trajectory) == labels.noise_count + labels.cluster_count
-    # surviving originals keep their relative order
-    survivors = [r.source_index for r, p in zip(red.trajectory, red.provenance)
-                 if p == "original"]
+    # surviving originals keep their relative order; a representative
+    # carries a clustered point's source_index
+    survivors = [r.source_index for r in red.trajectory
+                 if labels.labels[r.source_index] == NOISE]
     assert survivors == sorted(survivors)
     ts = [r.timestamp for r in red.trajectory]
     assert ts == sorted(ts)
@@ -443,8 +444,8 @@ def test_summarize_and_reduce_match_per_cluster_oracle():
         assert [s.cluster_id for s in sps] == list(range(len(want_summaries)))
         assert [(s.x, s.y, s.t_a, s.t_l, s.member_count) for s in sps] == want_summaries
         red = reduce_trajectory(traj, labels, sps)
-        got = [(r.timestamp, r.position.lat, r.position.lon, r.source_index, p)
-               for r, p in zip(red.trajectory, red.provenance)]
+        got = [(r.timestamp, r.position.lat, r.position.lon, r.source_index)
+               for r in red.trajectory]
         assert got == want_reduced
 
 
