@@ -20,7 +20,7 @@ def main():
     for k in (2, 3, 4):
         curve = knn_distance_curve(traj, k)
         print(f"\nk={k}: distance range "
-              f"[{curve.distances.min():.2e}, {curve.distances.max():.2e}] deg")
+              f"[{curve.min():.2e}, {curve.max():.2e}] deg")
         for cand in elbow_candidates(curve, 3):
             print(f"  elbow candidate at rank {cand.index}: "
                   f"eps ~ {cand.distance:.2e} (score {cand.score:.3f})")

@@ -14,10 +14,10 @@ from pathlib import Path
 from . import evalbench, staypoint
 from .fuzzy import default_rule_base
 from .geo import InvalidCoordinateError, check_coordinate
-from .io import ParseError, parse_edge_ids, parse_ground_truth, parse_road_network, \
-    parse_trajectory, write_trajectory
-from .matcher import MatcherConfig, TooFewPointsError, load_matcher_config, match_trajectory, \
-    write_edge_sequence, write_match_result
+from .io import ParseError, TooFewPointsError, parse_edge_ids, parse_ground_truth, \
+    parse_road_network, parse_trajectory, write_trajectory
+from .matcher import MatcherConfig, load_matcher_config, match_trajectory, write_edge_sequence, \
+    write_match_result
 from .staypoint import DbscanParams, DEGREE_EUCLIDEAN
 
 EXIT_USAGE = 1
@@ -41,14 +41,10 @@ def _load_matcher(args):
 
 def cmd_knn_curve(args) -> int:
     traj = parse_trajectory(args.traj)
-    if args.k >= len(traj):
-        print(f"error: --k ({args.k}) must be smaller than the trajectory "
-              f"point count ({len(traj)})", file=sys.stderr)
-        return EXIT_PARSE
     curve = staypoint.knn_distance_curve(traj, args.k, args.metric_space)
     staypoint.write_knn_curve(curve, args.out)
-    print(f"wrote {args.out} ({len(curve.distances)} points)")
-    if len(curve.distances) >= 3:  # elbow candidates are advisory; a shorter curve has none
+    print(f"wrote {args.out} ({len(curve)} points)")
+    if len(curve) >= 3:  # elbow candidates are advisory; a shorter curve has none
         for cand in staypoint.elbow_candidates(curve, 5):
             print(f"elbow candidate: rank {cand.index}  distance {cand.distance:.8g}  "
                   f"curvature {cand.score:.4g}")
@@ -124,7 +120,7 @@ def cmd_pipeline(args) -> int:
         labels = staypoint.dbscan(traj, params)
         clustered = len(traj) - labels.noise_count
         sweep.append((params.eps, clustered, labels.noise_count))
-    evalbench.export_report(report, args.out_dir, eps_sweep=sweep)
+    evalbench.export_report(report, args.out_dir, sweep)
     print(f"volume_reduction_pct={report.volume_reduction_pct:.2f}")
     print(f"time_reduction_pct={report.time_reduction_pct:.2f}")
     print(f"speed_gain_pct={report.speed_gain_pct:.2f}")

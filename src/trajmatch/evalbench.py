@@ -15,6 +15,7 @@ import numpy as np
 from .geo import GeoPoint, PlanarPoint, Projection
 from .io import (
     RoadNetwork,
+    TooFewPointsError,
     Trajectory,
     build_network,
     write_csv,
@@ -23,10 +24,11 @@ from .io import (
     write_trajectory,
 )
 from .fuzzy import RuleBase, default_rule_base
-from .matcher import MatcherConfig, MatchResult, TooFewPointsError, match_trajectory
+from .matcher import MatcherConfig, match_trajectory
 from .staypoint import DbscanParams, dbscan, reduce_trajectory, summarize_clusters
 
 TIMING_REPEATS = 5
+ORIGIN = GeoPoint(47.6, -122.3)  # the synthetic grid's south-west corner
 
 
 @dataclass
@@ -47,8 +49,6 @@ class ComparisonReport:
     reduced: RunMetrics
     cluster_count: int
     noise_count: int
-    raw_result: MatchResult
-    reduced_result: MatchResult
 
     @property
     def volume_reduction_pct(self) -> float:
@@ -75,7 +75,6 @@ class SyntheticScenario:
     network: RoadNetwork
     trajectory: Trajectory
     truth: tuple[str, ...]  # the route's edge ids in order
-    dwell_windows: list[tuple[float, float, float]]  # (start_s, duration_s, sigma_m)
     dwell_centers: list[GeoPoint]
 
 
@@ -102,14 +101,16 @@ def correct_link_count(edge_sequence: Iterable[str], truth: Sequence[str]) -> in
     return len(truth) - v.bit_count()
 
 
-def _timed_match(network, traj, truth, rules, cfg) -> tuple[MatchResult, RunMetrics]:
-    """The first of TIMING_REPEATS matches of traj, and its metrics with the
-    wall time taken as the median of the repeats; only one result is kept."""
+def _timed_match(network, traj, truth, rules, cfg) -> RunMetrics:
+    """The metrics of TIMING_REPEATS matches of traj: the correct links of
+    the first, and the median wall time of all; no result is kept."""
     result = match_trajectory(network, traj, rules, cfg)
-    times = [result.wall_time_s] + [match_trajectory(network, traj, rules, cfg).wall_time_s
-                                    for _ in range(TIMING_REPEATS - 1)]
-    return result, RunMetrics(correct_link_count(result.edge_sequence, truth), len(truth),
-                              len(traj), statistics.median(times))
+    correct = correct_link_count(result.edge_sequence, truth)
+    times = [result.wall_time_s]
+    del result
+    times += [match_trajectory(network, traj, rules, cfg).wall_time_s
+              for _ in range(TIMING_REPEATS - 1)]
+    return RunMetrics(correct, len(truth), len(traj), statistics.median(times))
 
 
 def run_pipeline(network: RoadNetwork, traj: Trajectory,
@@ -131,20 +132,18 @@ def run_pipeline(network: RoadNetwork, traj: Trajectory,
         raise TooFewPointsError(f"eps={eps!r} and min_pts={min_pts} reduce the trajectory "
                                 f"to {len(reduced)} point, fewer than the 2 matching needs")
 
-    raw_result, raw = _timed_match(network, traj, truth, rules, cfg)
-    red_result, red = _timed_match(network, reduced, truth, rules, cfg)
     return ComparisonReport(
-        raw=raw, reduced=red,
+        raw=_timed_match(network, traj, truth, rules, cfg),
+        reduced=_timed_match(network, reduced, truth, rules, cfg),
         cluster_count=labels.cluster_count, noise_count=labels.noise_count,
-        raw_result=raw_result, reduced_result=red_result,
     )
 
 
 def generate_scenario(seed: int, grid_size: int = 6, edge_len_m: float = 200.0,
                       route_edges: int = 12, speed_mps: float = 15.0,
                       jitter_sigma_m: float = 1.5,
-                      dwell_spec: list[tuple[float, float, float]] | None = None,
-                      origin: GeoPoint = GeoPoint(47.6, -122.3)) -> SyntheticScenario:
+                      dwell_spec: list[tuple[float, float, float]] | None = None
+                      ) -> SyntheticScenario:
     """Deterministic synthetic scenario on a grid road network.
 
     A route walks the grid at constant speed with 1 Hz Gaussian-jittered
@@ -154,7 +153,7 @@ def generate_scenario(seed: int, grid_size: int = 6, edge_len_m: float = 200.0,
     after the route's last sample raises ValueError.
     """
     rng = np.random.default_rng(seed)
-    proj = Projection(origin)
+    proj = Projection(ORIGIN)
 
     def node_id(i, j):
         return f"n{i}_{j}"
@@ -217,8 +216,7 @@ def generate_scenario(seed: int, grid_size: int = 6, edge_len_m: float = 200.0,
     lat, lon = proj.unproject_xy(*np.array(emitted).T)
     traj = Trajectory.from_columns(np.arange(n, dtype=np.float64), lat, lon, np.arange(n),
                                    traj_id=f"synthetic:{seed}")
-    return SyntheticScenario(network, traj, truth,
-                             dwell_windows=dwell_spec, dwell_centers=dwell_centers)
+    return SyntheticScenario(network, traj, truth, dwell_centers)
 
 
 def _route_position(waypoints, speed, t):
@@ -242,8 +240,7 @@ def write_scenario(scn: SyntheticScenario, out_dir):
     write_lines(out / "truth.txt", scn.truth)
 
 
-def export_report(report: ComparisonReport, out_dir,
-                  eps_sweep: list[tuple[float, int, int]] | None = None):
+def export_report(report: ComparisonReport, out_dir, eps_sweep: list[tuple[float, int, int]]):
     """Write the key-value report plus plot-ready CSV series.
 
     Timing-derived values live under the `timing.` prefix and in the
@@ -276,5 +273,4 @@ def export_report(report: ComparisonReport, out_dir,
                                ("speed_pair.csv", "per_point_time_us", "per_point_time_us")):
         write_csv(out / name, ["run", column],
                   [["raw", getattr(report.raw, attr)], ["reduced", getattr(report.reduced, attr)]])
-    if eps_sweep is not None:
-        write_csv(out / "eps_sweep.csv", ["eps", "clustered_points", "noise_points"], eps_sweep)
+    write_csv(out / "eps_sweep.csv", ["eps", "clustered_points", "noise_points"], eps_sweep)

@@ -55,6 +55,11 @@ class ParseError(ValueError):
     """Malformed input file; message names the offending row where known."""
 
 
+class TooFewPointsError(ValueError):
+    """A well-formed trajectory with too few points for the requested step:
+    fewer than the 2 that matching needs, or no more than a k-NN curve's k."""
+
+
 @dataclass(frozen=True)
 class TrajectoryRecord:
     timestamp: float
@@ -373,7 +378,7 @@ def _record_trajectory_columns(path, text):
     return tuple(np.array(c, dtype=np.float64) for c in zip(*records))
 
 
-def parse_trajectory(path, traj_id: str | None = None) -> Trajectory:
+def parse_trajectory(path) -> Trajectory:
     """ParseError names the first row that does not parse; only then is the
     time order checked.
 
@@ -397,7 +402,7 @@ def parse_trajectory(path, traj_id: str | None = None) -> Trajectory:
         before, after = _record_lines(text, [k, k + 1])
         raise ParseError(f"{path}: row {after}: non-monotonic timestamp "
                          f"{t[k + 1].item()!r} after {t[k].item()!r} on row {before}")
-    return Trajectory.from_columns(t, lat, lon, np.arange(len(t)), traj_id or str(path))
+    return Trajectory.from_columns(t, lat, lon, np.arange(len(t)), str(path))
 
 
 def write_trajectory(traj: Trajectory, path):

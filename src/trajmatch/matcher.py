@@ -34,16 +34,13 @@ import yaml
 from .fuzzy import RuleBase, default_rule_base, evaluate_rows, is_finite_number, \
     rule_base_from_config
 from .geo import PlanarPoint, project_onto_polyline
-from .io import ParseError, RoadNetwork, Trajectory, read_text, write_csv, write_lines
+from .io import ParseError, RoadNetwork, TooFewPointsError, Trajectory, read_text, write_csv, \
+    write_lines
 
 PHASE_IMP = "IMP"
 PHASE_ALONG = "SMP_ALONG"
 PHASE_JUNCTION = "SMP_JUNCTION"
 MEASURES = ("pd", "he")  # the rule-base inputs a candidate link provides
-
-
-class TooFewPointsError(ValueError):
-    """A trajectory with fewer than the 2 points matching needs."""
 
 
 @dataclass(frozen=True)

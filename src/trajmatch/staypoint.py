@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geo import GeoPoint, Projection, haversine_lat_lon
-from .io import Trajectory, write_csv
+from .io import TooFewPointsError, Trajectory, write_csv
 
 NOISE = -1
 
@@ -80,12 +80,6 @@ class ReducedTrajectory:
     trajectory: Trajectory
 
 
-@dataclass
-class KnnCurve:
-    k: int
-    distances: np.ndarray  # sorted ascending, one entry per input point
-
-
 @dataclass(frozen=True)
 class ElbowCandidate:
     index: int
@@ -102,17 +96,22 @@ def _coords(traj: Trajectory, metric_space: str) -> np.ndarray:
 
 
 def knn_distance_curve(traj: Trajectory, k: int,
-                       metric_space: str = DEGREE_EUCLIDEAN) -> KnnCurve:
-    """Sorted distances to each point's k-th nearest other point."""
+                       metric_space: str = DEGREE_EUCLIDEAN) -> np.ndarray:
+    """The float64 distances to each point's k-th nearest other point,
+    sorted ascending, one per point.
+
+    Raises ValueError for k < 1 and TooFewPointsError when the trajectory
+    has no more than k points.
+    """
     n = len(traj)
     if k < 1:
         raise ValueError("k must be >= 1")
     if k >= n:
-        raise ValueError(f"k={k} must be smaller than the point count ({n})")
+        raise TooFewPointsError(f"k={k} must be smaller than the point count ({n})")
     coords = _coords(traj, metric_space)
     tree = cKDTree(coords)
     dists, _ = tree.query(coords, k=k + 1)  # column 0 is the point itself
-    return KnnCurve(k=k, distances=np.sort(dists[:, k]))
+    return np.sort(dists[:, k])
 
 
 def _lowest_connected(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -307,13 +306,13 @@ def threshold_staypoint_detect(traj: Trajectory, delta: float = 10.0,
     return out
 
 
-def elbow_candidates(curve: KnnCurve, n: int = 5) -> list[ElbowCandidate]:
-    """Interior points of the sorted curve ranked by discrete curvature.
+def elbow_candidates(d: np.ndarray, n: int = 5) -> list[ElbowCandidate]:
+    """Interior points of the sorted distance curve d (knn_distance_curve)
+    ranked by discrete curvature.
 
     Advisory only; epsilon selection stays a human decision made from the
     emitted curve.
     """
-    d = curve.distances
     if d.size < 3:
         raise ValueError("curve must have at least 3 points")
     span = float(d[-1] - d[0]) or 1.0
@@ -325,9 +324,8 @@ def elbow_candidates(curve: KnnCurve, n: int = 5) -> list[ElbowCandidate]:
                            score=float(score[i])) for i in top]
 
 
-def write_knn_curve(curve: KnnCurve, path):
-    write_csv(path, ["rank", "distance"],
-              enumerate(curve.distances.tolist()))
+def write_knn_curve(distances: np.ndarray, path):
+    write_csv(path, ["rank", "distance"], enumerate(distances.tolist()))
 
 
 def write_staypoints(stay_points: list[StayPoint], path):

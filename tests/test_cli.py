@@ -56,7 +56,7 @@ def test_knn_curve_missing_k(tmp_path, capsys):
 def test_knn_curve_k_too_large(tmp_path, capsys):
     rc = run(["knn-curve", "--traj", str(MINI / "trajectory.csv"),
               "--k", "5000", "--out", str(tmp_path / "c.csv")])
-    assert rc == 2
+    assert rc == 3
     assert "smaller than" in capsys.readouterr().err
 
 

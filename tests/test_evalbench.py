@@ -9,9 +9,17 @@ from trajmatch.evalbench import (
     run_pipeline,
     write_scenario,
 )
+from trajmatch.fuzzy import default_rule_base
 from trajmatch.geo import haversine_lat_lon
 from trajmatch.io import parse_road_network, parse_trajectory, read_ids
-from trajmatch.staypoint import threshold_staypoint_detect
+from trajmatch.matcher import match_trajectory
+from trajmatch.staypoint import (
+    DbscanParams,
+    dbscan,
+    reduce_trajectory,
+    summarize_clusters,
+    threshold_staypoint_detect,
+)
 from oracles import brute_lcs
 
 
@@ -98,9 +106,16 @@ def test_pipeline_no_clusters_identity():
     assert rep.cluster_count == 0
     assert rep.volume_reduction_pct == 0.0
     assert rep.raw.input_points == rep.reduced.input_points
-    assert [m.edge_id for m in rep.raw_result.matched] == \
-        [m.edge_id for m in rep.reduced_result.matched]
-    assert rep.raw_result.edge_sequence == rep.reduced_result.edge_sequence
+    labels = dbscan(scn.trajectory, DbscanParams(1e-9, 3))
+    reduced = reduce_trajectory(scn.trajectory, labels,
+                                summarize_clusters(scn.trajectory, labels)).trajectory
+    raw_result, reduced_result = (match_trajectory(scn.network, t, default_rule_base())
+                                  for t in (scn.trajectory, reduced))
+    assert [m.edge_id for m in raw_result.matched] == \
+        [m.edge_id for m in reduced_result.matched]
+    assert raw_result.edge_sequence == reduced_result.edge_sequence
+    assert rep.raw.correct_links == rep.reduced.correct_links == \
+        correct_link_count(raw_result.edge_sequence, scn.truth)
 
 
 def test_pipeline_dwell_scenario_improves():

@@ -10,7 +10,7 @@ from scipy.spatial import cKDTree
 
 from trajmatch.evalbench import generate_scenario
 from trajmatch.geo import GeoPoint
-from trajmatch.io import Trajectory, TrajectoryRecord
+from trajmatch.io import TooFewPointsError, Trajectory, TrajectoryRecord
 from trajmatch import staypoint
 from trajmatch.staypoint import (
     DEGREE_EUCLIDEAN,
@@ -18,7 +18,6 @@ from trajmatch.staypoint import (
     NOISE,
     ClusterLabel,
     DbscanParams,
-    KnnCurve,
     _coords,
     dbscan,
     elbow_candidates,
@@ -57,12 +56,12 @@ def test_knn_collinear_points():
     # 1 degree of longitude at the equator steps of ~1e-5 deg
     traj = traj_from([(i, 0.0, i * 1e-5) for i in range(4)])
     curve = knn_distance_curve(traj, 1)
-    assert np.allclose(curve.distances, [1e-5] * 4)
+    assert np.allclose(curve, [1e-5] * 4)
 
 
 def test_knn_k_too_large():
     traj = traj_from([(0, 0, 0), (1, 0, 1e-5)])
-    with pytest.raises(ValueError):
+    with pytest.raises(TooFewPointsError):
         knn_distance_curve(traj, 2)
 
 
@@ -72,14 +71,14 @@ def test_knn_matches_bruteforce():
     for k in (1, 3, 7):
         curve = knn_distance_curve(traj, k)
         coords = [[r.position.lon, r.position.lat] for r in traj]
-        assert np.allclose(curve.distances, brute_knn_curve(coords, k), atol=1e-15)
+        assert np.allclose(curve, brute_knn_curve(coords, k), atol=1e-15)
 
 
 def test_knn_meter_planar_space():
     traj = traj_from([(i, 47.0 + i * 1e-5, -122.0) for i in range(5)])
     curve = knn_distance_curve(traj, 1, METER_PLANAR)
     # consecutive spacing is ~1.11 m
-    assert np.all(curve.distances > 1.0) and np.all(curve.distances < 1.3)
+    assert np.all(curve > 1.0) and np.all(curve < 1.3)
 
 
 def test_coords_meter_planar_as_per_point_projection():
@@ -489,20 +488,20 @@ def test_threshold_window_predicates():
 # ------------------------------------------------------------------ elbow
 
 def test_elbow_linear_curve_near_zero_scores():
-    curve = KnnCurve(k=1, distances=np.linspace(0.0, 1.0, 100))
+    curve = np.linspace(0.0, 1.0, 100)
     for cand in elbow_candidates(curve, 3):
         assert cand.score < 1e-9
 
 
 def test_elbow_knee_detection():
     d = np.concatenate([np.linspace(0, 0.1, 71), 0.1 + np.linspace(0.05, 1.5, 30)])
-    curve = KnnCurve(k=1, distances=np.sort(d))
+    curve = np.sort(d)
     top = elbow_candidates(curve, 1)[0]
     assert abs(top.index - 70) <= 2
 
 
 def test_elbow_n_larger_than_curve():
-    curve = KnnCurve(k=1, distances=np.array([0.0, 0.5, 2.0, 2.1]))
+    curve = np.array([0.0, 0.5, 2.0, 2.1])
     cands = elbow_candidates(curve, 100)
     assert len(cands) == 2  # all interior points, ranked
     assert cands[0].score >= cands[1].score

@@ -1,8 +1,12 @@
 """Every top-level function and class of the package is read somewhere
 outside its own definition: in the package (not counting the re-exports of
 `trajmatch/__init__.py`), in `demos/`, or in `perfbench/`, where an import
-or a target of probe.py's CAPTURED and TRACED tables also counts. A name
-only the tests call fails here. The files are read with ast, not imported.
+or a target of probe.py's CAPTURED and TRACED tables also counts. Every
+field of a package class, an annotated class attribute or an attribute a
+method assigns on self, is read as an attribute somewhere in the package,
+`demos/` or `perfbench/`; NamedTuple classes are left out, since
+`write_match_result` reads `MatchedPoint` by position. A name or field
+only the tests read fails here. The files are read with ast, not imported.
 """
 
 import ast
@@ -21,14 +25,14 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _reads(node: ast.AST, imports: bool = False) -> set[str]:
-    """The identifiers node reads as a name or an attribute, and, with
-    imports, the names it imports."""
+def _reads(node: ast.AST, imports: bool = False, names: bool = True) -> set[str]:
+    """The identifiers node reads as an attribute (a load), with names as a
+    name, and, with imports, the names it imports."""
     found = set()
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
+        if names and isinstance(n, ast.Name):
             found.add(n.id)
-        elif isinstance(n, ast.Attribute):
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
             found.add(n.attr)
         elif imports and isinstance(n, (ast.Import, ast.ImportFrom)):
             found.update(part for alias in n.names for part in alias.name.split("."))
@@ -68,3 +72,34 @@ def test_definition_is_read_outside_tests(qualname):
         name in reads for other, defined, reads in _package_reads()
         if (other, defined) != (module, name)), \
         f"{qualname} is read only by its own definition or the tests"
+
+
+def _fields(cls: ast.ClassDef) -> set[str]:
+    """The annotated class attributes of cls and the attributes its methods
+    assign on self."""
+    found = {n.target.id for n in cls.body
+             if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)}
+    found.update(n.attr for method in cls.body if isinstance(method, ast.FunctionDef)
+                 for n in ast.walk(method)
+                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                 and isinstance(n.value, ast.Name) and n.value.id == "self")
+    return found
+
+
+@functools.cache
+def _attribute_reads() -> set[str]:
+    """Every attribute read in the package, demos/ and perfbench/."""
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"), *PERFBENCH.glob("*.py")]
+    return set().union(*(_reads(_parse(path), names=False) for path in paths))
+
+
+@pytest.mark.parametrize("qualname", [
+    f"{path.stem}.{node.name}.{field}"
+    for path in sorted(PACKAGE.glob("*.py"))
+    for node in _parse(path).body
+    if isinstance(node, ast.ClassDef)
+    and not any("NamedTuple" in _reads(base) for base in node.bases)
+    for field in sorted(_fields(node))])
+def test_field_is_read_outside_tests(qualname):
+    assert qualname.rsplit(".", 1)[1] in _attribute_reads(), \
+        f"{qualname} is read only by the tests"
